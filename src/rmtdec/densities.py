@@ -3,14 +3,17 @@
 Covers the beta = 1, 2 eigenvalue densities, the chiral positive-eigenvalue
 density, the factorized singular-value density q(x; y), and its even- and
 odd-location marginals.  Numeric normalization constants are available for
-n <= 4 through nested ordered quadrature.
+n <= 4 through the ordered tensor rule of ``numerics``, escalated along an
+order ladder that the interlacing integral in ``verify`` shares.  Integrals
+of a weight's density over its finite Jacobi support are taken in t with
+x = sin t, which the brute-force gap oracle in ``gap`` shares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .errors import (
     NonConvergence,
     OutOfSupport,
 )
-from .numerics import _leggauss
+from .numerics import ordered_tensor
 from .weights import AdmissibleWeight, theta1
 
 __all__ = [
@@ -281,57 +284,47 @@ def log_q_odd_batch(w1: AdmissibleWeight, x: np.ndarray, n: int) -> np.ndarray:
 # -- numeric normalization -------------------------------------------------------
 
 
-def _ordered_tensor_value(
-    log_density: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    bounds: tuple[float, float],
-    order: int,
-    transform: bool,
-) -> float:
-    """Tensor Gauss-Legendre integral of exp(log_density) over the ordered box.
-
-    Coordinates are generated by the iterated map u_i = u_{i-1} +
-    (hi - u_{i-1}) t_i on t in (0,1)^n, whose Jacobian is prod (hi - u_{i-1});
-    with ``transform`` the u are tan-substitution coordinates.
-    """
-    lo, hi = bounds
-    g, gw = _leggauss(order)
-    t = 0.5 * (g + 1.0)
-    tw = 0.5 * gw
-
-    grids = np.meshgrid(*([t] * n), indexing="ij")
-    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrids = np.meshgrid(*([tw] * n), indexing="ij")
-    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
-
-    u = np.empty_like(tmat)
-    logjac = np.zeros(tmat.shape[0])
-    prev = np.full(tmat.shape[0], lo)
-    for i in range(n):
-        span = hi - prev
-        u[:, i] = prev + span * tmat[:, i]
-        logjac += np.log(span)
-        prev = u[:, i]
-
-    if transform:
-        xs = np.tan(u)
-        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
-    else:
-        xs = u
-
-    logvals = np.asarray(log_density(xs), dtype=float) + logjac + logwt
-    peak = float(np.max(logvals))
-    if not np.isfinite(peak):
-        return 0.0
-    return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
-
-
 _ORDER_LADDER = {
     1: [16, 24, 36, 54, 80],
     2: [8, 12, 18, 27, 40, 60],
     3: [8, 12, 18, 27, 40, 60],
     4: [8, 12, 18, 24, 32],
 }
+
+
+def _settle(value_at: Callable[[int], float], n: int, tol: float) -> float:
+    """Escalate the tensor order for n points along the ladder until two
+    successive values of ``value_at(order)`` agree to ``tol`` relative;
+    failing that raises NonConvergence."""
+    prev = None
+    for order in _ORDER_LADDER[n]:
+        val = value_at(order)
+        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
+            return val
+        prev = val
+    raise NonConvergence(f"ordered integral did not settle at tol={tol}")
+
+
+def _support_tensor(
+    w: AdmissibleWeight,
+    log_density: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
+    counts: Sequence[int],
+    order: int,
+) -> float:
+    """``ordered_tensor`` for a density on the support of ``w``.
+
+    On the finite Jacobi support the integral is taken in t with x = sin t,
+    as in ``theta_by_quadrature``: the (1 - x^2)^a endpoint singularity, on
+    which tensor Gauss-Legendre stalls, becomes an analytic power of cos t.
+    """
+    if math.isinf(w.omega):
+        return ordered_tensor(log_density, edges, counts, order)
+
+    def log_density_t(t: np.ndarray) -> np.ndarray:
+        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
+
+    return ordered_tensor(log_density_t, np.arcsin(edges), counts, order)
 
 
 def normalize(
@@ -351,19 +344,4 @@ def normalize(
     lo, hi = support
     if not lo < hi:
         raise BadParameter(f"empty support {support}")
-    transform = not (np.isfinite(lo) and np.isfinite(hi))
-    if transform:
-        bounds = (
-            math.atan(lo) if np.isfinite(lo) else -0.5 * math.pi,
-            math.atan(hi) if np.isfinite(hi) else 0.5 * math.pi,
-        )
-    else:
-        bounds = (float(lo), float(hi))
-
-    prev = None
-    for order in _ORDER_LADDER[n]:
-        val = _ordered_tensor_value(log_density, n, bounds, order, transform)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-    raise NonConvergence(f"ordered integral did not settle at tol={tol}")
+    return _settle(lambda order: ordered_tensor(log_density, support, [n], order), n, tol)

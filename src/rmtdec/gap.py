@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import log_p_beta_batch
+from .densities import _support_tensor, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import (
     QuadratureRule,
@@ -31,7 +31,7 @@ from .numerics import (
     sym_eigen,
     tan_transformed_rule,
 )
-from .orthopoly import build, gram, squared_argument_rule
+from .orthopoly import _probe_moment, build, gram, squared_argument_rule
 from .samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
 from .verify import VerificationReport, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
@@ -237,6 +237,8 @@ def gap_chue_exact(
     quadrature keeps every evaluation at u > 0, so the half-integer power at
     the origin never enters, and the polynomial system is built only to
     degree m - 1 (heavy-tailed images have no higher moments to spare).
+    On infinite support the u-moment of order 2(m - 1) is probed first, as
+    ``build`` does by default; a divergent one raises MomentDivergence.
     """
     if mu not in (0, 1):
         raise BadParameter("mu must be 0 or 1")
@@ -252,6 +254,8 @@ def gap_chue_exact(
         if support is None:
             raise BadParameter("a callable weight needs an explicit support")
         fn, omega = w2, support[1]
+    if math.isinf(omega):
+        _probe_moment(lambda x: x ** (2 * mu) * fn(x), (0.0, omega), 2 * (m - 1))
 
     def mapped(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -491,76 +495,22 @@ _BRUTE_LADDER = {
 }
 
 
-def _segment_tensor(
-    w1: AdmissibleWeight,
-    segs: Sequence[tuple[float, float]],
-    counts: Sequence[int],
-    order: int,
-    transform: bool,
-) -> float:
-    """Integral of the beta = 1 density over the ordered box with ``counts``
-    points in each segment, via per-segment iterated maps.
-
-    With ``transform`` the segment bounds are tan-substitution coordinates.
-    """
-    from .numerics import _leggauss
-
-    g, gw = _leggauss(order)
-    t = 0.5 * (g + 1.0)
-    tw = 0.5 * gw
-    dim = sum(counts)
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrids = np.meshgrid(*([tw] * dim), indexing="ij")
-    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
-
-    u = np.empty_like(tmat)
-    logjac = np.zeros(tmat.shape[0])
-    col = 0
-    for (a, b), c in zip(segs, counts):
-        prev = np.full(tmat.shape[0], a)
-        for _ in range(c):
-            span = b - prev
-            u[:, col] = prev + span * tmat[:, col]
-            logjac += np.log(span)
-            prev = u[:, col]
-            col += 1
-    if transform:
-        xs = np.tan(u)
-        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
-    else:
-        xs = u
-
-    logvals = log_p_beta_batch(w1, 1, xs) + logjac + logwt
-    peak = float(np.max(logvals))
-    if not np.isfinite(peak):
-        return 0.0
-    return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
-
-
 @lru_cache(maxsize=64)
 def _brute_distribution(
     w1: AdmissibleWeight, n: int, lo: float, hi: float, tol: float
 ) -> tuple[float, ...]:
     slo, shi = w1.support
-    transform = math.isinf(w1.omega)
-    if transform:
-        vlo, vhi = -math.pi / 2, math.pi / 2
-        conv = math.atan
-    else:
-        vlo, vhi = slo, shi
-        conv = lambda x: x
-    edges = [(vlo, conv(lo)), (conv(lo), conv(hi)), (conv(hi), vhi)]
-    mid = edges[1]
-    segs = [e for e in edges if e[0] < e[1]]
+    edges = [slo, *(e for e in (lo, hi) if slo < e < shi), shi]
+    mid = edges.index(lo)  # the segment that starts at lo is J
+
+    def log_density(xs: np.ndarray) -> np.ndarray:
+        return log_p_beta_batch(w1, 1, xs)
 
     prev = None
     for order in _BRUTE_LADDER[n]:
         nums = np.zeros(n + 1)
-        for counts in _compositions(n, len(segs)):
-            val = _segment_tensor(w1, segs, counts, order, transform)
-            k_mid = counts[segs.index(mid)] if mid in segs else 0
-            nums[k_mid] += val
+        for counts in _compositions(n, len(edges) - 1):
+            nums[counts[mid]] += _support_tensor(w1, log_density, edges, counts, order)
         probs = nums / nums.sum()
         if prev is not None and np.all(
             np.abs(probs - prev) <= tol * np.maximum(probs, 1e-6)

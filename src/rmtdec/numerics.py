@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-Quadrature on finite and infinite intervals, symmetric eigendecomposition,
-and polynomial interpolation / basis conversion.  Everything here is a pure
+Quadrature on finite and infinite intervals, the ordered tensor rule behind
+every small-n multiple integral, symmetric eigendecomposition, and
+polynomial interpolation / basis conversion.  Everything here is a pure
 function on immutable inputs; integrands are expected to be vectorized
 (accept an ndarray of abscissae and return an ndarray of values).
 """
@@ -28,6 +29,7 @@ __all__ = [
     "QuadratureRule",
     "PolyCoeffs",
     "integrate",
+    "ordered_tensor",
     "sym_eigen",
     "poly_from_samples",
     "chebyshev_nodes",
@@ -195,6 +197,70 @@ def integrate(
         panels[worst] = (pa, mid, left[0], left[1], depth + 1)
         panels.append((mid, pb, right[0], right[1], depth + 1))
     raise NonConvergence(f"integrate: panel budget exhausted over {interval}")
+
+
+def ordered_tensor(
+    log_density: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[float],
+    counts: Sequence[int],
+    order: int,
+) -> float:
+    """Tensor Gauss-Legendre integral of exp(log_density) over ordered points.
+
+    The region holds ``counts[i]`` ascending points in segment
+    (edges[i], edges[i+1]); ``log_density`` receives a (batch, sum(counts))
+    array of ascending rows in x-space.  Within a segment (a, b) the points
+    come from the iterated map u_j = u_{j-1} + (b - u_{j-1}) t_j on
+    t in (0,1)^c, whose Jacobian is prod (b - u_{j-1}).  An infinite outer
+    edge sends every edge through u = atan(x), with the sec^2 Jacobian
+    applied here.  Raises InvalidInterval unless the edges ascend strictly
+    and there is one count per segment.
+    """
+    x_edges = np.asarray(edges, dtype=float)
+    if x_edges.ndim != 1 or x_edges.size != len(counts) + 1:
+        raise InvalidInterval("need one count per segment between the edges")
+    if not np.all(np.diff(x_edges) > 0) or sum(counts) < 1 or min(counts) < 0:
+        raise InvalidInterval(f"edges {list(edges)} must ascend strictly around points")
+    transform = not np.all(np.isfinite(x_edges))
+    if transform:
+        bounds = [
+            math.atan(e) if np.isfinite(e) else math.copysign(0.5 * math.pi, e)
+            for e in x_edges
+        ]
+    else:
+        bounds = [float(e) for e in x_edges]
+
+    g, gw = _leggauss(order)
+    t = 0.5 * (g + 1.0)
+    tw = 0.5 * gw
+    dim = sum(counts)
+    grids = np.meshgrid(*([t] * dim), indexing="ij")
+    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
+    wgrids = np.meshgrid(*([tw] * dim), indexing="ij")
+    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
+
+    u = np.empty_like(tmat)
+    logjac = np.zeros(tmat.shape[0])
+    col = 0
+    for a, b, c in zip(bounds[:-1], bounds[1:], counts):
+        prev = np.full(tmat.shape[0], a)
+        for _ in range(c):
+            span = b - prev
+            u[:, col] = prev + span * tmat[:, col]
+            logjac += np.log(span)
+            prev = u[:, col]
+            col += 1
+    if transform:
+        xs = np.tan(u)
+        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
+    else:
+        xs = u
+
+    logvals = np.asarray(log_density(xs), dtype=float) + logjac + logwt
+    peak = float(np.max(logvals))
+    if not np.isfinite(peak):
+        return 0.0
+    return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
 
 
 def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -80,12 +80,16 @@ def _probe_moment(
     interval: tuple[float, float],
     degree: int,
 ) -> None:
+    # an integrand that overflows to inf sums to inf instead of failing to settle
     try:
-        integrate(lambda x: x ** (2 * degree) * weight(x), interval, tol=1e-6)
-    except NonConvergence as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = integrate(lambda x: x ** (2 * degree) * weight(x), interval, tol=1e-6)
+    except NonConvergence:
+        value = np.inf
+    if not np.isfinite(value):
         raise MomentDivergence(
             f"moment of order {2 * degree} does not converge on {interval}"
-        ) from exc
+        )
 
 
 def build(

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .densities import log_q_odd_batch, normalize
-from .errors import BadParameter, EmptySample, NonConvergence
+from .densities import _settle, _support_tensor, log_q_odd_batch, normalize
+from .errors import BadParameter, EmptySample
 from .numerics import composite_gl_rule, integrate, tan_transformed_rule
 from .samplers import EnsembleSpec, sample_ensemble
 from .weights import (
@@ -404,35 +404,6 @@ def _g_value(
     return vals
 
 
-def _box_integral(
-    fn: Callable[[np.ndarray], np.ndarray],
-    bounds: Sequence[tuple[float, float]],
-    tol: float,
-) -> float:
-    """Tensor-product integral of fn over a box, escalating panel counts.
-
-    Infinite upper limits go through tan-substituted rules.  Converges when
-    two successive ladder levels agree to ``tol`` relative.
-    """
-    prev = None
-    for panels in (2, 3, 5, 8, 12):
-        rules = []
-        for lo, hi in bounds:
-            if math.isinf(hi):
-                rules.append(tan_transformed_rule(lo, hi, 2 * panels, 10))
-            else:
-                rules.append(composite_gl_rule(lo, hi, panels, 10))
-        grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*[r.weights for r in rules], indexing="ij")
-        wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-        val = float(np.dot(wts, fn(pts)))
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-    raise NonConvergence("box integral did not settle on the panel ladder")
-
-
 def verify_dixon_anderson(
     family: str,
     a: float | None,
@@ -447,7 +418,8 @@ def verify_dixon_anderson(
     The left side integrates g_{1-mu}(t_1..t_mhat) over the box s_1 < t_1 <
     omega, s_2 < t_2 < s_1, ...; the right side is theta^mu * A_{mhat,1-mu} *
     g~_mu(s) with the companion weight.  Checked at ``configs`` seeded random
-    descending s-configurations.
+    descending s-configurations.  The box is the ordered tensor rule with one
+    point per segment, escalated along the ``normalize`` order ladder.
     """
     if m not in (1, 2):
         raise BadParameter("nested quadrature supports m in {1, 2}")
@@ -462,6 +434,10 @@ def verify_dixon_anderson(
         tol = 1e-5 if w.family == "cauchy" else 1e-7
     const = w.theta**mu * big_A(w, mhat, 1 - mu)
 
+    def log_g(pts: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(_g_value(w, 1 - mu, pts[:, ::-1], companion=False))
+
     rng = np.random.default_rng(seed)
     lo_s, hi_s = (0.15, 0.85) if w.family == "jacobi" else (0.25, 1.8)
     checks = []
@@ -470,12 +446,11 @@ def verify_dixon_anderson(
             s = np.sort(rng.uniform(lo_s, hi_s, m))[::-1]
             if m == 1 or np.min(-np.diff(s)) > 0.08:
                 break
-        bounds = [(s[0], w.omega)]
-        bounds += [(s[j], s[j - 1]) for j in range(1, m)]
-        if mu == 1:
-            bounds.append((0.0, s[m - 1]))
-        lhs = _box_integral(
-            lambda pts: _g_value(w, 1 - mu, pts, companion=False), bounds, tol / 20.0
+        edges = [0.0] * mu + list(s[::-1]) + [w.omega]
+        lhs = _settle(
+            lambda order: _support_tensor(w, log_g, edges, [1] * mhat, order),
+            mhat,
+            tol / 20.0,
         )
         rhs = const * float(_g_value(w, mu, s[None, :], companion=True)[0])
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)

@@ -189,6 +189,16 @@ class TestGapChue:
             se = max(est.stderr_of(k), 1e-12)
             assert abs(est.prob(k) - p.prob(k)) < 3.5 * se
 
+    def test_divergent_moment_raises(self) -> None:
+        # u^(-1/2) (1 + u)^(-5) has no u-moment of order 6, which m = 4 needs
+        w = cauchy_weight(2.0)
+        with pytest.raises(MomentDivergence):
+            gap_chue_exact(w, 0, 4, 1.0)
+        assert gap_chue_exact(w, 0, 3, 1.0).n == 3
+        # x^24 overflows before the divergence shows; the probe must still fail
+        with pytest.raises(MomentDivergence):
+            gap_chue_exact(cauchy_weight(4.0), 0, 7, 1.0)
+
     def test_parameter_validation(self) -> None:
         w = gauss_weight()
         with pytest.raises(BadParameter):
@@ -329,6 +339,15 @@ class TestBruteForce:
         w = jacobi_weight(0.0)
         vals = [gap_oe_bruteforce(w, 2, (-0.5, 0.5), k) for k in range(3)]
         assert_allclose(vals, [5 / 16, 9 / 16, 2 / 16], atol=1e-9)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    def test_jacobi_endpoint_singularity_matches_odd_exact(self, a: float) -> None:
+        # (1 - x^2)^a is not analytic at +-1 for half-integer a
+        w = jacobi_weight(a)
+        s = 0.5
+        p = gap_oe_odd_exact(w, 3, s)
+        b = [gap_oe_bruteforce(w, 3, (-s, s), k) for k in range(4)]
+        assert_allclose(b, p.coeffs, rtol=0, atol=1e-9)
 
     def test_single_point_gauss(self) -> None:
         s = 0.9

@@ -18,6 +18,7 @@ from rmtdec.numerics import (
     composite_gl_rule,
     gauss_legendre_rule,
     integrate,
+    ordered_tensor,
     poly_from_samples,
     sym_eigen,
     tan_transformed_rule,
@@ -64,6 +65,45 @@ class TestIntegrate:
         # non-integrable 1/x betrays itself as never-settling panel errors
         with pytest.raises(NonConvergence):
             integrate(lambda x: 1.0 / np.abs(x + 1e-320), (0.0, 1.0), tol=1e-10)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    return np.zeros(x.shape[0])
+
+
+class TestOrderedTensor:
+    def test_one_segment_flat_is_simplex_volume(self) -> None:
+        # ordered n-tuples in (a, b) fill (b - a)^n / n! of the cube
+        val = ordered_tensor(_flat, [0.5, 2.0], [3], 4)
+        assert val == pytest.approx(1.5**3 / 6.0, rel=1e-13)
+
+    def test_one_point_per_segment_is_box_volume(self) -> None:
+        val = ordered_tensor(_flat, [-1.0, 0.25, 0.5, 3.0], [1, 1, 1], 3)
+        assert val == pytest.approx(1.25 * 0.25 * 2.5, rel=1e-13)
+
+    def test_empty_segment_contributes_nothing(self) -> None:
+        val = ordered_tensor(_flat, [0.0, 1.0, 2.0], [0, 2], 4)
+        assert val == pytest.approx(0.5, rel=1e-13)
+
+    def test_gauss_full_line(self) -> None:
+        f = lambda x: -0.5 * np.sum(x**2, axis=1)
+        val = ordered_tensor(f, [-np.inf, np.inf], [1], 80)
+        assert val == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "edges,counts",
+        [
+            ([1.0, 0.0], [1]),
+            ([0.0, 1.0, 1.0], [1, 1]),
+            ([0.0, np.nan], [1]),
+            ([0.0, 1.0], [1, 1]),
+            ([0.0, 1.0, 2.0], [2]),
+            ([0.0, 1.0], [0]),
+        ],
+    )
+    def test_bad_edges_or_counts(self, edges: list, counts: list) -> None:
+        with pytest.raises(InvalidInterval):
+            ordered_tensor(_flat, edges, counts, 4)
 
 
 class TestQuadratureRule:

@@ -82,6 +82,12 @@ class TestBuildOracles:
         with pytest.raises(MomentDivergence):
             build(w, (-np.inf, np.inf), 3)
 
+    def test_overflowing_moment_diverges(self) -> None:
+        # x^24 overflows to inf far out, so the probe sums to inf, not NaN
+        w = lambda x: (1.0 + x**2) ** -9.0
+        with pytest.raises(MomentDivergence):
+            build(w, (-np.inf, np.inf), 12)
+
     def test_degree_cap(self) -> None:
         with pytest.raises(BadParameter):
             build(w_flat, (-1.0, 1.0), 41)

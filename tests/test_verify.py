@@ -221,6 +221,11 @@ class TestDixonAnderson:
     def test_jacobi_m2_mu0(self) -> None:
         assert verify_dixon_anderson("jacobi", 0.0, 2, 0, seed=3).passed
 
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    @pytest.mark.parametrize("m,mu", [(1, 0), (1, 1), (2, 0)])
+    def test_jacobi_endpoint_singularity(self, a: float, m: int, mu: int) -> None:
+        assert verify_dixon_anderson("jacobi", a, m, mu, seed=5).passed
+
     def test_cauchy_m1_mu0(self) -> None:
         rep = verify_dixon_anderson("cauchy", 3.5, 1, 0, seed=4)
         assert rep.passed
