@@ -423,7 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--kind", required=True,
                     help="oe, ue, chue, coe, cue, oplus, ominus")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
-    ps.add_argument("--method", choices=("auto", "exact", "mcmc"), default="auto")
+    ps.add_argument(
+        "--method",
+        choices=("auto", "exact", "mcmc"),
+        default="auto",
+        help="auto: the exact route where one exists, else Metropolis; "
+        "exact: fail without one; mcmc: Metropolis (weighted kinds only)",
+    )
 
     pg = sub.add_parser("gap", help="gap probabilities, exact when available")
     _add_common(pg)

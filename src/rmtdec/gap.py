@@ -32,7 +32,15 @@ from .numerics import (
     tan_transformed_rule,
 )
 from .orthopoly import _probe_moment, build, gram, squared_argument_rule
-from .samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
+from .samplers import (
+    EnsembleSpec,
+    McmcParams,
+    sample_beta_jacobi,
+    sample_beta_laguerre,
+    sample_ensemble,
+    sample_gaussian_matrix,
+    sample_mcmc,
+)
 from .verify import VerificationReport, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
 
@@ -306,6 +314,30 @@ class _OddParts:
     G: np.ndarray  # 2 int_0^s w2 p_{2j-1} p_{2k-1}
 
 
+def _w1_integral(
+    w1: AdmissibleWeight, f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float
+) -> float:
+    """int_lo^hi f(x, w1(x)) dx.
+
+    On the finite Jacobi support the integral is taken in t with x = sin t,
+    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_tensor``:
+    the (1 - x^2)^a endpoint singularity, on which ``integrate`` stalls for
+    a < 0, becomes the power cos(t)^(2a+1), which ``integrate`` resolves by
+    bisection.  Nodes within about 1e-8 of t = pi/2, where sin t rounds to
+    1, are moved to the largest float below 1 so that f stays on the
+    support.
+    """
+    if math.isinf(w1.omega):
+        return integrate(lambda x: f(x, w1.w1(x)), (lo, hi), tol=1e-12)
+    p = 2.0 * w1.a + 1.0
+    below_one = np.nextafter(1.0, 0.0)
+
+    def in_t(t: np.ndarray) -> np.ndarray:
+        return f(np.clip(np.sin(t), -below_one, below_one), np.cos(t) ** p)
+
+    return integrate(in_t, (math.asin(lo), math.asin(hi)), tol=1e-12)
+
+
 def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     if n < 1 or n % 2 == 0:
         raise BadParameter("the bordered determinant needs odd n >= 1")
@@ -327,25 +359,17 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
         return sys.evaluate(np.atleast_1d(x), [odd_idx[row]])[0]
 
     omega = w1.omega
-    T0 = np.array(
-        [integrate(lambda x, r=r: w1.w1(x) * pk(x, r), (0.0, omega), tol=1e-12) for r in range(m)]
-    )
-    Ts = np.array(
-        [integrate(lambda x, r=r: w1.w1(x) * pk(x, r), (s, omega), tol=1e-12) for r in range(m)]
-    )
+    T0 = np.array([_w1_integral(w1, lambda x, wx, r=r: wx * pk(x, r), 0.0, omega) for r in range(m)])
+    Ts = np.array([_w1_integral(w1, lambda x, wx, r=r: wx * pk(x, r), s, omega) for r in range(m)])
     U = 2.0 * np.array(
         [
-            integrate(
-                lambda x, r=r: theta1(w1, x) * w1.w1(x) * pk(x, r), (0.0, omega), tol=1e-12
-            )
+            _w1_integral(w1, lambda x, wx, r=r: theta1(w1, x) * wx * pk(x, r), 0.0, omega)
             for r in range(m)
         ]
     )
     inner = np.array(
         [
-            integrate(
-                lambda t, r=r: w1.w1(t) * pk(t, r) * (th1s - theta1(w1, t)), (0.0, s), tol=1e-12
-            )
+            _w1_integral(w1, lambda t, wt, r=r: wt * pk(t, r) * (th1s - theta1(w1, t)), 0.0, s)
             for r in range(m)
         ]
     )
@@ -677,13 +701,34 @@ def check_B1_structure(
 @dataclass(frozen=True)
 class WeightPair:
     """A beta = 1 base weight and the beta = 2 weight its superposition
-    decimates to, on a shared support."""
+    decimates to, on a shared support.
+
+    ``exact`` draws sorted beta = 1 rows, (n, count, seed, workers) -> array,
+    from a matrix model of the base weight; None leaves Metropolis on
+    ``log_w1`` as the only sampler.
+    """
 
     name: str
     support: tuple[float, float]
     log_w1: Callable[[np.ndarray], np.ndarray]
     w2: Callable[[np.ndarray], np.ndarray]
     heavy_tail: bool = False
+    exact: Callable[[int, int, int, int], np.ndarray] | None = None
+
+
+def _laguerre_rows(p: float) -> Callable[[int, int, int, int], np.ndarray]:
+    """beta = 1 rows with weight x^p e^(-x/2) on (0, inf)."""
+    return lambda n, count, seed, workers: sample_beta_laguerre(
+        1, n, p, count, seed, workers
+    ).spectra
+
+
+def _jacobi_rows(A: float, B: float, lo: float) -> Callable[[int, int, int, int], np.ndarray]:
+    """beta = 1 rows on (lo, 1), lo = 0 or -1, with weight
+    (x - lo)^((A-1)/2) (1 - x)^((B-1)/2) up to a constant."""
+    return lambda n, count, seed, workers: lo + (1.0 - lo) * sample_beta_jacobi(
+        1, n, A, B, count, seed, workers
+    ).spectra
 
 
 def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
@@ -693,7 +738,9 @@ def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
         def lw1(x: np.ndarray) -> np.ndarray:
             return np.where(x > 0.0, -0.5 * x, -np.inf)
 
-        return WeightPair("laguerre", (0.0, math.inf), lw1, lambda x: np.exp(-x))
+        return WeightPair(
+            "laguerre", (0.0, math.inf), lw1, lambda x: np.exp(-x), exact=_laguerre_rows(0.0)
+        )
     if family == "jacobi":
         if a <= -1.0:
             raise BadParameter("need a > -1")
@@ -703,7 +750,9 @@ def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
                 v = 0.5 * (a - 1.0) * np.log1p(-x)
             return np.where((x > 0.0) & (x < 1.0), v, -np.inf)
 
-        return WeightPair("jacobi", (0.0, 1.0), jw1, lambda x: (1.0 - x) ** a)
+        return WeightPair(
+            "jacobi", (0.0, 1.0), jw1, lambda x: (1.0 - x) ** a, exact=_jacobi_rows(1.0, a, 0.0)
+        )
     raise BadParameter(f"no same-size superposition row for {family!r}")
 
 
@@ -715,6 +764,9 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
             (-math.inf, math.inf),
             lambda x: -0.5 * x * x,
             lambda x: np.exp(-x * x),
+            exact=lambda n, count, seed, workers: sample_gaussian_matrix(
+                1, n, count, seed, workers
+            ).spectra,
         )
     if family == "laguerre":
         if a <= -1.0:
@@ -725,7 +777,13 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
                 v = 0.5 * (a - 1.0) * np.log(x) - 0.5 * x
             return np.where(x > 0.0, v, -np.inf)
 
-        return WeightPair("laguerre", (0.0, math.inf), lw1, lambda x: x**a * np.exp(-x))
+        return WeightPair(
+            "laguerre",
+            (0.0, math.inf),
+            lw1,
+            lambda x: x**a * np.exp(-x),
+            exact=_laguerre_rows(0.5 * (a - 1.0)),
+        )
     if family == "jacobi":
         if a <= -1.0 or b <= -1.0:
             raise BadParameter("need a, b > -1")
@@ -736,7 +794,11 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
             return np.where((x > -1.0) & (x < 1.0), v, -np.inf)
 
         return WeightPair(
-            "jacobi", (-1.0, 1.0), jw1, lambda x: (1.0 + x) ** a * (1.0 - x) ** b
+            "jacobi",
+            (-1.0, 1.0),
+            jw1,
+            lambda x: (1.0 + x) ** a * (1.0 - x) ** b,
+            exact=_jacobi_rows(a, b, -1.0),
         )
     if family == "cauchy":
         if a <= 0.0:
@@ -776,7 +838,10 @@ def _pair_init(pair: WeightPair) -> Callable:
 
 
 def _pair_batch(pair: WeightPair, n: int, count: int, seed: int, workers: int) -> np.ndarray:
-    """One beta = 1 Metropolis run for a table weight; returns sorted rows."""
+    """One beta = 1 run for a table weight, from its matrix model where it
+    has one and by Metropolis otherwise; returns sorted rows."""
+    if pair.exact is not None:
+        return pair.exact(n, count, seed, workers)
     params = McmcParams(heavy_tail=pair.heavy_tail)
     batch = sample_mcmc(
         _pair_log_density(pair, n), n, count, seed, params=params, init=_pair_init(pair), workers=workers

@@ -1,12 +1,16 @@
 """Spectrum samplers for every supported ensemble.
 
-Exact matrix models (Gaussian symmetric and Hermitian, Haar circular and
-orthogonal) where a matrix realization exists, tangent-half-angle pullbacks
-of the circular ensembles for the matched Cauchy weights, and a generic
-random-walk Metropolis sampler for everything else.  All samplers are
-deterministic given the seed: work is split into a fixed number of logical
-blocks, each with its own generator derived from (seed, block index), so the
-output does not depend on the worker count.
+Exact, independent draws wherever the law has a matrix model: Gaussian
+symmetric and Hermitian matrices, Haar circular and orthogonal matrices,
+tangent-half-angle pullbacks of the circular ensembles for the matched
+Cauchy weights, and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi
+(Edelman-Sutton) bidiagonal models with real parameters for the chiral and
+Jacobi laws.  A generic random-walk Metropolis sampler covers the rest (OE
+and UE with a Cauchy weight off the circular exponents) and serves as an
+independent cross-check on request.  All samplers are deterministic given
+the seed: work is split into a fixed number of logical blocks, each with its
+own generator derived from (seed, block index), so the output does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .densities import log_chiral_batch, log_p_beta_batch
 from .errors import BadParameter, NonConvergence, PoleAtPi, StuckChain
@@ -31,6 +34,8 @@ __all__ = [
     "McmcParams",
     "sample_gaussian_matrix",
     "sample_haar_circular",
+    "sample_beta_laguerre",
+    "sample_beta_jacobi",
     "sample_mcmc",
     "sample_ensemble",
     "has_exact_route",
@@ -54,7 +59,8 @@ class EnsembleSpec:
     values for chUE, the matrix order for COE/CUE, and one less than the
     matrix order for Oplus/Ominus.  ``mu`` selects the chiral weight
     x^(2 mu) w2 and is meaningful only for chUE.  ``method`` is "auto"
-    (exact when available, else Metropolis), "exact", or "mcmc".
+    (exact when available, else Metropolis), "exact", or "mcmc"; see
+    ``sample_ensemble`` for the routes.
     """
 
     kind: str
@@ -280,26 +286,17 @@ def _haar_orthogonal(
     return q
 
 
-def _schur_angles(q: np.ndarray) -> np.ndarray:
-    """Rotation angles of one orthogonal matrix from its real Schur form.
+def _rotation_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation angles in (0, pi) of a stack of orthogonal matrices.
 
-    Angles within _ALGEBRAIC_TOL of 0 or pi are treated as forced by the
-    determinant constraint and dropped.
+    One batched eigenvalue call for the whole stack.  Returns (angles,
+    counts): row i of ``angles`` holds the counts[i] angles of q[i] in
+    ascending order, then +inf.  Angles within _ALGEBRAIC_TOL of 0 or pi are
+    treated as forced by the determinant constraint and dropped.
     """
-    t = scipy.linalg.schur(q, output="real")[0]
-    size = t.shape[0]
-    angles = []
-    i = 0
-    while i < size:
-        if i + 1 < size and t[i + 1, i] != 0.0:
-            c = min(1.0, max(-1.0, 0.5 * (t[i, i] + t[i + 1, i + 1])))
-            theta = math.acos(c)
-            if _ALGEBRAIC_TOL < theta < math.pi - _ALGEBRAIC_TOL:
-                angles.append(theta)
-            i += 2
-        else:
-            i += 1
-    return np.sort(np.asarray(angles, dtype=float))
+    ang = np.angle(np.linalg.eigvals(q))
+    keep = (ang > _ALGEBRAIC_TOL) & (ang < math.pi - _ALGEBRAIC_TOL)
+    return np.sort(np.where(keep, ang, np.inf), axis=1), np.count_nonzero(keep, axis=1)
 
 
 def _oplus_width(n: int) -> int:
@@ -348,19 +345,106 @@ def sample_haar_circular(
             out = np.empty((m, width))
             filled = 0
             for _ in range(64):
+                angles, counts = _rotation_angles(
+                    _haar_orthogonal(rng, m - filled, size, det_sign)
+                )
+                rows = angles[counts == width, :width]
+                out[filled : filled + rows.shape[0]] = rows
+                filled += rows.shape[0]
                 if filled == m:
-                    break
-                for q in _haar_orthogonal(rng, m - filled, size, det_sign):
-                    ang = _schur_angles(q)
-                    if ang.size == width:
-                        out[filled] = ang
-                        filled += 1
-            else:
-                raise NonConvergence("persistent degenerate rotation angles")
-            return out, {}
+                    return out, {}
+            raise NonConvergence("persistent degenerate rotation angles")
 
     parts = _run_blocks(block, count, seed, workers)
     return _merge(parts, seed, f"Haar({kind}, n={n})")
+
+
+# -- beta-ensemble matrix models -------------------------------------------------
+
+
+def _bidiagonal(diag: np.ndarray, off: np.ndarray, upper: bool) -> np.ndarray:
+    """Stack of bidiagonal matrices from (m, n) diagonals and (m, n-1) off-diagonals."""
+    m, n = diag.shape
+    b = np.zeros((m, n, n))
+    i = np.arange(n)
+    b[:, i, i] = diag
+    if upper:
+        b[:, i[:-1], i[1:]] = off
+    else:
+        b[:, i[1:], i[:-1]] = off
+    return b
+
+
+def _squared_singular_values(b: np.ndarray) -> np.ndarray:
+    return np.sort(np.linalg.svd(b, compute_uv=False) ** 2, axis=1)
+
+
+def sample_beta_laguerre(
+    beta: float, n: int, p: float, count: int, seed: int, workers: int = 1
+) -> SampleBatch:
+    """Sorted eigenvalues in (0, inf) with joint density
+    prod lam^p exp(-lam/2) |Vdm|^beta, for any beta > 0 and p > -1.
+
+    Dumitriu-Edelman bidiagonal model: the squared singular values of the
+    lower bidiagonal B whose row k (k = 0..n-1) holds chi_{2 alpha - beta k}
+    on the diagonal and chi_{beta (n-k)} left of it, with
+    alpha = p + 1 + beta (n-1)/2.  Every draw is independent.
+    """
+    if not beta > 0.0:
+        raise BadParameter(f"beta must be positive, got {beta}")
+    if n < 1:
+        raise BadParameter("n must be positive")
+    if not p > -1.0:
+        raise BadParameter(f"Laguerre exponent must exceed -1, got {p}")
+    k = np.arange(n)
+    diag_df = 2.0 * p + 2.0 + beta * (n - 1 - k)
+    off_df = beta * (n - k[1:])
+
+    def block(rng: np.random.Generator, m: int):
+        diag = np.sqrt(rng.chisquare(diag_df, (m, n)))
+        off = np.sqrt(rng.chisquare(off_df, (m, n - 1)))
+        return _squared_singular_values(_bidiagonal(diag, off, upper=False)), {}
+
+    parts = _run_blocks(block, count, seed, workers)
+    return _merge(parts, seed, f"BetaLaguerre(beta={beta:g}, n={n}, p={p:g})")
+
+
+def sample_beta_jacobi(
+    beta: float, n: int, A: float, B: float, count: int, seed: int, workers: int = 1
+) -> SampleBatch:
+    """Sorted values in (0, 1) with joint density
+    prod lam^(beta/2 (A+1) - 1) (1 - lam)^(beta/2 (B+1) - 1) |Vdm|^beta,
+    for any beta > 0 and A, B > -1.
+
+    Edelman-Sutton CS model: with c_k ~ sqrt Beta(beta/2 (A+k), beta/2 (B+k))
+    (k = 1..n) and c'_k ~ sqrt Beta(beta/2 k, beta/2 (A+B+1+k)) (k = 1..n-1),
+    lam are the squared singular values of the upper bidiagonal B11 with
+    diagonal (c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1) and superdiagonal
+    (-s_n c'_{n-1}, ..., -s_2 c'_1), where s = sqrt(1 - c^2).  B11 is a
+    contraction, so lam is clipped to 1 against rounding.  Every draw is
+    independent.
+    """
+    if not beta > 0.0:
+        raise BadParameter(f"beta must be positive, got {beta}")
+    if n < 1:
+        raise BadParameter("n must be positive")
+    if not (A > -1.0 and B > -1.0):
+        raise BadParameter(f"Jacobi exponents must exceed -1, got A={A}, B={B}")
+    k = np.arange(1.0, n + 1.0)
+    kp = k[:-1]
+    half = 0.5 * beta
+
+    def block(rng: np.random.Generator, m: int):
+        c = np.sqrt(rng.beta(half * (A + k), half * (B + k), (m, n)))
+        cp = np.sqrt(rng.beta(half * kp, half * (A + B + 1.0 + kp), (m, n - 1)))
+        s, sp = np.sqrt(1.0 - c * c), np.sqrt(1.0 - cp * cp)
+        diag = c[:, ::-1].copy()
+        diag[:, 1:] *= sp[:, ::-1]
+        off = -s[:, :0:-1] * cp[:, ::-1]
+        return np.minimum(_squared_singular_values(_bidiagonal(diag, off, upper=True)), 1.0), {}
+
+    parts = _run_blocks(block, count, seed, workers)
+    return _merge(parts, seed, f"BetaJacobi(beta={beta:g}, n={n}, A={A:g}, B={B:g})")
 
 
 # -- generic Metropolis sampler ---------------------------------------------------
@@ -548,45 +632,85 @@ def _near_int(v: float) -> int | None:
     return int(r) if abs(v - r) < 1e-12 else None
 
 
-def has_exact_route(spec: EnsembleSpec) -> bool:
-    """Whether a matrix-model or pullback sampler exists for this spec."""
-    if spec.kind in _CIRCULAR:
-        return True
-    w = spec.weight
-    if spec.kind in ("OE", "UE"):
-        if w.family == "gauss":
-            return True
-        return w.family == "cauchy" and _near_int(2.0 * w.a + 1.0) == spec.n
-    if w.family != "cauchy":
-        return False
-    order = _near_int(2.0 * w.a + 1.0)
+def _pullback_source(spec: EnsembleSpec) -> tuple[str, int] | None:
+    """The circular (kind, order) whose tangent-half-angle image is this
+    Cauchy spec, or None when the exponent matches no circular order."""
+    order = _near_int(2.0 * spec.weight.a + 1.0)
     if order is None or order < 1:
-        return False
-    want = _oplus_width(order) if spec.mu == 0 else _ominus_width(order)
-    return spec.n == want
+        return None
+    if spec.kind in ("OE", "UE"):
+        return ("COE" if spec.kind == "OE" else "CUE", order) if order == spec.n else None
+    if spec.mu == 0:
+        return ("Oplus", order) if spec.n == _oplus_width(order) else None
+    return ("Ominus", order) if spec.n == _ominus_width(order) else None
+
+
+def _exact_route(spec: EnsembleSpec) -> str | None:
+    """Name of the exact sampler for this spec, None where only Metropolis
+    applies (OE/UE Cauchy at an exponent with no circular pullback)."""
+    if spec.kind in _CIRCULAR:
+        return "haar"
+    family = spec.weight.family
+    if family == "gauss":
+        return "gaussian" if spec.kind in ("OE", "UE") else "beta-laguerre"
+    if family == "jacobi":
+        return "beta-jacobi"
+    if _pullback_source(spec) is not None:
+        return "pullback"
+    return "beta-jacobi" if spec.kind == "chUE" else None
+
+
+def has_exact_route(spec: EnsembleSpec) -> bool:
+    """Whether a matrix-model or pullback sampler exists for this spec.
+
+    Every spec has one except OE/UE with a Cauchy weight whose exponent
+    2a + 1 differs from n; those sample by Metropolis only.
+    """
+    return _exact_route(spec) is not None
 
 
 def _pullback(angles: SampleBatch) -> np.ndarray:
     return np.sort(np.tan(0.5 * angles.spectra), axis=1)
 
 
-def _sample_exact(spec: EnsembleSpec, count: int, seed: int, workers: int) -> SampleBatch:
-    if spec.kind in _CIRCULAR:
+def _sample_beta_model(spec: EnsembleSpec, count: int, seed: int, workers: int) -> np.ndarray:
+    """Spectra from the beta-Laguerre / beta-Jacobi model of the spec's law.
+
+    chUE maps to u = x^2 with density prod u^(mu - 1/2) w2(sqrt u) Vdm(u)^2:
+    Gauss is beta-Laguerre at u = lam/2, Jacobi is beta-Jacobi at u = lam,
+    and Cauchy is beta-Jacobi after v = u/(1 + u).  OE/UE Jacobi is
+    beta-Jacobi at x = 2 lam - 1.
+    """
+    n, w, mu = spec.n, spec.weight, spec.mu
+    if spec.kind == "chUE":
+        if w.family == "gauss":
+            lam = sample_beta_laguerre(2, n, mu - 0.5, count, seed, workers).spectra
+            return np.sqrt(0.5 * lam)
+        if w.family == "jacobi":
+            b = 2.0 * w.a + 1.0
+            lam = sample_beta_jacobi(2, n, mu - 0.5, b, count, seed, workers).spectra
+            return np.sqrt(lam)
+        b = 2.0 * w.a - mu - 2.0 * n + 1.5
+        lam = sample_beta_jacobi(2, n, mu - 0.5, b, count, seed, workers).spectra
+        return np.sqrt(lam / (1.0 - lam))
+    beta = 1 if spec.kind == "OE" else 2
+    ab = 2.0 * w.a + 1.0
+    return 2.0 * sample_beta_jacobi(beta, n, ab, ab, count, seed, workers).spectra - 1.0
+
+
+def _sample_exact(
+    spec: EnsembleSpec, route: str, count: int, seed: int, workers: int
+) -> SampleBatch:
+    if route == "haar":
         return sample_haar_circular(spec.kind, spec.n, count, seed, workers)
-    w = spec.weight
-    if w.family == "gauss":
+    if route == "gaussian":
         beta = 1 if spec.kind == "OE" else 2
         return sample_gaussian_matrix(beta, spec.n, count, seed, workers)
-    if spec.kind in ("OE", "UE"):
-        base = sample_haar_circular(
-            "COE" if spec.kind == "OE" else "CUE", spec.n, count, seed, workers
-        )
+    if route == "pullback":
+        kind, order = _pullback_source(spec)
+        base = sample_haar_circular(kind, order, count, seed, workers)
         return SampleBatch(spectra=_pullback(base), seed=seed)
-    order = _near_int(2.0 * w.a + 1.0)
-    base = sample_haar_circular(
-        "Oplus" if spec.mu == 0 else "Ominus", order, count, seed, workers
-    )
-    return SampleBatch(spectra=_pullback(base), seed=seed)
+    return SampleBatch(spectra=_sample_beta_model(spec, count, seed, workers), seed=seed)
 
 
 def _mcmc_density(spec: EnsembleSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -629,17 +753,26 @@ def sample_ensemble(
 ) -> SampleBatch:
     """Draw a batch from the ensemble, routing per spec.method.
 
-    Exact routes: Gaussian matrices for the Gauss weight OE/UE, Haar for the
-    circular kinds, and tangent-half-angle pullbacks of COE/CUE/Oplus/Ominus
-    for Cauchy weights whose exponent matches a circular order.  Everything
-    else runs Metropolis on the matching log density.
+    Exact routes (``diagnostics["route"]`` names the one taken):
+
+    - "gaussian": Gaussian symmetric/Hermitian matrices for Gauss OE/UE;
+    - "haar": Haar unitary/orthogonal matrices for the circular kinds;
+    - "pullback": tangent-half-angle images of COE/CUE/Oplus/Ominus for
+      Cauchy weights whose exponent matches a circular order;
+    - "beta-laguerre": chUE Gauss;
+    - "beta-jacobi": OE/UE/chUE Jacobi and the remaining chUE Cauchy.
+
+    OE/UE Cauchy at any other exponent, and every spec with method "mcmc",
+    runs Metropolis ("metropolis") on the matching log density; those
+    batches also record the acceptance rate and effective sample size.
     """
-    if spec.method == "exact" and not has_exact_route(spec):
+    route = _exact_route(spec)
+    if spec.method == "exact" and route is None:
         raise BadParameter(f"no exact route for {spec.describe()}")
-    use_exact = spec.method != "mcmc" and has_exact_route(spec)
-    if use_exact:
-        batch = _sample_exact(spec, count, seed, workers)
+    if spec.method != "mcmc" and route is not None:
+        batch = _sample_exact(spec, route, count, seed, workers)
     else:
+        route = "metropolis"
         p = params if params is not None else McmcParams()
         if spec.weight.family == "cauchy" and not p.heavy_tail:
             p = replace(p, heavy_tail=True)
@@ -652,4 +785,6 @@ def sample_ensemble(
             init=_mcmc_init(spec),
             workers=workers,
         )
-    return replace(batch, label=spec.describe())
+    return replace(
+        batch, label=spec.describe(), diagnostics={"route": route, **batch.diagnostics}
+    )

@@ -275,8 +275,12 @@ def verify_thm1(
 ) -> VerificationReport:
     """Even-decimated singular values of OE_n against the chiral ensemble.
 
-    Either side samples exactly when a route exists, otherwise by Metropolis;
-    the two streams are independent.
+    Both sides draw independent rows from exact routes: Gaussian matrices,
+    circular pullbacks or the beta-Jacobi model for OE_n, and the
+    beta-Laguerre / beta-Jacobi models or an Oplus/Ominus pullback for the
+    chiral side (see ``samplers.sample_ensemble``); only OE with a Cauchy
+    weight off the circular exponents falls back to Metropolis.  The two
+    streams are independent.
     """
     if n < 2:
         raise BadParameter("decimation comparison needs n >= 2")

@@ -33,6 +33,8 @@ class TestSampleCommand:
         assert lines[0].startswith("# spec=")
         assert " seed=7 " in lines[0]
         assert " diagnostics=" in lines[0]
+        assert lines[0].endswith(' diagnostics={"route":"gaussian"}')
+        assert 'diagnostics: {"route": "gaussian"}' in text
         assert lines[1] == "v1,v2,v3"
         assert len(lines) == 52
         assert all(len(line.split(",")) == 3 for line in lines[2:])
@@ -227,6 +229,19 @@ class TestVerifyCommand:
             assert name in cli.IDENTITIES
         covered = {name for name, _ in cli._all_profile(True, 0, 1)}
         assert covered == set(cli.IDENTITIES)
+
+    def test_quick_profile_never_calls_metropolis(self, monkeypatch) -> None:
+        # every row of `verify all --quick` samples from exact routes only
+        from rmtdec import gap, samplers
+
+        def no_metropolis(*args, **kwargs):
+            raise AssertionError("Metropolis was called")
+
+        monkeypatch.setattr(samplers, "sample_mcmc", no_metropolis)
+        monkeypatch.setattr(gap, "sample_mcmc", no_metropolis)
+        for name, p in cli._all_profile(True, 0, 1):
+            rep = cli._run_identity(name, p)
+            assert rep.passed, f"{name}: {rep.table()}"
 
 
 class TestConfigFile:

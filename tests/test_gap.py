@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
+import scipy.stats
 from scipy import special
 
 from rmtdec.errors import BadParameter, MomentDivergence, NonConvergence
@@ -33,7 +34,7 @@ from rmtdec.gap import (
 )
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import build, gram
-from rmtdec.samplers import EnsembleSpec
+from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
 
 
@@ -275,6 +276,33 @@ class TestGapOeOdd:
             b = gap_oe_bruteforce(w, 3, (-s, s), k)
             assert b == pytest.approx(p.prob(k), abs=1e-6)
 
+    @pytest.mark.parametrize("a,brute_tol,atol", [(-0.5, 1e-6, 1e-9), (-0.25, 1e-4, 2e-5)])
+    def test_negative_jacobi_exponent_matches_bruteforce(
+        self, a: float, brute_tol: float, atol: float
+    ) -> None:
+        # (1 - x^2)^a is infinite at +-1 for a < 0.  For a = -1/4 the brute
+        # force's tensor rule meets cos(t)^(1/2) in t and settles only at 1e-4.
+        w = jacobi_weight(a)
+        for s in (0.3, 0.5, 0.8):
+            p = gap_oe_odd_exact(w, 3, s)
+            g = gap_oe_odd_exact(w, 3, s, mode="gaudin")
+            assert_allclose(p.coeffs, g.coeffs, atol=1e-9)
+            assert p.meta["theta_residual"] < 1e-9
+            b = [gap_oe_bruteforce(w, 3, (-s, s), k, tol=brute_tol) for k in range(4)]
+            assert_allclose(b, p.coeffs, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("a", [-0.5, -0.25])
+    def test_negative_jacobi_exponent_matches_beta_jacobi_counts(self, a: float) -> None:
+        w = jacobi_weight(a)
+        s = 0.5
+        p = gap_oe_odd_exact(w, 3, s)
+        batch = sample_ensemble(EnsembleSpec("OE", 3, w), 100_000, seed=97)
+        assert batch.diagnostics["route"] == "beta-jacobi"
+        counts = np.sum(np.abs(batch.spectra) < s, axis=1)
+        got = np.bincount(counts, minlength=4) / batch.count
+        z = np.abs(got - p.coeffs) / np.sqrt(p.coeffs * (1 - p.coeffs) / batch.count)
+        assert np.max(z) < 4.0, z
+
     def test_theta_residual_small(self) -> None:
         p = gap_oe_odd_exact(gauss_weight(), 3, 1.0)
         assert p.meta["theta_residual"] < 1e-9
@@ -445,6 +473,16 @@ class TestCheckB1Structure:
             check_B1_structure("gauss", 2, 1.0)
 
 
+EXACT_PAIRS = [
+    pair_for_24("laguerre"),
+    pair_for_24("jacobi", a=2.0),
+    pair_for_24cp("gauss", 2),
+    pair_for_24cp("laguerre", 2, a=1.5),
+    pair_for_24cp("jacobi", 2, a=1.0, b=2.0),
+]
+EXACT_PAIR_IDS = ["24-laguerre", "24-jacobi", "24cp-gauss", "24cp-laguerre", "24cp-jacobi"]
+
+
 class TestWeightPairs:
     def test_pair_for_24_families(self) -> None:
         lag = pair_for_24("laguerre")
@@ -466,6 +504,38 @@ class TestWeightPairs:
             pair_for_24cp("cauchy", 2, a=0.0)
         with pytest.raises(BadParameter):
             pair_for_24cp("hermite", 2)
+
+    def test_only_cauchy_pair_uses_metropolis(self) -> None:
+        assert pair_for_24cp("cauchy", 2, a=1.0).exact is None
+        assert all(pair.exact is not None for pair in EXACT_PAIRS)
+
+    @pytest.mark.parametrize("pair", EXACT_PAIRS, ids=EXACT_PAIR_IDS)
+    def test_pair_rows_on_support_and_worker_independent(self, pair) -> None:
+        from rmtdec.gap import _pair_batch
+
+        a = _pair_batch(pair, 3, 1001, 41, workers=1)
+        b = _pair_batch(pair, 3, 1001, 41, workers=4)
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (1001, 3)
+        assert np.all(np.diff(a, axis=1) >= 0)
+        assert np.all((a > pair.support[0]) & (a < pair.support[1]))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [pair_for_24("laguerre"), pair_for_24cp("jacobi", 2, a=1.0, b=2.0)],
+        ids=["24-laguerre", "24cp-jacobi"],
+    )
+    def test_pair_model_matches_metropolis(self, pair) -> None:
+        from rmtdec.gap import _pair_batch, _pair_init, _pair_log_density
+
+        n, count = 2, 20_000
+        exact = _pair_batch(pair, n, count, 43, workers=1)
+        walked = sample_mcmc(
+            _pair_log_density(pair, n), n, count, 44, params=McmcParams(), init=_pair_init(pair)
+        ).spectra
+        for k in range(n):
+            p = scipy.stats.ks_2samp(exact[:, k], walked[:, k]).pvalue
+            assert p > 0.001, f"order statistic {k}: p = {p}"
 
 
 class TestCheckIdentity24:

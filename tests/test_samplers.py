@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
+from rmtdec import gap
 from rmtdec.densities import log_p_beta_batch, normalize
 from rmtdec.errors import BadParameter, PoleAtPi, StuckChain
 from rmtdec.samplers import (
@@ -14,6 +16,8 @@ from rmtdec.samplers import (
     SampleBatch,
     has_exact_route,
     sample_ensemble,
+    sample_beta_jacobi,
+    sample_beta_laguerre,
     sample_gaussian_matrix,
     sample_haar_circular,
     sample_mcmc,
@@ -112,18 +116,34 @@ class TestHaarCircular:
             assert batch.spectra.max() < math.pi - 1e-9
 
     def test_schur_angles_match_complex_eigenvalues(self) -> None:
-        from rmtdec.samplers import _haar_orthogonal, _schur_angles
+        # reference: the per-matrix real Schur form, whose 2x2 rotation blocks
+        # carry cos(angle) on their diagonal
+        from rmtdec.samplers import _haar_orthogonal, _rotation_angles
+
+        def schur_angles(q: np.ndarray) -> np.ndarray:
+            t = scipy.linalg.schur(q, output="real")[0]
+            angles, i = [], 0
+            while i < t.shape[0]:
+                if i + 1 < t.shape[0] and t[i + 1, i] != 0.0:
+                    theta = math.acos(min(1.0, max(-1.0, 0.5 * (t[i, i] + t[i + 1, i + 1]))))
+                    if 1e-9 < theta < math.pi - 1e-9:
+                        angles.append(theta)
+                    i += 2
+                else:
+                    i += 1
+            return np.sort(angles)
 
         rng = np.random.default_rng(21)
         for sign in (1, -1):
             qs = _haar_orthogonal(rng, 100, 5, sign)
             dets = np.linalg.det(qs)
             np.testing.assert_allclose(dets, sign, atol=1e-10)
-            for q in qs:
-                got = _schur_angles(q)
-                ang = np.angle(np.linalg.eigvals(q))
-                want = np.sort(ang[(ang > 1e-9) & (ang < math.pi - 1e-9)])
-                np.testing.assert_allclose(got, want, atol=1e-10)
+            angles, counts = _rotation_angles(qs)
+            for q, row, c in zip(qs, angles, counts):
+                want = schur_angles(q)
+                assert c == want.size
+                assert np.all(np.isinf(row[c:]))
+                np.testing.assert_allclose(row[:c], want, atol=1e-10)
 
     def test_order3_sector_densities(self) -> None:
         # size 3: one nontrivial angle; no-forced-+1 sector ~ 2cos^2(t/2),
@@ -265,7 +285,7 @@ class TestEnsembleSpecValidation:
         EnsembleSpec("chUE", 2, weight=GAUSS, mu=1)
 
     def test_exact_unavailable(self) -> None:
-        spec = EnsembleSpec("OE", 2, weight=jacobi_weight(0.5), method="exact")
+        spec = EnsembleSpec("OE", 3, weight=cauchy_weight(0.7), method="exact")
         with pytest.raises(BadParameter):
             sample_ensemble(spec, 10, seed=0)
 
@@ -290,14 +310,15 @@ class TestExactRouting:
         assert has_exact_route(EnsembleSpec("OE", 3, weight=cauchy_weight(1.0)))
         assert not has_exact_route(EnsembleSpec("OE", 3, weight=cauchy_weight(0.7)))
         assert not has_exact_route(EnsembleSpec("OE", 4, weight=cauchy_weight(1.2)))
-        assert not has_exact_route(EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)))
-        # chiral Cauchy: exponent order 3 pairs with sizes 2 and 1
+        assert has_exact_route(EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)))
+        # chiral Cauchy: exponent order 3 pairs with sizes 2 and 1 by pullback;
+        # every other chiral spec goes to a beta-ensemble model
         w = cauchy_weight(1.0)
         assert has_exact_route(EnsembleSpec("chUE", 2, weight=w, mu=0))
-        assert not has_exact_route(EnsembleSpec("chUE", 1, weight=w, mu=0))
+        assert has_exact_route(EnsembleSpec("chUE", 1, weight=w, mu=0))
         assert has_exact_route(EnsembleSpec("chUE", 1, weight=w, mu=1))
-        assert not has_exact_route(EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1))
-        assert not has_exact_route(EnsembleSpec("chUE", 2, weight=GAUSS, mu=0))
+        assert has_exact_route(EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1))
+        assert has_exact_route(EnsembleSpec("chUE", 2, weight=GAUSS, mu=0))
 
     def test_gauss_oe_routes_to_matrices(self) -> None:
         spec = EnsembleSpec("OE", 2, weight=GAUSS)
@@ -326,10 +347,134 @@ class TestExactRouting:
         assert p > 0.001
 
     def test_jacobi_routes_to_mcmc(self) -> None:
-        spec = EnsembleSpec("OE", 2, weight=jacobi_weight(1.5))
+        # OE Cauchy off the circular exponents is left to Metropolis
+        spec = EnsembleSpec("OE", 3, weight=cauchy_weight(0.7))
         batch = sample_ensemble(spec, 300, seed=61, params=McmcParams(burn_in=300))
+        assert batch.diagnostics["route"] == "metropolis"
+        assert "acceptance" in batch.diagnostics
+        assert np.all(np.isfinite(batch.spectra))
+        # Jacobi reaches Metropolis only on request, and stays on its support
+        spec = EnsembleSpec("OE", 2, weight=jacobi_weight(1.5), method="mcmc")
+        batch = sample_ensemble(spec, 300, seed=61, params=McmcParams(burn_in=300))
+        assert batch.diagnostics["route"] == "metropolis"
         assert "acceptance" in batch.diagnostics
         assert np.all(np.abs(batch.spectra) < 1.0)
+
+    @pytest.mark.parametrize(
+        "spec,route",
+        [
+            (EnsembleSpec("OE", 3, weight=GAUSS), "gaussian"),
+            (EnsembleSpec("UE", 2, weight=GAUSS), "gaussian"),
+            (EnsembleSpec("COE", 3), "haar"),
+            (EnsembleSpec("Ominus", 3), "haar"),
+            (EnsembleSpec("OE", 3, weight=cauchy_weight(1.0)), "pullback"),
+            (EnsembleSpec("chUE", 1, weight=cauchy_weight(0.5)), "pullback"),
+            (EnsembleSpec("chUE", 2, weight=GAUSS, mu=1), "beta-laguerre"),
+            (EnsembleSpec("chUE", 2, weight=jacobi_weight(0.5)), "beta-jacobi"),
+            (EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1), "beta-jacobi"),
+            (EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)), "beta-jacobi"),
+            (EnsembleSpec("UE", 2, weight=jacobi_weight(0.0)), "beta-jacobi"),
+            (EnsembleSpec("OE", 3, weight=GAUSS, method="mcmc"), "metropolis"),
+        ],
+    )
+    def test_route_diagnostic(self, spec: EnsembleSpec, route: str) -> None:
+        params = McmcParams(burn_in=50, chains=8)
+        batch = sample_ensemble(spec, 16, seed=63, params=params)
+        assert batch.diagnostics["route"] == route
+        assert ("acceptance" in batch.diagnostics) == (route == "metropolis")
+        assert ("ess" in batch.diagnostics) == (route == "metropolis")
+
+
+def _count_z(x: np.ndarray, lo: float, hi: float, probs: np.ndarray) -> np.ndarray:
+    """Per-cell z of the in-(lo, hi) count histogram against exact E(k)."""
+    counts = np.sum((x > lo) & (x < hi), axis=1)
+    got = np.bincount(counts, minlength=probs.size) / x.shape[0]
+    se = np.sqrt(probs * (1.0 - probs) / x.shape[0])
+    return np.abs(got - probs) / np.maximum(se, 1e-300)
+
+
+def _exact_counts(spec: EnsembleSpec, interval: tuple[float, float]) -> np.ndarray:
+    if spec.kind == "chUE":
+        return gap.gap_chue_exact(spec.weight, spec.mu, spec.n, interval[1]).coeffs
+    if spec.kind == "UE":
+        return gap.gap_ue_exact(spec.weight, spec.n, interval).coeffs
+    return gap.gap_oe_odd_exact(spec.weight, spec.n, interval[1]).coeffs
+
+
+BETA_MODEL_CASES = [
+    (EnsembleSpec("chUE", 1, weight=GAUSS, mu=0), (0.0, 0.8)),
+    (EnsembleSpec("chUE", 3, weight=GAUSS, mu=1), (0.0, 1.2)),
+    (EnsembleSpec("chUE", 2, weight=jacobi_weight(0.5), mu=0), (0.0, 0.6)),
+    (EnsembleSpec("chUE", 2, weight=jacobi_weight(-0.5), mu=1), (0.0, 0.5)),
+    (EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1), (0.0, 0.9)),
+    (EnsembleSpec("chUE", 2, weight=cauchy_weight(2.5), mu=0), (0.0, 0.7)),
+    (EnsembleSpec("OE", 3, weight=jacobi_weight(0.5)), (-0.5, 0.5)),
+    (EnsembleSpec("OE", 5, weight=jacobi_weight(0.0)), (-0.3, 0.3)),
+    (EnsembleSpec("UE", 2, weight=jacobi_weight(1.5)), (-0.3, 0.6)),
+    (EnsembleSpec("UE", 4, weight=jacobi_weight(0.0)), (-0.5, 0.2)),
+]
+
+
+class TestBetaModels:
+    @pytest.mark.parametrize("spec,interval", BETA_MODEL_CASES)
+    def test_counts_match_exact_engine(self, spec: EnsembleSpec, interval) -> None:
+        batch = sample_ensemble(spec, 100_000, seed=79)
+        assert batch.diagnostics["route"].startswith("beta-")
+        z = _count_z(batch.spectra, *interval, _exact_counts(spec, interval))
+        assert np.max(z) < 4.0, f"{spec.describe()}: z = {z}"
+
+    @pytest.mark.parametrize("spec,interval", BETA_MODEL_CASES)
+    def test_workers_do_not_change_output(self, spec: EnsembleSpec, interval) -> None:
+        a = sample_ensemble(spec, 1001, seed=83, workers=1)
+        b = sample_ensemble(spec, 1001, seed=83, workers=4)
+        np.testing.assert_array_equal(a.spectra, b.spectra)
+        lo, hi = spec.weight.support if spec.kind != "chUE" else (0.0, spec.weight.omega)
+        assert np.all((a.spectra > lo) & (a.spectra < hi))
+
+    @pytest.mark.parametrize("kind", ["Oplus", "Ominus"])
+    def test_orthogonal_workers_do_not_change_output(self, kind: str) -> None:
+        a = sample_haar_circular(kind, 4, 1001, seed=85, workers=1)
+        b = sample_haar_circular(kind, 4, 1001, seed=85, workers=4)
+        np.testing.assert_array_equal(a.spectra, b.spectra)
+
+    def test_laguerre_n1_is_chi_square(self) -> None:
+        # n = 1: lam^p e^(-lam/2) is the chi-square law with 2p + 2 degrees
+        batch = sample_beta_laguerre(1, 1, 0.75, 40_000, seed=87)
+        p = scipy.stats.kstest(batch.spectra.ravel(), "chi2", args=(3.5,)).pvalue
+        assert p > 0.001
+
+    def test_jacobi_n1_is_beta(self) -> None:
+        # n = 1: lam^(A/2 - 1/2) (1 - lam)^(B/2 - 1/2) at beta = 1
+        batch = sample_beta_jacobi(1, 1, 0.4, 2.5, 40_000, seed=89)
+        p = scipy.stats.kstest(batch.spectra.ravel(), "beta", args=(0.7, 1.75)).pvalue
+        assert p > 0.001
+
+    def test_jacobi_n2_beta_half_matches_quadrature(self) -> None:
+        # beta = 3, outside the classical 1, 2, 4: P(both values below 1/2)
+        # against quadrature of the polynomial density lam (1 - lam)^2 |Vdm|^3
+        A, B, beta = 1.0 / 3.0, 1.0, 3.0
+
+        def logd(x: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (0.5 * beta * (A + 1) - 1) * np.log(x) + (0.5 * beta * (B + 1) - 1) * np.log1p(-x)
+                out = np.sum(out, axis=1) + beta * np.log(np.abs(x[:, 1] - x[:, 0]))
+            return np.where(np.all((x > 0) & (x < 1), axis=1), out, -np.inf)
+
+        target = normalize(logd, 2, (0.0, 0.5)) / normalize(logd, 2, (0.0, 1.0))
+        count = 40_000
+        batch = sample_beta_jacobi(beta, 2, A, B, count, seed=91)
+        got = np.mean(batch.spectra[:, 1] < 0.5)
+        assert abs(got - target) < 4.0 * math.sqrt(target * (1 - target) / count)
+
+    def test_bad_parameters(self) -> None:
+        with pytest.raises(BadParameter):
+            sample_beta_laguerre(1, 2, -1.0, 10, seed=0)
+        with pytest.raises(BadParameter):
+            sample_beta_laguerre(0, 2, 0.0, 10, seed=0)
+        with pytest.raises(BadParameter):
+            sample_beta_jacobi(2, 2, -1.0, 0.0, 10, seed=0)
+        with pytest.raises(BadParameter):
+            sample_beta_jacobi(2, 0, 0.0, 0.0, 10, seed=0)
 
 
 class TestExactVersusMcmc:
@@ -364,7 +509,7 @@ class TestSerialization:
             spectra=np.array([[1.0, 2.5], [-0.25, 1e-17]]).cumsum(axis=1),
             seed=99,
             label="Ensemble(kind=OE, n=2)",
-            diagnostics={"acceptance": 0.31, "ess": 1234.5},
+            diagnostics={"route": "metropolis", "acceptance": 0.31, "ess": 1234.5},
         )
 
     def test_csv_round_trip(self, tmp_path) -> None:
@@ -376,6 +521,7 @@ class TestSerialization:
         assert back.seed == batch.seed
         assert back.label == batch.label
         assert back.diagnostics == batch.diagnostics
+        assert back.diagnostics["route"] == "metropolis"
 
     def test_jsonl_round_trip(self, tmp_path) -> None:
         batch = self._batch()
@@ -384,6 +530,16 @@ class TestSerialization:
         back = SampleBatch.from_jsonl(path)
         np.testing.assert_array_equal(back.spectra, batch.spectra)
         assert back.diagnostics == batch.diagnostics
+        assert back.diagnostics["route"] == "metropolis"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_sampled_route_round_trip(self, tmp_path, fmt: str) -> None:
+        batch = sample_ensemble(EnsembleSpec("chUE", 2, weight=jacobi_weight(0.5)), 9, seed=4)
+        path = tmp_path / f"batch.{fmt}"
+        getattr(batch, f"to_{fmt}")(path)
+        back = getattr(SampleBatch, f"from_{fmt}")(path)
+        np.testing.assert_array_equal(back.spectra, batch.spectra)
+        assert back.diagnostics == {"route": "beta-jacobi"}
 
     def test_empty_width_round_trip(self, tmp_path) -> None:
         batch = sample_haar_circular("Ominus", 1, 7, seed=3)
