@@ -124,11 +124,6 @@ def log_p_chiral(weight: Callable[[np.ndarray], np.ndarray], spec) -> float:
     return float(np.sum(logw)) + 2.0 * _log_vandermonde(vals, power=2)
 
 
-def split_xy(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending sigma -> (x, y) with x_j = sigma_{2j-1}, y_j = sigma_{2j}."""
-    return vals[0::2], vals[1::2]
-
-
 def log_q_xy(w1: AdmissibleWeight, sv) -> float:
     """Factorized singular-value density: x-block times y-block.
 
@@ -142,7 +137,7 @@ def log_q_xy(w1: AdmissibleWeight, sv) -> float:
         raise InterlacingViolated("need ascending nonnegative singular values")
     if w1.family == "jacobi" and np.any(vals >= 1.0):
         raise OutOfSupport("singular values outside the weight support")
-    x, y = split_xy(vals)
+    x, y = vals[0::2], vals[1::2]
     out = float(np.sum(w1.log_w1(x))) + _log_vandermonde(x, power=2)
     out += float(np.sum(w1.log_w1(y))) + _log_vandermonde(y, power=2)
     with np.errstate(divide="ignore"):

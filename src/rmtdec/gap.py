@@ -9,6 +9,12 @@ generating function is a bordered (m+1) x (m+1) determinant, evaluated
 either from its direct entries or after Gaudin diagonalization of the
 restricted Gram block; both modes must agree.  A brute-force ordered
 quadrature covers n <= 4, and gap_mc counts samples for everything else.
+
+The superposition checkers (eq24, eq24cp, eq831p) share one helper,
+``_label_convolution``: each identity reads E2(k; J) = P(L(i, j) = k) for the
+in-J counts i, j of two independent beta = 1 runs and a count label L from
+``_COUNT_LABELS``.  With M = [L(i, j) = k] the helper returns
+rhs = pA . M pB and the delta-method variance of that plug-in estimate.
 """
 
 from __future__ import annotations
@@ -219,15 +225,13 @@ def gap_ue_exact(
     return GapPolynomial(_bernoulli_coeffs(lams), n, (float(J[0]), float(J[1])))
 
 
-def _squared_rules(
-    omega: float, s: float, order_rule: int = 16
-) -> tuple[QuadratureRule, QuadratureRule]:
+def _squared_rules(omega: float, s: float) -> tuple[QuadratureRule, QuadratureRule]:
     """Pushforward rules under u = x^2 for the build and the Gram restriction."""
     if math.isinf(omega):
-        base = tan_transformed_rule(0.0, math.inf, 125, order_rule)
+        base = tan_transformed_rule(0.0, math.inf, 125, 16)
     else:
-        base = composite_gl_rule(0.0, omega, 125, order_rule)
-    grambase = composite_gl_rule(0.0, s, 64, order_rule)
+        base = composite_gl_rule(0.0, omega, 125, 16)
+    grambase = composite_gl_rule(0.0, s, 64, 16)
     return squared_argument_rule(base), squared_argument_rule(grambase)
 
 
@@ -861,6 +865,56 @@ def _linear_var(p: np.ndarray, coef: np.ndarray, count: int) -> float:
     return (float(coef**2 @ p) - mean * mean) / count
 
 
+# Count labels L(i, j): each superposition identity reads E2(k) = P(L(i, j) = k)
+# for the independent in-J counts i, j of its two beta = 1 runs.
+_COUNT_LABELS = {
+    "eq24": lambda i, j: (i + j + 1) // 2,
+    "eq24cp": lambda i, j: (i + j) // 2,
+    "eq831p": lambda i, j: (i + 1) // 2 + j // 2,
+}
+
+
+def _label_convolution(
+    pA: np.ndarray, pB: np.ndarray, identity: str, k: int, count: int
+) -> tuple[float, float]:
+    """rhs = P(L(i, j) = k) for independent counts i ~ pA, j ~ pB, and its
+    delta-method variance when pA and pB are the count frequencies of two
+    independent runs of ``count`` rows each."""
+    i, j = np.ogrid[: pA.size, : pB.size]
+    M = (_COUNT_LABELS[identity](i, j) == k).astype(float)
+    MpB = M @ pB
+    return float(pA @ MpB), _linear_var(pA, MpB, count) + _linear_var(pB, M.T @ pA, count)
+
+
+def _check_pair_convolution(
+    identity: str,
+    pair: WeightPair,
+    n: int,
+    n_b: int,
+    ks: list[int],
+    svals: list[float],
+    side: str,
+    count: int,
+    seed: int,
+    workers: int,
+) -> list[tuple]:
+    """Subtests of the exact UE gap on each boundary-anchored interval against
+    the label convolution of two independent beta = 1 runs of sizes n and n_b."""
+    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    runA = _pair_batch(pair, n, count, int(state[0]), workers)
+    runB = _pair_batch(pair, n_b, count, int(state[1]), workers)
+    checks = []
+    for si in svals:
+        J = (pair.support[0], si) if side == "left" else (si, pair.support[1])
+        pA = _count_probs(runA, J)
+        pB = _count_probs(runB, J)
+        poly = gap_ue_exact(pair.w2, n, J, support=pair.support)
+        for ki in ks:
+            rhs, var = _label_convolution(pA, pB, identity, ki, count)
+            checks.append(_z_or_residual(f"k={ki}_s={si:g}", poly.prob(ki), rhs, var, count))
+    return checks
+
+
 def check_identity_24(
     pair: WeightPair,
     n: int,
@@ -871,39 +925,14 @@ def check_identity_24(
     workers: int = 1,
 ) -> VerificationReport:
     """Exact beta = 2 gap on a left-anchored interval against the convolution
-    of counting probabilities from two independent same-size beta = 1 runs.
+    of counting probabilities from two independent same-size beta = 1 runs:
+    E2(k) = P((i + j + 1) // 2 = k) for the in-J counts i, j.
 
     Vector ``k`` / ``s`` values share the same two Monte Carlo runs.
     """
     ks = [int(v) for v in np.atleast_1d(k)]
     svals = [float(v) for v in np.atleast_1d(s)]
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    runA = _pair_batch(pair, n, count, int(state[0]), workers)
-    runB = _pair_batch(pair, n, count, int(state[1]), workers)
-    checks = []
-    for si in svals:
-        J = (pair.support[0], si)
-        pA = _count_probs(runA, J)
-        pB = _count_probs(runB, J)
-        poly = gap_ue_exact(pair.w2, n, J, support=pair.support)
-        for ki in ks:
-            lhs = poly.prob(ki)
-            rhs = 0.0
-            gA = np.zeros(n + 1)
-            gB = np.zeros(n + 1)
-            for j in range(0, 2 * ki + 1):
-                ia = 2 * ki - j
-                fa = pA[ia] if 0 <= ia <= n else 0.0
-                fb = (pB[j] if j <= n else 0.0) + (pB[j - 1] if 1 <= j <= n + 1 else 0.0)
-                rhs += fa * fb
-                if 0 <= ia <= n:
-                    gA[ia] += fb
-                if j <= n:
-                    gB[j] += fa
-                if 1 <= j <= n + 1 and j - 1 <= n:
-                    gB[j - 1] += fa
-            var = _linear_var(pA, gA, count) + _linear_var(pB, gB, count)
-            checks.append(_z_or_residual(f"k={ki}_s={si:g}", lhs, rhs, var, count))
+    checks = _check_pair_convolution("eq24", pair, n, n, ks, svals, "left", count, seed, workers)
     params = {"pair": pair.name, "n": n, "k": ks, "s": svals, "count": count, "seed": seed}
     return build_report("eq24", params, checks=checks)
 
@@ -920,40 +949,14 @@ def check_identity_24cp(
 ) -> VerificationReport:
     """Exact beta = 2 gap on a boundary-anchored interval against the
     convolution of counting probabilities from independent beta = 1 runs of
-    adjacent sizes n and n + 1."""
+    adjacent sizes n and n + 1: E2(k) = P((i + j) // 2 = k)."""
     if side not in ("left", "right"):
         raise BadParameter("side must be 'left' or 'right'")
     ks = [int(v) for v in np.atleast_1d(k)]
     svals = [float(v) for v in np.atleast_1d(s)]
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    runA = _pair_batch(pair, n, count, int(state[0]), workers)
-    runB = _pair_batch(pair, n + 1, count, int(state[1]), workers)
-    checks = []
-    for si in svals:
-        J = (pair.support[0], si) if side == "left" else (si, pair.support[1])
-        pA = _count_probs(runA, J)
-        pB = _count_probs(runB, J)
-        poly = gap_ue_exact(pair.w2, n, J, support=pair.support)
-        for ki in ks:
-            lhs = poly.prob(ki)
-            rhs = 0.0
-            gA = np.zeros(n + 1)
-            gB = np.zeros(n + 2)
-            for j in range(0, 2 * ki + 2):
-                ia = 2 * ki + 1 - j
-                fa = pA[ia] if 0 <= ia <= n else 0.0
-                fb = (pB[j] if j <= n + 1 else 0.0) + (
-                    pB[j - 1] if 1 <= j <= n + 2 else 0.0
-                )
-                rhs += fa * fb
-                if 0 <= ia <= n:
-                    gA[ia] += fb
-                if j <= n + 1:
-                    gB[j] += fa
-                if 1 <= j <= n + 2 and j - 1 <= n + 1:
-                    gB[j - 1] += fa
-            var = _linear_var(pA, gA, count) + _linear_var(pB, gB, count)
-            checks.append(_z_or_residual(f"k={ki}_s={si:g}", lhs, rhs, var, count))
+    checks = _check_pair_convolution(
+        "eq24cp", pair, n, n + 1, ks, svals, side, count, seed, workers
+    )
     params = {
         "pair": pair.name,
         "n": n,
@@ -969,12 +972,6 @@ def check_identity_24cp(
 # -- circular checkers ---------------------------------------------------------------
 
 
-def _coe_counts(n: int, theta: float, count: int, seed: int, workers: int) -> np.ndarray:
-    batch = sample_ensemble(EnsembleSpec("COE", n), count, seed, workers=workers)
-    inside = (batch.spectra > -theta) & (batch.spectra < theta)
-    return np.bincount(np.sum(inside, axis=1), minlength=n + 1) / count
-
-
 def check_8_31p(
     n: int,
     k: int | Sequence[int],
@@ -984,7 +981,8 @@ def check_8_31p(
     workers: int = 1,
 ) -> VerificationReport:
     """Exact circular beta = 2 gap against the convolution of adjacent-count
-    sums from two independent circular beta = 1 runs on (-theta, theta).
+    sums from two independent circular beta = 1 runs on (-theta, theta):
+    E2(k) = P((i + 1) // 2 + j // 2 = k).
 
     Vector ``k`` values share the same two Monte Carlo runs.
     """
@@ -993,31 +991,13 @@ def check_8_31p(
     ks = [int(v) for v in np.atleast_1d(k)]
     poly = gap_cue_exact(n, theta)
     state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    pA = _coe_counts(n, theta, count, int(state[0]), workers)
-    pB = _coe_counts(n, theta, count, int(state[1]), workers)
-
-    def pval(p: np.ndarray, i: int) -> float:
-        return p[i] if 0 <= i <= n else 0.0
-
+    spec, J = EnsembleSpec("COE", n), (-theta, theta)
+    pA = _count_probs(sample_ensemble(spec, count, int(state[0]), workers=workers).spectra, J)
+    pB = _count_probs(sample_ensemble(spec, count, int(state[1]), workers=workers).spectra, J)
     checks = []
     for ki in ks:
-        lhs = poly.prob(ki)
-        cA = np.array(
-            [pval(pA, 2 * (ki - j)) + pval(pA, 2 * (ki - j) - 1) for j in range(n + 1)]
-        )
-        cB = np.array([pval(pB, 2 * j) + pval(pB, 2 * j + 1) for j in range(n + 1)])
-        rhs = float(cA @ cB)
-        gA = np.zeros(n + 1)
-        gB = np.zeros(n + 1)
-        for j in range(n + 1):
-            for i in (2 * (ki - j), 2 * (ki - j) - 1):
-                if 0 <= i <= n:
-                    gA[i] += cB[j]
-            for i in (2 * j, 2 * j + 1):
-                if 0 <= i <= n:
-                    gB[i] += cA[j]
-        var = _linear_var(pA, gA, count) + _linear_var(pB, gB, count)
-        checks.append(_z_or_residual(f"k={ki}", lhs, rhs, var, count))
+        rhs, var = _label_convolution(pA, pB, "eq831p", ki, count)
+        checks.append(_z_or_residual(f"k={ki}", poly.prob(ki), rhs, var, count))
     params = {"n": n, "k": ks, "theta": theta, "count": count, "seed": seed}
     return build_report("eq831p", params, checks=checks)
 

@@ -15,28 +15,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.special import betainc, gammainc
 
 from .errors import BadParameter, OrderExceeded, OutOfSupport
-from .numerics import _leggauss, integrate
+from .numerics import integrate
 
 __all__ = [
     "AdmissibleWeight",
-    "WeightDerived",
     "gauss_weight",
     "jacobi_weight",
     "cauchy_weight",
     "make_weight",
-    "eval_w1",
     "alpha",
     "beta",
     "big_A",
     "theta1",
     "check_recurrence",
     "from_table1",
-    "derived",
 ]
 
 _FAMILIES = ("gauss", "jacobi", "cauchy")
@@ -217,32 +215,7 @@ def make_weight(family: str, a: float | None = None) -> AdmissibleWeight:
     return AdmissibleWeight(fam, a)
 
 
-@dataclass(frozen=True)
-class WeightDerived:
-    """Callable bundle of the quantities derived from one weight."""
-
-    phi: Callable[[float | np.ndarray], float | np.ndarray]
-    psi: Callable[[float | np.ndarray], float | np.ndarray]
-    companion: Callable[[float | np.ndarray], float | np.ndarray]
-    w2: Callable[[float | np.ndarray], float | np.ndarray]
-    theta1: Callable[[float | np.ndarray], float | np.ndarray]
-
-
-def derived(w: AdmissibleWeight) -> WeightDerived:
-    return WeightDerived(
-        phi=w.phi,
-        psi=w.psi,
-        companion=w.companion,
-        w2=w.w2,
-        theta1=lambda x: theta1(w, x),
-    )
-
-
 # -- recurrence data -----------------------------------------------------------
-
-
-def eval_w1(w: AdmissibleWeight, x: float | np.ndarray) -> float | np.ndarray:
-    return w.w1(x)
 
 
 def alpha(w: AdmissibleWeight, k: int) -> float:
@@ -277,52 +250,35 @@ def big_A(w: AdmissibleWeight, n: int, nu: int) -> float:
 # -- partial mass ----------------------------------------------------------------
 
 
-def _cumulative_mass(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    upts: np.ndarray,
-    cap: float,
-) -> np.ndarray:
-    """Integral of ``integrand`` from 0 to each entry of the sorted array ``upts``.
-
-    Consecutive gaps are tiled with Gauss-Legendre panels no wider than
-    ``cap`` and the panel sums are accumulated, so the whole array costs one
-    vectorized integrand call.
-    """
-    glx, glw = _leggauss(16)
-    edges = np.concatenate([[0.0], upts])
-    gaps = np.diff(edges)
-    counts = np.maximum(1, np.ceil(gaps / cap).astype(int))
-    total = int(counts.sum())
-    rep_w = np.repeat(gaps / counts, counts)
-    offsets = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(offsets, counts)
-    sub_left = np.repeat(edges[:-1], counts) + within * rep_w
-    nodes = sub_left[:, None] + rep_w[:, None] * 0.5 * (glx[None, :] + 1.0)
-    vals = np.asarray(integrand(nodes.ravel()), dtype=float).reshape(total, 16)
-    panel = 0.5 * rep_w * (vals @ glw)
-    return np.cumsum(np.add.reduceat(panel, offsets))
-
-
 def theta1(w: AdmissibleWeight, x: float | np.ndarray) -> float | np.ndarray:
-    """int_0^x w1, odd in x.  Vectorized; infinite supports go through x = tan(u)."""
+    """int_0^x w1 in closed form, odd in x: sign(x) * theta * P, where P is a
+    regularized incomplete function of x^2,
+
+        Gauss   P = gammainc(1/2, x^2 / 2)
+        Jacobi  P = betainc(1/2, a + 1, x^2)
+        Cauchy  P = betainc(1/2, a + 1/2, x^2 / (1 + x^2)),
+
+    from the substitutions u = x^2 / 2, u = x^2 and u = x^2 / (1 + x^2).
+    For Cauchy at x^2 > 1 the tail 1 - P is taken as
+    betainc(a + 1/2, 1/2, 1 / (1 + x^2)), which keeps its relative accuracy
+    where x^2 / (1 + x^2) rounds towards 1.
+    """
     arr = np.asarray(x, dtype=float)
     w._check_support(arr)
-    flat = np.atleast_1d(arr).ravel()
-    if flat.size == 0:
-        return np.zeros(arr.shape)
-    mags = np.abs(flat)
-    uniq, inverse = np.unique(mags, return_inverse=True)
-    if w.family == "jacobi":
-        masses = _cumulative_mass(w.w1, uniq, cap=0.01)
+    x2 = arr**2
+    if w.family == "gauss":
+        frac = gammainc(0.5, 0.5 * x2)
+    elif w.family == "jacobi":
+        frac = betainc(0.5, w.a + 1.0, x2)
     else:
-        u = np.arctan(uniq)
-        masses = _cumulative_mass(
-            lambda v: w.w1(np.tan(v)) / np.cos(v) ** 2, u, cap=0.02
+        u = 1.0 / (1.0 + x2)
+        frac = np.where(
+            x2 <= 1.0,
+            betainc(0.5, w.a + 0.5, np.minimum(x2, 1.0) * u),
+            1.0 - betainc(w.a + 0.5, 0.5, u),
         )
-    signed = np.sign(flat) * masses[inverse]
-    if arr.ndim == 0:
-        return float(signed[0])
-    return signed.reshape(arr.shape)
+    out = np.sign(arr) * w.theta * frac
+    return float(out) if arr.ndim == 0 else out
 
 
 # -- consistency checks -----------------------------------------------------------

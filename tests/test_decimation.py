@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import rmtdec
 from rmtdec.decimation import DecimationResult, decimate, singular_values, superpose
 from rmtdec.densities import OrderedSpectrum, SingularSpectrum
 
@@ -87,3 +91,12 @@ def test_result_type_fields() -> None:
     r = decimate([1.0, 2.0, 3.0, 4.0])
     assert isinstance(r, DecimationResult)
     assert r.mu in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "module", ["rmtdec"] + [f"rmtdec.{m.name}" for m in pkgutil.iter_modules(rmtdec.__path__)]
+)
+def test_every_exported_name_resolves(module: str) -> None:
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names undefined: {missing}"

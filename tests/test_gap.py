@@ -31,6 +31,7 @@ from rmtdec.gap import (
     gaudin_data,
     pair_for_24,
     pair_for_24cp,
+    _label_convolution,
 )
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import build, gram
@@ -536,6 +537,44 @@ class TestWeightPairs:
         for k in range(n):
             p = scipy.stats.ks_2samp(exact[:, k], walked[:, k]).pvalue
             assert p > 0.001, f"order statistic {k}: p = {p}"
+
+
+class TestLabelConvolution:
+    # the identities in the paper's form: which count pairs (i, j) add up to k
+    PAPER_FORM = {
+        "eq24": lambda i, j, k: i + j in (2 * k - 1, 2 * k),
+        "eq24cp": lambda i, j, k: i + j in (2 * k, 2 * k + 1),
+        "eq831p": lambda i, j, k: math.ceil(i / 2) + math.floor(j / 2) == k,
+    }
+
+    @pytest.mark.parametrize(
+        "identity, sizes", [("eq24", (4, 4)), ("eq24cp", (4, 5)), ("eq831p", (5, 5))]
+    )
+    def test_matches_double_sum(self, identity: str, sizes: tuple[int, int]) -> None:
+        rng = np.random.default_rng(17)
+        nA, nB = sizes
+        pA, pB = rng.dirichlet(np.ones(nA)), rng.dirichlet(np.ones(nB))
+        count = 1000
+        covA = (np.diag(pA) - np.outer(pA, pA)) / count
+        covB = (np.diag(pB) - np.outer(pB, pB)) / count
+        for k in range(max(sizes) + 1):
+            form = self.PAPER_FORM[identity]
+            hit = np.array([[float(form(i, j, k)) for j in range(nB)] for i in range(nA)])
+            rhs = sum(pA[i] * hit[i, j] * pB[j] for i in range(nA) for j in range(nB))
+            gA, gB = hit @ pB, hit.T @ pA
+            got_rhs, got_var = _label_convolution(pA, pB, identity, k, count)
+            assert got_rhs == pytest.approx(rhs, abs=1e-15)
+            assert got_var == pytest.approx(gA @ covA @ gA + gB @ covB @ gB, rel=1e-10, abs=1e-18)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("theta", [0.4, 1.2, 2.0, 3.0])
+    def test_eq831p_label_exact_at_odd_n(self, n: int, theta: float) -> None:
+        # exact COE counts via the Cauchy pullback x = tan(angle / 2)
+        coe = gap_oe_odd_exact(cauchy_weight((n - 1) / 2), n, math.tan(theta / 2)).coeffs
+        cue = gap_cue_exact(n, theta)
+        for k in range(n + 2):
+            rhs, _ = _label_convolution(coe, coe, "eq831p", k, 1)
+            assert rhs == pytest.approx(cue.prob(k), abs=1e-12)
 
 
 class TestCheckIdentity24:

@@ -14,8 +14,6 @@ from rmtdec.weights import (
     big_A,
     cauchy_weight,
     check_recurrence,
-    derived,
-    eval_w1,
     from_table1,
     gauss_weight,
     jacobi_weight,
@@ -61,9 +59,9 @@ class TestConstruction:
 
 class TestEvalW1:
     def test_closed_form_examples(self) -> None:
-        assert eval_w1(GAUSS, 0.0) == pytest.approx(1.0)
-        assert eval_w1(jacobi_weight(1.0), 0.5) == pytest.approx(0.75)
-        assert eval_w1(cauchy_weight(1.0), 1.0) == pytest.approx(0.25)
+        assert GAUSS.w1(0.0) == pytest.approx(1.0)
+        assert jacobi_weight(1.0).w1(0.5) == pytest.approx(0.75)
+        assert cauchy_weight(1.0).w1(1.0) == pytest.approx(0.25)
 
     def test_even_and_normalized(self) -> None:
         xs = np.linspace(-0.9, 0.9, 21)
@@ -73,7 +71,7 @@ class TestEvalW1:
 
     def test_out_of_support(self) -> None:
         with pytest.raises(OutOfSupport):
-            eval_w1(jacobi_weight(1.0), 1.0)
+            jacobi_weight(1.0).w1(1.0)
         with pytest.raises(OutOfSupport):
             jacobi_weight(1.0).w2(np.array([0.5, -1.2]))
 
@@ -198,6 +196,35 @@ class TestTheta1:
                 want = x * hyp2f1_series(0.5, a + 1.0, 1.5, -x * x)
                 assert theta1(w, x) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [-0.75, -0.5, -0.25])
+    def test_jacobi_negative_exponent_near_endpoint(self, a: float) -> None:
+        # (1 - x^2)^a is singular at x = 1; in t = asin x the mass is
+        # int cos(t)^(2a+1) dt, and for a = -1/2 it is asin x itself
+        w = jacobi_weight(a)
+        for x in (0.3, 0.9, 0.999, 0.99999, 0.999999):
+            t = math.asin(x)
+            if a == -0.5:
+                want = t
+            else:
+                want = integrate(lambda u: np.cos(u) ** (2.0 * a + 1.0), (0.0, t), tol=1e-14)
+            assert theta1(w, x) == pytest.approx(want, rel=1e-12)
+            assert theta1(w, -x) == pytest.approx(-want, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [-0.25, 0.5])
+    def test_cauchy_far_tail(self, a: float) -> None:
+        # int_x^inf (1+t^2)^(-a-1) = x^(-2a-1)/(2a+1) 2F1(a+1, a+1/2; a+3/2; -1/x^2)
+        w = cauchy_weight(a)
+        for x in (1e3, 1e5, 1e7):
+            tail = x ** (-2.0 * a - 1.0) / (2.0 * a + 1.0) * hyp2f1_series(
+                a + 1.0, a + 0.5, a + 1.5, -1.0 / x**2
+            )
+            assert w.theta - theta1(w, x) == pytest.approx(tail, rel=1e-10)
+
+    def test_infinite_argument(self) -> None:
+        for w in (GAUSS, cauchy_weight(-0.25), cauchy_weight(2.0)):
+            assert theta1(w, math.inf) == w.theta
+            assert theta1(w, -math.inf) == -w.theta
+
     def test_odd_symmetry(self) -> None:
         xs = np.linspace(-0.9, 0.9, 13)
         for w in (GAUSS, jacobi_weight(0.5), cauchy_weight(2.0)):
@@ -219,12 +246,11 @@ class TestDerivedBundle:
     def test_w2_is_w1_times_companion(self) -> None:
         xs = np.linspace(-0.9, 0.9, 9)
         for w in (GAUSS, jacobi_weight(0.5), cauchy_weight(2.0)):
-            d = derived(w)
-            np.testing.assert_allclose(d.w2(xs), w.w1(xs) * d.companion(xs), rtol=1e-14)
+            np.testing.assert_allclose(w.w2(xs), w.w1(xs) * w.companion(xs), rtol=1e-14)
 
     def test_psi_zero_at_origin(self) -> None:
         for w in (GAUSS, jacobi_weight(0.5), cauchy_weight(2.0)):
-            assert derived(w).psi(0.0) == 0.0
+            assert w.psi(0.0) == 0.0
 
     def test_companion_psi_limit(self) -> None:
         # companion(s) * psi(s) -> -theta as s -> omega
@@ -235,7 +261,7 @@ class TestDerivedBundle:
             (cauchy_weight(2.0), 1e3),
         ]
         for w, s in cases:
-            val = w.companion(s) * derived(w).psi(s)
+            val = w.companion(s) * w.psi(s)
             assert val == pytest.approx(-w.theta, abs=1e-6)
 
 
