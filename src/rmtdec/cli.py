@@ -87,9 +87,12 @@ def _default_workers() -> int:
     env = os.environ.get("RMTDEC_WORKERS")
     if env is not None:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise BadParameter(f"RMTDEC_WORKERS must be an integer, got {env!r}")
+        if workers < 1:
+            raise BadParameter(f"RMTDEC_WORKERS must be positive, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -163,6 +166,24 @@ def cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _mc_payload(
+    config: RunConfig, kind: str, spec: EnsembleSpec, half: float, labels: dict
+) -> dict:
+    """Monte Carlo gap payload on (-half, half), for kinds without an exact engine."""
+    est = gap_mc(spec, (-half, half), config.n, config.count, config.seed, workers=config.workers)
+    return {
+        "kind": kind,
+        **labels,
+        "n": config.n,
+        "interval": [-half, half],
+        "engine": "mc",
+        "count": config.count,
+        "seed": config.seed,
+        "probs": [float(p) for p in est.probs],
+        "stderr": [float(e) for e in est.stderr],
+    }
+
+
 def _gap_payload(config: RunConfig) -> dict:
     kind = (config.kind or "").lower()
     if kind == "ue":
@@ -180,50 +201,17 @@ def _gap_payload(config: RunConfig) -> dict:
     elif kind == "coe":
         if config.theta is None:
             raise BadParameter("gap --kind coe needs --theta")
-        est = gap_mc(
-            EnsembleSpec("COE", config.n),
-            (-config.theta, config.theta),
-            config.n,
-            config.count,
-            config.seed,
-            workers=config.workers,
-        )
-        return {
-            "kind": "coe",
-            "n": config.n,
-            "interval": [-config.theta, config.theta],
-            "engine": "mc",
-            "count": config.count,
-            "seed": config.seed,
-            "probs": [float(p) for p in est.probs],
-            "stderr": [float(e) for e in est.stderr],
-        }
+        if not 0.0 < config.theta <= math.pi:
+            raise BadParameter("theta must lie in (0, pi]")
+        return _mc_payload(config, kind, EnsembleSpec("COE", config.n), config.theta, {})
     elif kind == "oe":
         if config.s is None:
             raise BadParameter("gap --kind oe needs --s")
-        if config.n % 2 == 1:
-            poly = gap_oe_odd_exact(config.weight(), config.n, config.s)
-        else:
-            est = gap_mc(
-                EnsembleSpec("OE", config.n, config.weight()),
-                (-config.s, config.s),
-                config.n,
-                config.count,
-                config.seed,
-                workers=config.workers,
-            )
-            return {
-                "kind": "oe",
-                "family": config.family,
-                "a": config.a,
-                "n": config.n,
-                "interval": [-config.s, config.s],
-                "engine": "mc",
-                "count": config.count,
-                "seed": config.seed,
-                "probs": [float(p) for p in est.probs],
-                "stderr": [float(e) for e in est.stderr],
-            }
+        if config.n % 2 == 0:
+            spec = EnsembleSpec("OE", config.n, config.weight())
+            labels = {"family": config.family, "a": config.a}
+            return _mc_payload(config, kind, spec, config.s, labels)
+        poly = gap_oe_odd_exact(config.weight(), config.n, config.s)
     else:
         raise BadParameter(f"gap supports kinds oe/ue/chue/cue/coe, got {config.kind!r}")
     payload = {

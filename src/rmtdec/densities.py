@@ -2,11 +2,18 @@
 
 Covers the beta = 1, 2 eigenvalue densities, the chiral positive-eigenvalue
 density, the factorized singular-value density q(x; y), and its even- and
-odd-location marginals.  Numeric normalization constants are available for
-n <= 4 through the ordered tensor rule of ``numerics``, escalated along an
-order ladder that the interlacing integral in ``verify`` shares.  Integrals
-of a weight's density over its finite Jacobi support are taken in t with
-x = sin t, which the brute-force gap oracle in ``gap`` shares.
+odd-location marginals.  Every pairwise product prod_{i<j} |x_j^p - x_i^p|
+is the row-wise kernel ``_log_vdm_rows`` on (batch, n) arrays, which the
+Metropolis pair weights in ``gap`` and the interlacing integrand in
+``verify`` share; the odd-location determinant lives only in
+``log_q_odd_batch``.  The scalar forms validate their input and then
+evaluate one row through the batch form or the kernel.
+
+Numeric normalization constants are available for n <= 4 through the
+ordered tensor rule of ``numerics``, escalated along an order ladder that
+the interlacing integral in ``verify`` shares.  Integrals of a weight's
+density over its finite Jacobi support are taken in t with x = sin t, which
+the brute-force gap oracle in ``gap`` shares.
 """
 
 from __future__ import annotations
@@ -87,28 +94,21 @@ def _vals(spec) -> np.ndarray:
     return np.atleast_1d(np.asarray(spec, dtype=float))
 
 
-def _log_vandermonde(vals: np.ndarray, power: int = 1) -> float:
-    """Sum of log of pairwise gaps of vals**power, -inf on any tie."""
-    if vals.size < 2:
-        return 0.0
-    v = vals**power if power != 1 else vals
-    diffs = v[None, :] - v[:, None]
-    upper = diffs[np.triu_indices(vals.size, k=1)]
-    gaps = np.abs(upper)
-    if np.any(gaps == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(gaps)))
+def _log_vdm_rows(x: np.ndarray, power: int = 1) -> np.ndarray:
+    """Row-wise sum over i < j of log|x_j^power - x_i^power| for a (B, n)
+    array; -inf on a tie, 0 for n < 2."""
+    iu, ju = np.triu_indices(x.shape[1], k=1)
+    v = x**power if power != 1 else x
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(np.abs(v[:, ju] - v[:, iu])), axis=1)
 
 
 def log_p_beta(w: AdmissibleWeight, beta: int, spec) -> float:
     """log of prod w_beta(x_k) * prod |x_k - x_j|^beta; -inf on coincidence."""
-    if beta not in (1, 2):
-        raise BadParameter(f"beta must be 1 or 2, got {beta}")
     vals = _vals(spec)
     if w.family == "jacobi" and np.any(np.abs(vals) >= 1.0):
         raise OutOfSupport("eigenvalues outside the weight support")
-    logw = w.log_w1(vals) if beta == 1 else w.log_w2(vals)
-    return float(np.sum(logw)) + beta * _log_vandermonde(vals)
+    return float(log_p_beta_batch(w, beta, vals[None, :])[0])
 
 
 def log_p_chiral(weight: Callable[[np.ndarray], np.ndarray], spec) -> float:
@@ -121,7 +121,7 @@ def log_p_chiral(weight: Callable[[np.ndarray], np.ndarray], spec) -> float:
         raise BadParameter("weight must be nonnegative")
     with np.errstate(divide="ignore"):
         logw = np.log(wv)
-    return float(np.sum(logw)) + 2.0 * _log_vandermonde(vals, power=2)
+    return float(np.sum(logw)) + 2.0 * float(_log_vdm_rows(vals[None, :], 2)[0])
 
 
 def log_q_xy(w1: AdmissibleWeight, sv) -> float:
@@ -137,12 +137,12 @@ def log_q_xy(w1: AdmissibleWeight, sv) -> float:
         raise InterlacingViolated("need ascending nonnegative singular values")
     if w1.family == "jacobi" and np.any(vals >= 1.0):
         raise OutOfSupport("singular values outside the weight support")
-    x, y = vals[0::2], vals[1::2]
-    out = float(np.sum(w1.log_w1(x))) + _log_vandermonde(x, power=2)
-    out += float(np.sum(w1.log_w1(y))) + _log_vandermonde(y, power=2)
+    x, y = vals[None, 0::2], vals[None, 1::2]
+    out = np.sum(w1.log_w1(x), axis=1) + _log_vdm_rows(x, 2)
+    out += np.sum(w1.log_w1(y), axis=1) + _log_vdm_rows(y, 2)
     with np.errstate(divide="ignore"):
-        out += float(np.sum(np.log(y))) if y.size else 0.0
-    return out
+        out += np.sum(np.log(y), axis=1)
+    return float(out[0])
 
 
 def log_q_even(w1: AdmissibleWeight, s, mu: int) -> float:
@@ -154,11 +154,12 @@ def log_q_even(w1: AdmissibleWeight, s, mu: int) -> float:
         raise BadParameter("need ascending nonnegative values")
     if w1.family == "jacobi" and np.any(vals >= 1.0):
         raise OutOfSupport("values outside the weight support")
-    out = float(np.sum(w1.log_w2(vals))) + 2.0 * _log_vandermonde(vals, power=2)
+    row = vals[None, :]
+    out = np.sum(w1.log_w2(row), axis=1) + 2.0 * _log_vdm_rows(row, 2)
     if mu == 1:
         with np.errstate(divide="ignore"):
-            out += 2.0 * float(np.sum(np.log(vals)))
-    return out
+            out += 2.0 * np.sum(np.log(row), axis=1)
+    return float(out[0])
 
 
 def log_q_odd(w1: AdmissibleWeight, t, n: int) -> float:
@@ -173,33 +174,12 @@ def log_q_odd(w1: AdmissibleWeight, t, n: int) -> float:
     positive; a nonpositive value returns the -inf sentinel, as do ties.
     """
     vals = _vals(t)
-    mu = n % 2
-    mhat = (n + 1) // 2
-    if vals.size != mhat:
-        raise BadParameter(f"expected {mhat} odd-location values for n={n}")
+    out = log_q_odd_batch(w1, vals[None, :], n)  # raises on a wrong length
     if np.any(vals < 0.0) or np.any(np.diff(vals) < 0):
         raise BadParameter("need ascending nonnegative values")
     if w1.family == "jacobi" and np.any(vals >= 1.0):
         raise OutOfSupport("values outside the weight support")
-    nu = 1 - mu
-
-    out = float(np.sum(w1.log_w1(vals))) + _log_vandermonde(vals, power=2)
-    if nu == 1:
-        with np.errstate(divide="ignore"):
-            out += float(np.sum(np.log(vals)))
-    if not np.isfinite(out):
-        return -math.inf
-
-    # determinant block: companion-monomial rows plus theta row
-    m = np.empty((mhat, mhat))
-    comp = w1.companion(vals)
-    for i in range(mhat - 1):
-        m[i] = comp * vals ** (nu + 2 * i)
-    m[mhat - 1] = 1.0 if nu == 0 else theta1(w1, vals)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        return -math.inf
-    return out + float(logdet)
+    return float(out[0])
 
 
 # -- batched forms for samplers and Monte Carlo verification -------------------
@@ -207,18 +187,13 @@ def log_q_odd(w1: AdmissibleWeight, t, n: int) -> float:
 
 def log_p_beta_batch(w: AdmissibleWeight, beta: int, x: np.ndarray) -> np.ndarray:
     """Row-wise log_p_beta on a (B, n) array; out-of-support rows give -inf."""
+    if beta not in (1, 2):
+        raise BadParameter(f"beta must be 1 or 2, got {beta}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise BadParameter("expected a (batch, n) array")
     logw = w.log_w1(x) if beta == 1 else w.log_w2(x)
-    out = np.sum(logw, axis=1)
-    n = x.shape[1]
-    if n > 1:
-        iu, ju = np.triu_indices(n, k=1)
-        gaps = np.abs(x[:, ju] - x[:, iu])
-        with np.errstate(divide="ignore"):
-            out = out + beta * np.sum(np.log(gaps), axis=1)
-    return out
+    return np.sum(logw, axis=1) + beta * _log_vdm_rows(x)
 
 
 def log_chiral_batch(
@@ -228,14 +203,7 @@ def log_chiral_batch(
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise BadParameter("expected a (batch, n) array")
-    out = np.sum(log_weight(x), axis=1)
-    n = x.shape[1]
-    if n > 1:
-        iu, ju = np.triu_indices(n, k=1)
-        gaps = np.abs(x[:, ju] ** 2 - x[:, iu] ** 2)
-        with np.errstate(divide="ignore"):
-            out = out + 2.0 * np.sum(np.log(gaps), axis=1)
-    return out
+    return np.sum(log_weight(x), axis=1) + 2.0 * _log_vdm_rows(x, 2)
 
 
 def log_q_odd_batch(w1: AdmissibleWeight, x: np.ndarray, n: int) -> np.ndarray:
@@ -262,10 +230,9 @@ def log_q_odd_batch(w1: AdmissibleWeight, x: np.ndarray, n: int) -> np.ndarray:
         out = np.sum(w1.log_w1(safe), axis=1)
         if nu == 1:
             out = out + np.sum(np.log(safe), axis=1)
-        if mhat > 1:
-            iu, ju = np.triu_indices(mhat, k=1)
-            out = out + np.sum(np.log(np.abs(safe[:, ju] ** 2 - safe[:, iu] ** 2)), axis=1)
+    out = out + _log_vdm_rows(safe, 2)
 
+    # determinant block: companion-monomial rows closed by the theta row
     mats = np.empty((x.shape[0], mhat, mhat))
     comp = w1.companion(safe)
     for i in range(mhat - 1):

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import _support_tensor, log_p_beta_batch
+from .densities import _log_vdm_rows, _support_tensor, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import (
     QuadratureRule,
@@ -819,16 +819,7 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
 
 
 def _pair_log_density(pair: WeightPair, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    iu, ju = np.triu_indices(n, k=1)
-
-    def logd(x: np.ndarray) -> np.ndarray:
-        out = np.sum(pair.log_w1(x), axis=1)
-        if n > 1:
-            with np.errstate(divide="ignore"):
-                out = out + np.sum(np.log(np.abs(x[:, ju] - x[:, iu])), axis=1)
-        return out
-
-    return logd
+    return lambda x: np.sum(pair.log_w1(x), axis=1) + _log_vdm_rows(x)
 
 
 def _pair_init(pair: WeightPair) -> Callable:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .densities import _settle, _support_tensor, log_q_odd_batch, normalize
+from .densities import _log_vdm_rows, _settle, _support_tensor, log_q_odd_batch, normalize
 from .errors import BadParameter, EmptySample
 from .numerics import composite_gl_rule, integrate, tan_transformed_rule
 from .samplers import EnsembleSpec, sample_ensemble
@@ -388,24 +388,17 @@ def verify_thmCE(n: int, count: int, seed: int, workers: int = 1) -> Verificatio
 # -- interlacing integral -----------------------------------------------------------
 
 
-def _g_value(
-    w: AdmissibleWeight, nu: int, pts: np.ndarray, companion: bool
-) -> np.ndarray:
-    """g_nu on (batch, p) arrays of strictly descending rows.
+def _log_g(w: AdmissibleWeight, nu: int, pts: np.ndarray, companion: bool) -> np.ndarray:
+    """log g_nu on (batch, p) arrays of positive rows.
 
-    prod z_k^nu * weight(z_k) times prod_{i<j} (z_i^2 - z_j^2), with the
-    companion weight substituted when requested.
+    log of prod z_k^nu * weight(z_k) times prod_{i<j} |z_i^2 - z_j^2|, with
+    the companion weight substituted when requested.
     """
-    pts = np.atleast_2d(pts)
-    wfun = w.companion if companion else w.w1
-    vals = np.prod(wfun(pts), axis=1)
+    logw = w.log_companion if companion else w.log_w1
+    out = np.sum(logw(pts), axis=1)
     if nu:
-        vals = vals * np.prod(pts, axis=1)
-    p = pts.shape[1]
-    if p > 1:
-        iu, ju = np.triu_indices(p, k=1)
-        vals = vals * np.prod(pts[:, iu] ** 2 - pts[:, ju] ** 2, axis=1)
-    return vals
+        out = out + np.sum(np.log(pts), axis=1)
+    return out + _log_vdm_rows(pts, 2)
 
 
 def verify_dixon_anderson(
@@ -438,10 +431,7 @@ def verify_dixon_anderson(
         tol = 1e-5 if w.family == "cauchy" else 1e-7
     const = w.theta**mu * big_A(w, mhat, 1 - mu)
 
-    def log_g(pts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(_g_value(w, 1 - mu, pts[:, ::-1], companion=False))
-
+    log_g = lambda pts: _log_g(w, 1 - mu, pts, companion=False)
     rng = np.random.default_rng(seed)
     lo_s, hi_s = (0.15, 0.85) if w.family == "jacobi" else (0.25, 1.8)
     checks = []
@@ -456,7 +446,7 @@ def verify_dixon_anderson(
             mhat,
             tol / 20.0,
         )
-        rhs = const * float(_g_value(w, mu, s[None, :], companion=True)[0])
+        rhs = const * math.exp(_log_g(w, mu, s[None, :], companion=True)[0])
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         checks.append((f"config_{i + 1}", "residual", resid, tol, lhs, rhs))
     params = {"family": w.family, "a": w.a, "m": m, "mu": mu, "seed": seed}
@@ -464,13 +454,6 @@ def verify_dixon_anderson(
 
 
 # -- odd-location marginal ----------------------------------------------------------
-
-
-def _q_odd_batch(w1: AdmissibleWeight, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    def fn(rows: np.ndarray) -> np.ndarray:
-        return log_q_odd_batch(w1, np.atleast_2d(rows), n)
-
-    return fn
 
 
 def _chi2_gof(observed: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
@@ -508,7 +491,7 @@ def verify_q_odd(
     batch = sample_ensemble(EnsembleSpec("OE", n, w1), count, seed, workers=workers)
     odd = _odd_cols(_folded(batch.spectra))
 
-    logq = _q_odd_batch(w1, n)
+    logq = lambda rows: log_q_odd_batch(w1, rows, n)
     z = normalize(logq, mhat, (0.0, w1.omega))
 
     if n == 2:

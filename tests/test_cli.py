@@ -130,6 +130,26 @@ class TestGapCommand:
         assert code == 0
         assert len(json.loads(text)["coeffs"]) == 3
 
+    def test_coe_mc_payload(self, capsys) -> None:
+        code, text = run(
+            capsys, "gap", "--kind", "coe", "--n", "3", "--theta", "1.2",
+            "--count", "500", "--seed", "11", "--workers", "1",
+        )
+        assert code == 0
+        d = json.loads(text)
+        assert list(d) == [
+            "kind", "n", "interval", "engine", "count", "seed", "probs", "stderr"
+        ]
+        assert d["interval"] == [-1.2, 1.2] and d["engine"] == "mc"
+        assert sum(d["probs"]) == pytest.approx(1.0) and len(d["stderr"]) == 4
+
+    @pytest.mark.parametrize("kind", ["cue", "coe"])
+    @pytest.mark.parametrize("theta", ["4.0", "0.0"])
+    def test_theta_out_of_range_exits_2(self, capsys, kind: str, theta: str) -> None:
+        code = cli.main(["gap", "--kind", kind, "--n", "3", "--theta", theta, "--count", "100"])
+        assert code == 2
+        assert "theta must lie in (0, pi]" in capsys.readouterr().err
+
     def test_out_file_matches_stdout(self, capsys, tmp_path: Path) -> None:
         out = tmp_path / "g.json"
         code, text = run(
@@ -293,6 +313,14 @@ class TestWorkersDefault:
 
     def test_env_invalid(self, capsys, monkeypatch) -> None:
         monkeypatch.setenv("RMTDEC_WORKERS", "many")
+        with pytest.raises(BadParameter):
+            cli._default_workers()
+        code, _ = run(capsys, "gap", "--kind", "cue", "--n", "2", "--theta", "1.0")
+        assert code == 2
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_env_nonpositive(self, capsys, monkeypatch, env: str) -> None:
+        monkeypatch.setenv("RMTDEC_WORKERS", env)
         with pytest.raises(BadParameter):
             cli._default_workers()
         code, _ = run(capsys, "gap", "--kind", "cue", "--n", "2", "--theta", "1.0")

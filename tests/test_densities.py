@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
+import rmtdec
 from rmtdec.densities import (
     OrderedSpectrum,
     SingularSpectrum,
@@ -16,6 +20,7 @@ from rmtdec.densities import (
     log_p_chiral,
     log_q_even,
     log_q_odd,
+    log_q_odd_batch,
     log_q_xy,
     normalize,
 )
@@ -63,13 +68,21 @@ class TestLogPBeta:
         assert log_p_beta(GAUSS, 1, OrderedSpectrum(vals)) == pytest.approx(want)
 
     def test_batch_matches_scalar(self) -> None:
+        # against a per-row pair loop, independent of the shared kernel
         rng = np.random.default_rng(0)
         x = np.sort(rng.normal(size=(50, 4)), axis=1)
         batch = log_p_beta_batch(GAUSS, 2, x)
         for i in range(50):
-            assert batch[i] == pytest.approx(
-                log_p_beta(GAUSS, 2, OrderedSpectrum(x[i])), rel=1e-13
-            )
+            want = float(np.sum(-(x[i] ** 2)))
+            for j in range(4):
+                for k in range(j + 1, 4):
+                    want += 2.0 * math.log(abs(x[i, k] - x[i, j]))
+            assert batch[i] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0, 3])
+    def test_batch_rejects_beta(self, beta: int) -> None:
+        with pytest.raises(BadParameter):
+            log_p_beta_batch(GAUSS, beta, np.array([[-0.3, 0.4, 1.1]]))
 
     def test_batch_out_of_support_is_minus_inf(self) -> None:
         w = jacobi_weight(1.0)
@@ -100,7 +113,11 @@ class TestLogPChiral:
         logw = lambda v: -(v**2) + np.where(v > 0, 0.0, -np.inf)
         batch = log_chiral_batch(logw, x)
         for i in range(30):
-            want = log_p_chiral(lambda v: np.exp(-(v**2)), x[i])
+            # per-row pair loop, independent of the shared kernel
+            want = float(np.sum(-(x[i] ** 2)))
+            for j in range(3):
+                for k in range(j + 1, 3):
+                    want += 2.0 * math.log(x[i, k] ** 2 - x[i, j] ** 2)
             assert batch[i] == pytest.approx(want, rel=1e-12)
 
 
@@ -300,3 +317,47 @@ class TestNormalize:
     def test_n_out_of_range(self) -> None:
         with pytest.raises(BadParameter):
             normalize(lambda x: np.zeros(x.shape[0]), 5, (0.0, 1.0))
+
+
+FAMILIES = {
+    "gauss": GAUSS,
+    "jacobi": jacobi_weight(0.5),
+    "jacobi_neg": jacobi_weight(-0.25),
+    "cauchy": cauchy_weight(2.0),
+}
+
+
+class TestDensityProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        beta=st.sampled_from([1, 2]),
+        raw=st.lists(st.floats(-0.98, 0.98), min_size=2, max_size=5),
+        scale=st.sampled_from([1.0, 4.0]),
+        tie_at=st.integers(0, 3),
+    )
+    def test_reflection_and_ties(
+        self, family: str, beta: int, raw: list[float], scale: float, tie_at: int
+    ) -> None:
+        w = FAMILIES[family]
+        x = np.sort(np.asarray(raw)) * (1.0 if w.family == "jacobi" else scale)
+        assume(np.min(np.diff(x)) > 1e-6)
+        rows = np.stack([x, -x[::-1]])
+        # the weights are even, so x -> -x reversed leaves the density alone
+        a, b = log_p_beta_batch(w, beta, rows)
+        assert np.isfinite(a)
+        assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+        tied = x.copy()
+        k = tie_at % (x.size - 1)
+        tied[k + 1] = tied[k]
+        assert log_p_beta_batch(w, beta, tied[None, :])[0] == -np.inf
+        t = np.sort(np.abs(x))
+        t[k + 1] = t[k]
+        assert log_q_odd_batch(w, t[None, :], 2 * t.size - 1)[0] == -np.inf
+
+
+def test_pair_products_and_determinants_live_in_densities() -> None:
+    src = Path(rmtdec.__file__).parent
+    for token in ("triu_indices", "slogdet"):
+        users = sorted(p.name for p in src.glob("*.py") if token in p.read_text())
+        assert users == ["densities.py"], token

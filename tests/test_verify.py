@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from rmtdec.densities import log_q_odd, log_q_odd_batch
+from rmtdec.densities import log_q_odd_batch
 from rmtdec.errors import BadParameter, EmptySample
 from rmtdec.samplers import EnsembleSpec, sample_ensemble
 from rmtdec.verify import (
@@ -26,7 +26,7 @@ from rmtdec.verify import (
     verify_thm1,
     verify_thmCE,
 )
-from rmtdec.weights import gauss_weight, jacobi_weight, make_weight
+from rmtdec.weights import gauss_weight, jacobi_weight, make_weight, theta1
 
 
 class TestKsTwoSample:
@@ -249,7 +249,17 @@ class TestQOddBatch:
         hi = 0.95 if family == "jacobi" else 2.5
         rows = np.sort(rng.uniform(0.01, hi, size=(40, mhat)), axis=1)
         got = log_q_odd_batch(w1, rows, n)
-        want = np.array([log_q_odd(w1, r, n) for r in rows])
+        # per-row pair loop and companion/theta1 determinant, written out here
+        nu = 1 - n % 2
+        want = []
+        for t in rows:
+            val = float(np.sum(w1.log_w1(t))) + nu * float(np.sum(np.log(t)))
+            for j in range(mhat):
+                for k in range(j + 1, mhat):
+                    val += math.log(t[k] ** 2 - t[j] ** 2)
+            m = [w1.companion(t) * t ** (nu + 2 * i) for i in range(mhat - 1)]
+            m.append(theta1(w1, t) if nu else np.ones(mhat))
+            want.append(val + math.log(np.linalg.det(np.array(m))))
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_invalid_rows_give_neg_inf(self) -> None:
