@@ -267,6 +267,27 @@ def _settle(value_at: Callable[[int], float], n: int, tol: float) -> float:
     raise NonConvergence(f"ordered integral did not settle at tol={tol}")
 
 
+def _support_map(
+    w: AdmissibleWeight, log_density: Callable[[np.ndarray], np.ndarray]
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The coordinate in which a density on the support of ``w`` is
+    integrated, as (increasing map from x, log density of (batch, n) rows in
+    that coordinate with the Jacobian included).
+
+    On the finite Jacobi support it is t with x = sin t, as in
+    ``theta_by_quadrature``: the (1 - x^2)^a endpoint singularity, on which
+    Gauss-Legendre stalls, becomes a power of cos t, analytic for
+    half-integer a.  Elsewhere it is x itself.
+    """
+    if math.isinf(w.omega):
+        return np.asarray, log_density
+
+    def log_density_t(t: np.ndarray) -> np.ndarray:
+        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
+
+    return np.arcsin, log_density_t
+
+
 def _support_tensor(
     w: AdmissibleWeight,
     log_density: Callable[[np.ndarray], np.ndarray],
@@ -274,19 +295,10 @@ def _support_tensor(
     counts: Sequence[int],
     order: int,
 ) -> float:
-    """``ordered_tensor`` for a density on the support of ``w``.
-
-    On the finite Jacobi support the integral is taken in t with x = sin t,
-    as in ``theta_by_quadrature``: the (1 - x^2)^a endpoint singularity, on
-    which tensor Gauss-Legendre stalls, becomes an analytic power of cos t.
-    """
-    if math.isinf(w.omega):
-        return ordered_tensor(log_density, edges, counts, order)
-
-    def log_density_t(t: np.ndarray) -> np.ndarray:
-        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
-
-    return ordered_tensor(log_density_t, np.arcsin(edges), counts, order)
+    """``ordered_tensor`` for a density on the support of ``w``, taken in
+    the coordinate of ``_support_map``."""
+    to_t, log_density_t = _support_map(w, log_density)
+    return ordered_tensor(log_density_t, to_t(edges), counts, order)
 
 
 def normalize(

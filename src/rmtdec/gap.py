@@ -320,11 +320,11 @@ class _OddParts:
 
 def _w1_integral(
     w1: AdmissibleWeight, f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float
-) -> float:
-    """int_lo^hi f(x, w1(x)) dx.
+) -> np.ndarray:
+    """int_lo^hi f(x, w1(x)) dx for a vector integrand f returning (k, npts).
 
     On the finite Jacobi support the integral is taken in t with x = sin t,
-    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_tensor``:
+    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_map``:
     the (1 - x^2)^a endpoint singularity, on which ``integrate`` stalls for
     a < 0, becomes the power cos(t)^(2a+1), which ``integrate`` resolves by
     bisection.  Nodes within about 1e-8 of t = pi/2, where sin t rounds to
@@ -343,6 +343,12 @@ def _w1_integral(
 
 
 def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
+    """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s).
+
+    T0, Ts, U and the inner integral of V are one vector integral each over
+    the m odd-degree polynomials ``sys.evaluate(x, odd_idx)``; every
+    component meets the 1e-12 tolerance against its own scale.
+    """
     if n < 1 or n % 2 == 0:
         raise BadParameter("the bordered determinant needs odd n >= 1")
     if not 0.0 < s < w1.omega:
@@ -359,24 +365,14 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     odd_idx = list(range(1, 2 * m, 2))
     p_s = sys.evaluate(np.array([s]), odd_idx)[:, 0]
 
-    def pk(x: np.ndarray, row: int) -> np.ndarray:
-        return sys.evaluate(np.atleast_1d(x), [odd_idx[row]])[0]
+    def odd(x: np.ndarray, wx: np.ndarray) -> np.ndarray:
+        return wx * sys.evaluate(x, odd_idx)  # row k: wx p_{2k-1}(x), k = 1..m
 
     omega = w1.omega
-    T0 = np.array([_w1_integral(w1, lambda x, wx, r=r: wx * pk(x, r), 0.0, omega) for r in range(m)])
-    Ts = np.array([_w1_integral(w1, lambda x, wx, r=r: wx * pk(x, r), s, omega) for r in range(m)])
-    U = 2.0 * np.array(
-        [
-            _w1_integral(w1, lambda x, wx, r=r: theta1(w1, x) * wx * pk(x, r), 0.0, omega)
-            for r in range(m)
-        ]
-    )
-    inner = np.array(
-        [
-            _w1_integral(w1, lambda t, wt, r=r: wt * pk(t, r) * (th1s - theta1(w1, t)), 0.0, s)
-            for r in range(m)
-        ]
-    )
+    T0 = _w1_integral(w1, odd, 0.0, omega)
+    Ts = _w1_integral(w1, odd, s, omega)
+    U = 2.0 * _w1_integral(w1, lambda x, wx: odd(x, theta1(w1, x) * wx), 0.0, omega)
+    inner = _w1_integral(w1, lambda t, wt: odd(t, wt) * (th1s - theta1(w1, t)), 0.0, s)
     V = 2.0 * th1s * T0 - 2.0 * inner
     G = gram(sys, (-s, s), odd_idx)
     return _OddParts(m, theta, th1s, comp_s, p_s, T0, Ts, U, V, G)
@@ -489,12 +485,17 @@ def gap_oe_odd_exact(
     """
     if mode not in ("direct", "gaudin"):
         raise BadParameter(f"unknown mode {mode!r}")
-    parts = _odd_parts(w1, n, s)
+    return _odd_gap(_odd_parts(w1, n, s), s, mode)
+
+
+def _odd_gap(parts: _OddParts, s: float, mode: str) -> GapPolynomial:
+    """The gap vector on (-s, s) from one set of bordered-determinant parts."""
     if mode == "direct":
         detfn = lambda xi: _det_direct(parts, xi)
     else:
         gp = _gaudin_parts(parts)
         detfn = lambda xi: _det_gaudin(gp, xi)
+    n = 2 * parts.m + 1
     coeffs, det0 = _extract_coeffs(detfn, n)
     resid = abs(det0 - parts.theta) / parts.theta
     if resid > 1e-6:
@@ -654,14 +655,16 @@ def check_B1_structure(
     chiral beta = 2 generating function under the xi -> 2 xi - xi^2
     substitution, and that the remainder after subtracting that even part is
     xi times a polynomial of degree at most m in 2 xi - xi^2 (fitted on m+1
-    nodes, verified on a dense grid including the mirrored branch).
+    nodes, verified on a dense grid including the mirrored branch).  Both
+    assemblies and the eigenvalues come from one ``_odd_parts`` build.
     """
     w = make_weight(w1, a) if isinstance(w1, str) else w1
     if n < 1 or n % 2 == 0:
         raise BadParameter("structure check needs odd n")
     m = (n - 1) // 2
-    direct = gap_oe_odd_exact(w, n, s, mode="direct")
-    gaud = gap_oe_odd_exact(w, n, s, mode="gaudin")
+    parts = _odd_parts(w, n, s)
+    direct = _odd_gap(parts, s, "direct")
+    gaud = _odd_gap(parts, s, "gaudin")
     grid = np.linspace(0.0, 2.0, 81) if xi_grid is None else np.asarray(xi_grid, dtype=float)
 
     checks = [
@@ -678,7 +681,7 @@ def check_B1_structure(
     ]
 
     if m:
-        nus = gaudin_data(w, n, s).nus
+        nus = _gaudin_from_gram(parts.G).nus
         even_part = lambda zz: np.prod(1.0 - np.multiply.outer(np.asarray(zz), nus), axis=-1)
         chue = gap_chue_exact(w, 1, m, s)
         match = float(np.max(np.abs(even_part(grid) - chue.generating_function(grid))))

@@ -4,7 +4,8 @@ Quadrature on finite and infinite intervals, the ordered tensor rule behind
 every small-n multiple integral, symmetric eigendecomposition, and
 polynomial interpolation / basis conversion.  Everything here is a pure
 function on immutable inputs; integrands are expected to be vectorized
-(accept an ndarray of abscissae and return an ndarray of values).
+(accept an ndarray of abscissae and return an ndarray of values, or for
+``integrate`` a (k, npts) array of k integrands on shared panels).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    BadParameter,
     DuplicateNodes,
     InvalidInterval,
     NonConvergence,
@@ -123,8 +125,10 @@ def _panel_values(
     a: float,
     b: float,
     transform: bool,
-) -> tuple[float, float]:
-    """High- and low-order estimates of the integral of f over panel (a, b).
+) -> tuple[list[float], list[float], bool]:
+    """High-order estimates of the integral of f over panel (a, b) and their
+    errors against the embedded low-order rule, one per component, and
+    whether f returned (k, npts) rather than (npts,).
 
     When ``transform`` is set, (a, b) are tan-substitution coordinates and the
     Jacobian is applied here.
@@ -132,31 +136,38 @@ def _panel_values(
     xh, wh = _leggauss(16)
     xl, wl = _leggauss(8)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    uh = mid + half * xh
-    ul = mid + half * xl
-    u = np.concatenate([uh, ul])
+    u = np.concatenate([mid + half * xh, mid + half * xl])
+    vals = np.asarray(f(np.tan(u) if transform else u), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != u.size:
+        raise BadParameter(f"integrand returned shape {vals.shape}, not (npts,) or (k, npts)")
     if transform:
-        vals = np.asarray(f(np.tan(u)), dtype=float) / np.cos(u) ** 2
-    else:
-        vals = np.asarray(f(u), dtype=float)
-    hi = half * float(np.dot(wh, vals[:16]))
-    lo = half * float(np.dot(wl, vals[16:]))
-    return hi, abs(hi - lo)
+        vals = vals / np.cos(u) ** 2
+    rows = vals.reshape(-1, u.size)
+    hi = [half * float(np.dot(wh, r[:16])) for r in rows]
+    lo = [half * float(np.dot(wl, r[16:])) for r in rows]
+    return hi, [abs(h - l) for h, l in zip(hi, lo)], vals.ndim == 2
 
 
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     tol: float = 1e-10,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive integral of a vectorized integrand over ``interval``.
 
-    Infinite endpoints are mapped through x = tan(u).  Panels are bisected,
-    worst error first, until the summed error estimate (high- minus embedded
-    low-order Gauss-Legendre value per panel) meets the relative tolerance.
+    ``f`` maps npts abscissae to npts values, or to a (k, npts) array of k
+    integrands sharing the abscissae; the result is then a float, or an
+    array of the k integrals.  Infinite endpoints are mapped through
+    x = tan(u).  Panels are bisected until every component's summed error
+    estimate (high- minus embedded low-order Gauss-Legendre value per panel)
+    meets the relative tolerance against that component's own scale; each
+    step bisects the panel with the largest error in the component furthest
+    above its tolerance, so a (1, npts) integrand follows exactly the panels
+    of its scalar form.
 
     Raises NonConvergence if a panel would need more than MAX_DEPTH splits,
-    and InvalidInterval when lo >= hi or tol <= 0.
+    InvalidInterval when lo >= hi or tol <= 0, and BadParameter when f
+    returns any other shape.
     """
     lo, hi = interval
     if not lo < hi:
@@ -171,32 +182,62 @@ def integrate(
     else:
         a, b = float(lo), float(hi)
 
-    # panel: (a, b, value, error, depth)
+    # panel: (a, b, values, errors, depth), one value and error per component
     edges = np.linspace(a, b, 9)
     panels = []
     for pa, pb in zip(edges[:-1], edges[1:]):
-        val, err = _panel_values(f, pa, pb, transform)
+        val, err, vector = _panel_values(f, pa, pb, transform)
         panels.append((pa, pb, val, err, 0))
+    comps = range(len(panels[0][2]))
 
     for _ in range(200_000):
-        total = math.fsum(p[2] for p in panels)
-        err_total = math.fsum(p[3] for p in panels)
-        abs_total = math.fsum(abs(p[2]) for p in panels)
-        scale = max(abs(total), 1e-3 * abs_total, 1e-300)
-        if err_total <= tol * scale:
-            return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        total = [math.fsum(p[2][c] for p in panels) for c in comps]
+        err_total = [math.fsum(p[3][c] for p in panels) for c in comps]
+        abs_total = [math.fsum(abs(p[2][c]) for p in panels) for c in comps]
+        scale = [max(abs(t), 1e-3 * at, 1e-300) for t, at in zip(total, abs_total)]
+        if all(e <= tol * sc for e, sc in zip(err_total, scale)):
+            return np.array(total) if vector else total[0]
+        c = max(comps, key=lambda c: err_total[c] / scale[c])
+        worst = max(range(len(panels)), key=lambda i: panels[i][3][c])
         pa, pb, _, _, depth = panels[worst]
         if depth >= MAX_DEPTH:
             raise NonConvergence(
-                f"integrate: error {err_total:.3e} above tol at max depth over {interval}"
+                f"integrate: error {err_total[c]:.3e} above tol at max depth over {interval}"
             )
         mid = 0.5 * (pa + pb)
-        left = (*_panel_values(f, pa, mid, transform),)
-        right = (*_panel_values(f, mid, pb, transform),)
-        panels[worst] = (pa, mid, left[0], left[1], depth + 1)
-        panels.append((mid, pb, right[0], right[1], depth + 1))
+        panels[worst] = (pa, mid, *_panel_values(f, pa, mid, transform)[:2], depth + 1)
+        panels.append((mid, pb, *_panel_values(f, mid, pb, transform)[:2], depth + 1))
     raise NonConvergence(f"integrate: panel budget exhausted over {interval}")
+
+
+# grids up to this many nodes are kept; the top rungs of the dim-4 order
+# ladders hold 1e5 to 1.7e6 nodes (up to 67 MB) and are rebuilt per call
+_GRID_CACHE_NODES = 100_000
+
+
+def _build_tensor_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on (0, 1)^dim as an (order**dim, dim) array, and
+    the log of each node's product weight; both read-only."""
+    g, gw = _leggauss(order)
+    t = 0.5 * (g + 1.0)
+    tw = 0.5 * gw
+    grids = np.meshgrid(*([t] * dim), indexing="ij")
+    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
+    wgrids = np.meshgrid(*([tw] * dim), indexing="ij")
+    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
+    tmat.setflags(write=False)
+    logwt.setflags(write=False)
+    return tmat, logwt
+
+
+_cached_tensor_grid = lru_cache(maxsize=32)(_build_tensor_grid)
+
+
+def _tensor_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_build_tensor_grid``, cached for grids of at most _GRID_CACHE_NODES."""
+    if order**dim <= _GRID_CACHE_NODES:
+        return _cached_tensor_grid(order, dim)
+    return _build_tensor_grid(order, dim)
 
 
 def ordered_tensor(
@@ -230,15 +271,7 @@ def ordered_tensor(
     else:
         bounds = [float(e) for e in x_edges]
 
-    g, gw = _leggauss(order)
-    t = 0.5 * (g + 1.0)
-    tw = 0.5 * gw
-    dim = sum(counts)
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrids = np.meshgrid(*([tw] * dim), indexing="ij")
-    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
-
+    tmat, logwt = _tensor_grid(order, sum(counts))
     u = np.empty_like(tmat)
     logjac = np.zeros(tmat.shape[0])
     col = 0

@@ -19,6 +19,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -139,52 +140,63 @@ class SampleBatch:
         return self.spectra.shape[1]
 
     def to_csv(self, path) -> None:
+        """Write a "# spec=... seed=... diagnostics={...}" line, the column
+        header v1..vN, then one row per spectrum.  Values are written with
+        %.17g, so they read back bit-identically; the whole body is one
+        format operation over the flattened ``spectra.tolist()``."""
         diag = json.dumps(self.diagnostics, sort_keys=True, separators=(",", ":"))
-        lines = [
-            f"# spec={self.label} seed={self.seed} diagnostics={diag}",
-            ",".join(f"v{i + 1}" for i in range(self.width)),
-        ]
-        for row in self.spectra:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        head = f"# spec={self.label} seed={self.seed} diagnostics={diag}\n"
+        columns = ",".join(f"v{i + 1}" for i in range(self.width)) + "\n"
+        row = ",".join(["%.17g"] * self.width) + "\n"
+        body = row * self.count % tuple(self.spectra.ravel().tolist())
+        Path(path).write_text(head + columns + body)
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":
+        """Read ``to_csv`` output; CRLF endings and a missing final newline
+        are accepted.  Every line after the column header is a row; the rows
+        are parsed by one ``np.loadtxt`` call, which rejects ragged rows."""
         label, seed, diagnostics = "", 0, {}
-        rows: list[list[float]] = []
-        width = 0
-        saw_header = False
-        for line in Path(path).read_text().splitlines():
-            if line.startswith("# spec="):
-                head, diag = line[2:].rsplit(" diagnostics=", 1)
-                head, seed_text = head.rsplit(" seed=", 1)
-                label = head[len("spec=") :]
-                seed = int(seed_text)
-                diagnostics = json.loads(diag)
-            elif not saw_header:
-                saw_header = True
-                width = len(line.split(",")) if line else 0
-            else:
-                rows.append([float(t) for t in line.split(",")] if line else [])
-        spectra = np.array(rows, dtype=float).reshape(len(rows), width)
+        lines = Path(path).read_text().splitlines()
+        at = 0
+        while at < len(lines) and lines[at].startswith("# spec="):
+            head, diag = lines[at][2:].rsplit(" diagnostics=", 1)
+            head, seed_text = head.rsplit(" seed=", 1)
+            label = head[len("spec=") :]
+            seed = int(seed_text)
+            diagnostics = json.loads(diag)
+            at += 1
+        width = len(lines[at].split(",")) if at < len(lines) and lines[at] else 0
+        body = lines[at + 1 :]
+        if body and width:
+            spectra = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        else:
+            spectra = np.empty((len(body), width))
+        if spectra.shape != (len(body), width):  # loadtxt skips blank lines
+            raise BadParameter(f"expected {len(body)} rows of {width} values in {path}")
         return cls(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
 
     def to_jsonl(self, path) -> None:
-        lines = [
-            json.dumps(
-                {"spec": self.label, "seed": self.seed, "diagnostics": self.diagnostics},
-                sort_keys=True,
-            )
-        ]
-        for row in self.spectra:
-            lines.append(json.dumps({"values": [float(v) for v in row]}))
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write a header object {"diagnostics", "seed", "spec"}, then one
+        {"values": [...]} object per spectrum.  The rows come from one
+        ``json.dumps`` of ``spectra.tolist()``, cut at the "], [" between
+        rows (float text never holds a bracket)."""
+        head = json.dumps(
+            {"spec": self.label, "seed": self.seed, "diagnostics": self.diagnostics},
+            sort_keys=True,
+        )
+        rows = json.dumps(self.spectra.tolist())[1:-1]
+        body = '{"values": ' + rows.replace("], [", ']}\n{"values": [') + "}\n"
+        Path(path).write_text(head + "\n" + (body if self.count else ""))
 
     @classmethod
     def from_jsonl(cls, path) -> "SampleBatch":
+        """Read ``to_jsonl`` output with one ``json.loads`` of the joined
+        rows; CRLF endings and a missing final newline are accepted.  The
+        width comes from the first row (0 for a file without rows)."""
         lines = Path(path).read_text().splitlines()
         head = json.loads(lines[0])
-        rows = [json.loads(line)["values"] for line in lines[1:]]
+        rows = json.loads("[" + ",".join(lines[1:]) + "]", object_hook=itemgetter("values"))
         width = len(rows[0]) if rows else 0
         spectra = np.array(rows, dtype=float).reshape(len(rows), width)
         return cls(

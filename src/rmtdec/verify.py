@@ -18,7 +18,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import special, stats
 
-from .densities import _log_vdm_rows, _settle, _support_tensor, log_q_odd_batch, normalize
+from .densities import (
+    _log_vdm_rows,
+    _settle,
+    _support_map,
+    _support_tensor,
+    log_q_odd_batch,
+    normalize,
+)
 from .errors import BadParameter, EmptySample
 from .numerics import composite_gl_rule, integrate, tan_transformed_rule
 from .samplers import EnsembleSpec, sample_ensemble
@@ -482,7 +489,8 @@ def verify_q_odd(
 
     n = 2 bins the single odd value into 16 quantile bins; n = 3 bins the
     ordered pair into an 8 x 8 quantile grid.  Expected bin masses come from
-    quadrature of the marginal normalized over the ordered region.
+    quadrature of the marginal normalized over the ordered region, taken in
+    t with x = sin t on the Jacobi support (``densities._support_map``).
     """
     if n not in (2, 3):
         raise BadParameter("binned comparison is defined for n in {2, 3}")
@@ -491,16 +499,20 @@ def verify_q_odd(
     batch = sample_ensemble(EnsembleSpec("OE", n, w1), count, seed, workers=workers)
     odd = _odd_cols(_folded(batch.spectra))
 
-    logq = lambda rows: log_q_odd_batch(w1, rows, n)
-    z = normalize(logq, mhat, (0.0, w1.omega))
+    # every integral is taken in the coordinate of _support_map (x = sin t
+    # on the Jacobi support); its map is increasing, so the ordered region
+    # and the quantile bins keep their shape
+    to_t, logq = _support_map(w1, lambda rows: log_q_odd_batch(w1, rows, n))
+    z = normalize(logq, mhat, tuple(to_t([0.0, w1.omega])))
 
     if n == 2:
         edges = np.quantile(odd[:, 0], np.linspace(0.0, 1.0, 17))
         edges[0], edges[-1] = 0.0, w1.omega
+        t_edges = to_t(edges)
         probs = np.array(
             [
                 integrate(
-                    lambda t: np.exp(logq(t[:, None])), (edges[i], edges[i + 1]), tol=1e-9
+                    lambda t: np.exp(logq(t[:, None])), (t_edges[i], t_edges[i + 1]), tol=1e-9
                 )
                 for i in range(16)
             ]
@@ -511,10 +523,11 @@ def verify_q_odd(
         e2 = np.quantile(odd[:, 1], np.linspace(0.0, 1.0, 9))
         e1[0], e1[-1] = 0.0, w1.omega
         e2[0], e2[-1] = 0.0, w1.omega
+        t1, t2 = to_t(e1), to_t(e2)
         probs_grid = np.empty((8, 8))
         for i in range(8):
             for j in range(8):
-                probs_grid[i, j] = _cell_mass(logq, e1[i], e1[i + 1], e2[j], e2[j + 1])
+                probs_grid[i, j] = _cell_mass(logq, t1[i], t1[i + 1], t2[j], t2[j + 1])
         probs = probs_grid.ravel() / z
         ix = np.clip(np.searchsorted(e1, odd[:, 0], side="right") - 1, 0, 7)
         jx = np.clip(np.searchsorted(e2, odd[:, 1], side="right") - 1, 0, 7)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import scipy.stats
 from scipy import special
 
+from rmtdec import gap
 from rmtdec.errors import BadParameter, MomentDivergence, NonConvergence
 from rmtdec.gap import (
     GapEstimate,
@@ -36,7 +37,7 @@ from rmtdec.gap import (
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import build, gram
 from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
-from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
+from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, theta1
 
 
 class TestGapPolynomial:
@@ -472,6 +473,62 @@ class TestCheckB1Structure:
     def test_even_n_rejected(self) -> None:
         with pytest.raises(BadParameter):
             check_B1_structure("gauss", 2, 1.0)
+
+    def test_parts_built_once(self, monkeypatch) -> None:
+        calls = []
+        real = gap._odd_parts
+        monkeypatch.setattr(gap, "_odd_parts", lambda *args: calls.append(args) or real(*args))
+        w = cauchy_weight(4.0)
+        rep = check_B1_structure(w, 5, 1.0)
+        assert rep.passed and len(calls) == 1
+        # the report still compares the two public assemblies
+        d = gap_oe_odd_exact(w, 5, 1.0, mode="direct").coeffs
+        g = gap_oe_odd_exact(w, 5, 1.0, mode="gaudin").coeffs
+        stat = {t.name: t.statistic for t in rep.subtests}
+        assert stat["mode_agreement"] == float(np.max(np.abs(d - g)))
+
+
+class TestOddPartsIntegrals:
+    """The vector integrals of ``_odd_parts`` against one scalar integral per
+    odd-degree polynomial, taken here in x (Gauss, Cauchy) or in t with
+    x = sin t (Jacobi)."""
+
+    @pytest.mark.parametrize(
+        "w,n,s",
+        [
+            (gauss_weight(), 7, 0.75),
+            (cauchy_weight(4.0), 5, 1.0),
+            (jacobi_weight(0.5), 5, 0.5),
+            (jacobi_weight(-0.5), 7, 0.6),
+        ],
+        ids=["gauss", "cauchy4", "jacobi0.5", "jacobi-0.5"],
+    )
+    def test_components_match_scalar_integrals(self, w, n: int, s: float) -> None:
+        parts = gap._odd_parts(w, n, s)
+        m = (n - 1) // 2
+        sys = build(w.w2, w.support, 2 * m - 1)
+        th1s = float(theta1(w, s))
+
+        def w1_integral(f, lo, hi):
+            if math.isinf(w.omega):
+                return integrate(lambda x: f(x) * w.w1(x), (lo, hi), tol=1e-12)
+            p = 2.0 * w.a + 1.0
+            g = lambda t: f(np.minimum(np.sin(t), np.nextafter(1.0, 0.0))) * np.cos(t) ** p
+            return integrate(g, (math.asin(lo), math.asin(hi)), tol=1e-12)
+
+        for r in range(m):
+            pk = lambda x, r=r: sys.evaluate(x, [2 * r + 1])[0]
+            t0 = w1_integral(pk, 0.0, w.omega)
+            ts = w1_integral(pk, s, w.omega)
+            u = 2.0 * w1_integral(lambda x: theta1(w, x) * pk(x), 0.0, w.omega)
+            inner = w1_integral(lambda x: pk(x) * (th1s - theta1(w, x)), 0.0, s)
+            for got, want in (
+                (parts.T0[r], t0),
+                (parts.Ts[r], ts),
+                (parts.U[r], u),
+                (parts.V[r], 2.0 * th1s * t0 - 2.0 * inner),
+            ):
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 EXACT_PAIRS = [

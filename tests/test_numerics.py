@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rmtdec import numerics
 from rmtdec.errors import (
+    BadParameter,
     DuplicateNodes,
     InvalidInterval,
     NonConvergence,
@@ -65,6 +67,109 @@ class TestIntegrate:
         # non-integrable 1/x betrays itself as never-settling panel errors
         with pytest.raises(NonConvergence):
             integrate(lambda x: 1.0 / np.abs(x + 1e-320), (0.0, 1.0), tol=1e-10)
+
+
+class TestVectorIntegrate:
+    """Integrands returning (k, npts): k integrals over shared panels."""
+
+    @staticmethod
+    def _stack(*fs):
+        return lambda x: np.stack([f(x) for f in fs])
+
+    @pytest.mark.parametrize(
+        "interval,fs",
+        [
+            ((0.0, 2.0), (lambda x: x, np.sin, lambda x: np.abs(x) ** 0.3)),
+            (
+                (-np.inf, np.inf),
+                (
+                    lambda x: np.exp(-(x**2)),
+                    lambda x: x**2 * np.exp(-(x**2)),
+                    lambda x: np.cos(3 * x) * np.exp(-(x**2)),
+                ),
+            ),
+            ((0.0, np.inf), (lambda x: 1.0 / (1.0 + x**2), lambda x: np.exp(-x))),
+            ((-np.inf, 0.5), (lambda x: np.exp(x), lambda x: 1e-6 * np.exp(2 * x))),
+        ],
+    )
+    def test_components_match_scalar_calls(self, interval, fs) -> None:
+        got = integrate(self._stack(*fs), interval, tol=1e-12)
+        assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
+        for value, f in zip(got, fs):
+            assert value == pytest.approx(integrate(f, interval, tol=1e-12), rel=1e-13, abs=0)
+
+    def test_each_component_meets_its_own_scale(self) -> None:
+        # a cusp 1e12 times smaller than its neighbour is still resolved to
+        # the relative tolerance, not to the neighbour's absolute error
+        cusp = lambda x: 1e-12 * np.sqrt(np.abs(x - 1.0 / 3.0))
+        got = integrate(self._stack(np.exp, cusp), (0.0, 1.0), tol=1e-12)
+        assert got[0] == pytest.approx(math.e - 1.0, rel=1e-13, abs=0)
+        want = 1e-12 * 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
+        assert got[1] == pytest.approx(want, rel=1e-11, abs=0)
+
+    def test_single_row_follows_scalar_panels_exactly(self) -> None:
+        f = lambda x: np.abs(x - 0.3) ** 0.7 * np.exp(-x)
+        vec = integrate(lambda x: f(x)[None, :], (0.0, np.inf), tol=1e-11)
+        assert vec.shape == (1,)
+        assert vec[0] == integrate(f, (0.0, np.inf), tol=1e-11)
+
+    def test_scalar_call_returns_float(self) -> None:
+        val = integrate(np.cos, (0.0, 1.0))
+        assert type(val) is float
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: 1.0,
+            lambda x: np.ones(x.size + 1),
+            lambda x: np.ones((2, 3, x.size)),
+            lambda x: np.ones((x.size, 2)),
+        ],
+    )
+    def test_bad_shapes_rejected(self, f) -> None:
+        with pytest.raises(BadParameter):
+            integrate(f, (0.0, 1.0))
+        with pytest.raises(BadParameter):
+            integrate(f, (0.0, np.inf))
+
+    def test_interval_errors_before_any_call(self) -> None:
+        f = self._stack(np.sin, np.cos)
+        with pytest.raises(InvalidInterval):
+            integrate(f, (1.0, 1.0))
+        with pytest.raises(InvalidInterval):
+            integrate(f, (0.0, 1.0), tol=-1.0)
+
+    def test_nonconvergent_component_raises(self) -> None:
+        f = self._stack(np.cos, lambda x: 1.0 / np.abs(x + 1e-320))
+        with pytest.raises(NonConvergence):
+            integrate(f, (0.0, 1.0), tol=1e-10)
+
+
+class TestTensorGridCache:
+    def test_repeated_calls_identical(self) -> None:
+        f = lambda x: -0.5 * np.sum(x**2, axis=1) + np.log1p(x[:, 0] ** 2)
+        vals = [ordered_tensor(f, [-1.0, 0.3, np.inf], [2, 1], 12) for _ in range(3)]
+        assert vals[0] == vals[1] == vals[2]
+
+    def test_cached_grid_is_shared_and_read_only(self) -> None:
+        tmat, logwt = numerics._tensor_grid(9, 3)
+        again = numerics._tensor_grid(9, 3)
+        assert again[0] is tmat and again[1] is logwt
+        assert tmat.shape == (9**3, 3) and logwt.shape == (9**3,)
+        for arr in (tmat, logwt):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_large_grids_not_retained(self) -> None:
+        # 22^4 = 234,256 nodes: above the cap, so rebuilt on every call
+        assert 22**4 > numerics._GRID_CACHE_NODES
+        before = numerics._cached_tensor_grid.cache_info().currsize
+        first = numerics._tensor_grid(22, 4)
+        second = numerics._tensor_grid(22, 4)
+        assert numerics._cached_tensor_grid.cache_info().currsize == before
+        assert first[0] is not second[0]
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

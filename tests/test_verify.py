@@ -283,6 +283,16 @@ class TestQOdd:
     def test_gauss_n3(self) -> None:
         assert verify_q_odd("gauss", 3, 20000, seed=14).passed
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("a", [-0.5, 0.5, 1.0])
+    def test_jacobi_endpoint_exponents(self, a: float, n: int) -> None:
+        # (1 - x^2)^a at x = 1: normalization, bins and cells are integrated
+        # in t with x = sin t
+        rep = verify_q_odd("jacobi", n, 20000, seed=15, a=a)
+        assert rep.passed, rep.to_json()
+        kinds = {s.name: s for s in rep.subtests}
+        assert kinds["bin_mass"].statistic < 1e-5
+
     def test_bad_n_raises(self) -> None:
         with pytest.raises(BadParameter):
             verify_q_odd("gauss", 4, 100, seed=0)
