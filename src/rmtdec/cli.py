@@ -392,7 +392,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="ensemble order")
     p.add_argument("--mu", type=int, default=0, help="chiral weight selector in {0, 1}")
     p.add_argument("--count", type=int, default=10_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0, help="seed; fully determines output")
+    p.add_argument("--seed", type=int, default=0, help="seed in [0, 2**64); fully determines output")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: RMTDEC_WORKERS or cores)")
     p.add_argument("--out", help="output file path")

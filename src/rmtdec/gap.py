@@ -47,7 +47,7 @@ from .samplers import (
     sample_gaussian_matrix,
     sample_mcmc,
 )
-from .verify import VerificationReport, build_report
+from .verify import VerificationReport, _substreams, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
 
 __all__ = [
@@ -894,9 +894,9 @@ def _check_pair_convolution(
 ) -> list[tuple]:
     """Subtests of the exact UE gap on each boundary-anchored interval against
     the label convolution of two independent beta = 1 runs of sizes n and n_b."""
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    runA = _pair_batch(pair, n, count, int(state[0]), workers)
-    runB = _pair_batch(pair, n_b, count, int(state[1]), workers)
+    seed_a, seed_b = _substreams(seed, 2)
+    runA = _pair_batch(pair, n, count, seed_a, workers)
+    runB = _pair_batch(pair, n_b, count, seed_b, workers)
     checks = []
     for si in svals:
         J = (pair.support[0], si) if side == "left" else (si, pair.support[1])
@@ -984,10 +984,10 @@ def check_8_31p(
         raise BadParameter("theta must lie in (0, pi]")
     ks = [int(v) for v in np.atleast_1d(k)]
     poly = gap_cue_exact(n, theta)
-    state = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
+    seed_a, seed_b = _substreams(seed, 2)
     spec, J = EnsembleSpec("COE", n), (-theta, theta)
-    pA = _count_probs(sample_ensemble(spec, count, int(state[0]), workers=workers).spectra, J)
-    pB = _count_probs(sample_ensemble(spec, count, int(state[1]), workers=workers).spectra, J)
+    pA = _count_probs(sample_ensemble(spec, count, seed_a, workers=workers).spectra, J)
+    pB = _count_probs(sample_ensemble(spec, count, seed_b, workers=workers).spectra, J)
     checks = []
     for ki in ks:
         rhs, var = _label_convolution(pA, pB, "eq831p", ki, count)

@@ -8,9 +8,10 @@ Cauchy weights, and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi
 Jacobi laws.  A generic random-walk Metropolis sampler covers the rest (OE
 and UE with a Cauchy weight off the circular exponents) and serves as an
 independent cross-check on request.  All samplers are deterministic given
-the seed: work is split into a fixed number of logical blocks, each with its
-own generator derived from (seed, block index), so the output does not
-depend on the worker count.
+the seed, an integer in [0, 2**64) (any other raises BadParameter): work is
+split into a fixed number of logical blocks, each with its own generator
+derived from (seed, block index), so the output does not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -215,14 +216,22 @@ def _block_sizes(count: int) -> list[int]:
     return [s for s in [base + 1] * rem + [base] * (_BLOCKS - rem) if s > 0]
 
 
+def _check_seed(seed: int) -> int:
+    """The seed itself if it lies in [0, 2**64); no two seeds share a stream."""
+    if not 0 <= seed < 2**64:
+        raise BadParameter(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed % 2**64, index]))
+    return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
 def _run_blocks(fn: Callable, count: int, seed: int, workers: int) -> list:
     """Run fn(rng, size) over the fixed block partition, order-stable."""
     if count < 1:
         raise BadParameter("batch size must be positive")
+    _check_seed(seed)
     sizes = _block_sizes(count)
 
     def job(i: int):

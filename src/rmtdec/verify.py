@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .densities import (
     _log_vdm_rows,
@@ -28,7 +28,7 @@ from .densities import (
 )
 from .errors import BadParameter, EmptySample
 from .numerics import composite_gl_rule, integrate, tan_transformed_rule
-from .samplers import EnsembleSpec, sample_ensemble
+from .samplers import EnsembleSpec, _check_seed, sample_ensemble
 from .weights import (
     AdmissibleWeight,
     big_A,
@@ -186,6 +186,12 @@ def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarr
     return d, min(max(p, 0.0), 1.0)
 
 
+def _chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square upper tail P(X > stat) for stat >= 0, bit for bit SciPy's
+    ``chi2.sf``: nan when dof < 1 (a one-cell table fails)."""
+    return float(special.chdtrc(dof, stat)) if dof >= 1 else math.nan
+
+
 def _counting_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8) -> list[tuple[str, str, float, float]]:
     """Chi-square homogeneity of per-sample counts in pooled quantile bins.
 
@@ -221,7 +227,7 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8) -> list[tuple[st
         eb = tot * nb / (na + nb)
         stat = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
         dof = oa.size - 1
-        out.append((f"chi2_bin_{i + 1}", "chi2", stat, float(stats.chi2.sf(stat, dof))))
+        out.append((f"chi2_bin_{i + 1}", "chi2", stat, _chi2_sf(stat, dof)))
     return out
 
 
@@ -252,7 +258,7 @@ def two_sample_battery(
 
 def _substreams(seed: int, count: int) -> list[int]:
     """Deterministic, well-separated child seeds for independent batches."""
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+    state = np.random.SeedSequence(_check_seed(seed)).generate_state(count, dtype=np.uint64)
     return [int(v) for v in state]
 
 
@@ -439,7 +445,7 @@ def verify_dixon_anderson(
     const = w.theta**mu * big_A(w, mhat, 1 - mu)
 
     log_g = lambda pts: _log_g(w, 1 - mu, pts, companion=False)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     lo_s, hi_s = (0.15, 0.85) if w.family == "jacobi" else (0.25, 1.8)
     checks = []
     for i in range(configs):
@@ -474,7 +480,7 @@ def _chi2_gof(observed: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
         o, e = o[:-1], e[:-1]
     stat = float(np.sum((o - e) ** 2 / e))
     dof = o.size - 1
-    return stat, float(stats.chi2.sf(stat, dof))
+    return stat, _chi2_sf(stat, dof)
 
 
 def verify_q_odd(

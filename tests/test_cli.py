@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +334,43 @@ class TestWorkersDefault:
         parser = cli.build_parser()
         args = parser.parse_args(["gap", "--kind", "cue", "--theta", "1.0", "--workers", "3"])
         assert cli._to_config(args).workers == 3
+
+
+class TestSeedRange:
+    COMMANDS = {
+        "sample": ["sample", "--kind", "oe", "--family", "gauss", "--n", "2", "--count", "10"],
+        "gap_mc": ["gap", "--kind", "oe", "--family", "gauss", "--n", "2", "--s", "0.5",
+                   "--count", "10"],
+        "verify_thm1": ["verify", "thm1", "--family", "gauss", "--n", "2", "--count", "10"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_exits_2(self, capsys, tmp_path: Path, command: str, seed: str) -> None:
+        out = tmp_path / "out"
+        code = cli.main([*self.COMMANDS[command], "--seed", seed, "--out", str(out)])
+        assert code == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_is_recorded(self, capsys, tmp_path: Path) -> None:
+        out = tmp_path / "s.csv"
+        top = str(2**64 - 1)
+        code = cli.main([*self.COMMANDS["sample"], "--seed", top, "--out", str(out)])
+        assert code == 0
+        assert f" seed={top} " in out.read_text().splitlines()[0]
+
+
+class TestColdImport:
+    def test_scipy_stats_is_not_imported(self) -> None:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, rmtdec, rmtdec.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestArgparsePlumbing:

@@ -16,6 +16,7 @@ from rmtdec.verify import (
     ALPHA,
     SubtestResult,
     VerificationReport,
+    _chi2_sf,
     build_report,
     ks_two_sample,
     two_sample_battery,
@@ -60,6 +61,18 @@ class TestKsTwoSample:
         ref = stats.ks_2samp(a, b, method="asymp")
         assert_allclose(d, ref.statistic, rtol=1e-12)
         assert abs(p - ref.pvalue) < 0.02
+
+
+class TestChi2Tail:
+    @pytest.mark.parametrize("dof", [0, 1, 2, 7, 63, 200])
+    @pytest.mark.parametrize(
+        "stat", [0.0, 1e-3, 0.5, 7.0, 57.19524530, 125.6, 1e3, math.inf, math.nan]
+    )
+    def test_bit_identical_to_scipy_stats(self, stat: float, dof: int) -> None:
+        ref = np.float64(stats.chi2.sf(stat, dof))
+        got = _chi2_sf(stat, dof)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == ref.tobytes()
 
 
 class TestReportPlumbing:
