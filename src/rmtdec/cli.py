@@ -37,7 +37,7 @@ from .gap import (
     pair_for_24,
     pair_for_24cp,
 )
-from .samplers import EnsembleSpec, sample_ensemble
+from .samplers import EnsembleSpec, _check_seed, sample_ensemble
 from .verify import (
     VerificationReport,
     verify_cor1,
@@ -132,6 +132,7 @@ class RunConfig:
             raise BadParameter(f"empty interval {self.interval}")
         if self.workers < 1:
             raise BadParameter("workers must be positive")
+        _check_seed(self.seed)
 
     def weight(self):
         if self.family is None:

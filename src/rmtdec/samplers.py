@@ -1,17 +1,19 @@
 """Spectrum samplers for every supported ensemble.
 
 Exact, independent draws wherever the law has a matrix model: Gaussian
-symmetric and Hermitian matrices, Haar circular and orthogonal matrices,
-tangent-half-angle pullbacks of the circular ensembles for the matched
-Cauchy weights, and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi
-(Edelman-Sutton) bidiagonal models with real parameters for the chiral and
-Jacobi laws.  A generic random-walk Metropolis sampler covers the rest (OE
-and UE with a Cauchy weight off the circular exponents) and serves as an
-independent cross-check on request.  All samplers are deterministic given
-the seed, an integer in [0, 2**64) (any other raises BadParameter): work is
-split into a fixed number of logical blocks, each with its own generator
-derived from (seed, block index), so the output does not depend on the
-worker count.
+symmetric and Hermitian matrices, Haar unitary matrices for COE/CUE (whose
+Cayley transform is Hermitian with eigenvalues tan(theta/2)), the
+tangent-half-angle pullbacks of COE/CUE for the matched Cauchy weights,
+and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi (Edelman-Sutton)
+bidiagonal models with real parameters for the chiral and Jacobi laws and
+the Oplus/Ominus angles.  Only the rare COE/CUE row with an angle near pi
+calls a non-symmetric eigensolver.  A generic random-walk Metropolis
+sampler covers the rest (OE and UE with a Cauchy weight off the circular
+exponents) and serves as an independent cross-check on request.  All
+samplers are deterministic given the seed, an integer in [0, 2**64) (any
+other raises BadParameter): work is split into a fixed number of logical
+blocks, each with its own generator derived from (seed, block index), so
+the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .densities import log_chiral_batch, log_p_beta_batch
-from .errors import BadParameter, NonConvergence, PoleAtPi, StuckChain
+from .errors import BadParameter, PoleAtPi, StuckChain
 from .weights import AdmissibleWeight
 
 __all__ = [
@@ -50,7 +52,8 @@ _CIRCULAR = ("COE", "CUE", "Oplus", "Ominus")
 
 # fixed logical block count; workers execute blocks, they never reshape them
 _BLOCKS = 4
-_ALGEBRAIC_TOL = 1e-9
+# |tan(theta/2)| beyond which a Cayley row falls back to eigvals
+_CAYLEY_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,17 @@ class SampleBatch:
         return cls(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
 
     def to_jsonl(self, path) -> None:
-        """Write a header object {"diagnostics", "seed", "spec"}, then one
-        {"values": [...]} object per spectrum.  The rows come from one
-        ``json.dumps`` of ``spectra.tolist()``, cut at the "], [" between
+        """Write a header object {"diagnostics", "seed", "spec", "width"},
+        then one {"values": [...]} object per spectrum.  The rows come from
+        one ``json.dumps`` of ``spectra.tolist()``, cut at the "], [" between
         rows (float text never holds a bracket)."""
         head = json.dumps(
-            {"spec": self.label, "seed": self.seed, "diagnostics": self.diagnostics},
+            {
+                "spec": self.label,
+                "seed": self.seed,
+                "diagnostics": self.diagnostics,
+                "width": self.width,
+            },
             sort_keys=True,
         )
         rows = json.dumps(self.spectra.tolist())[1:-1]
@@ -194,11 +202,12 @@ class SampleBatch:
     def from_jsonl(cls, path) -> "SampleBatch":
         """Read ``to_jsonl`` output with one ``json.loads`` of the joined
         rows; CRLF endings and a missing final newline are accepted.  The
-        width comes from the first row (0 for a file without rows)."""
+        width comes from the header, or in files written without it from
+        the first row (0 for such a file without rows)."""
         lines = Path(path).read_text().splitlines()
         head = json.loads(lines[0])
         rows = json.loads("[" + ",".join(lines[1:]) + "]", object_hook=itemgetter("values"))
-        width = len(rows[0]) if rows else 0
+        width = head.get("width", len(rows[0]) if rows else 0)
         spectra = np.array(rows, dtype=float).reshape(len(rows), width)
         return cls(
             spectra=spectra,
@@ -294,38 +303,32 @@ def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return q * phase[:, None, :]
 
 
-def _haar_orthogonal(
-    rng: np.random.Generator, m: int, size: int, det_sign: int
-) -> np.ndarray:
-    g = rng.standard_normal((m, size, size))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("bii->bi", r))
-    d[d == 0.0] = 1.0
-    q = q * d[:, None, :]
-    flip = np.linalg.det(q) * det_sign < 0
-    q[flip, 0, :] *= -1.0
-    return q
+def _cayley_tan_half(u: np.ndarray, real: bool) -> np.ndarray:
+    """Ascending tan(theta/2) over the eigen-angles theta of each unitary
+    matrix in a stack.
 
-
-def _rotation_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation angles in (0, pi) of a stack of orthogonal matrices.
-
-    One batched eigenvalue call for the whole stack.  Returns (angles,
-    counts): row i of ``angles`` holds the counts[i] angles of q[i] in
-    ascending order, then +inf.  Angles within _ALGEBRAIC_TOL of 0 or pi are
-    treated as forced by the determinant constraint and dropped.
+    The Cayley transform H = i (I + U)^-1 (I - U) is Hermitian (real
+    symmetric when U is symmetric; ``real`` keeps its real part) with
+    eigenvalues tan(theta/2), so one ``eigvalsh`` sorts them.  Near
+    theta = pi the solve loses about lam^2 eps, so a row with any
+    |lam| > _CAYLEY_MAX is redone with ``eigvals``.
     """
-    ang = np.angle(np.linalg.eigvals(q))
-    keep = (ang > _ALGEBRAIC_TOL) & (ang < math.pi - _ALGEBRAIC_TOL)
-    return np.sort(np.where(keep, ang, np.inf), axis=1), np.count_nonzero(keep, axis=1)
+    eye = np.eye(u.shape[-1])
+    h = 1j * np.linalg.solve(eye + u, eye - u)
+    lam = np.linalg.eigvalsh(h.real if real else h)
+    far = np.any(np.abs(lam) > _CAYLEY_MAX, axis=1)
+    if far.any():
+        lam[far] = np.sort(np.tan(0.5 * np.angle(np.linalg.eigvals(u[far]))), axis=1)
+    return lam
 
 
-def _oplus_width(n: int) -> int:
-    return (n + 1) // 2
-
-
-def _ominus_width(n: int) -> int:
-    return n // 2
+def _circular_tan_half(rng: np.random.Generator, m: int, kind: str, n: int) -> np.ndarray:
+    """tan(theta/2) of m COE/CUE spectra of order n: the Cayley transform of
+    Haar unitaries U (CUE) or of the symmetric U^T U (COE)."""
+    u = _haar_unitary(rng, m, n)
+    if kind == "COE":
+        u = np.swapaxes(u, 1, 2) @ u
+    return _cayley_tan_half(u, real=kind == "COE")
 
 
 def sample_haar_circular(
@@ -333,51 +336,40 @@ def sample_haar_circular(
 ) -> SampleBatch:
     """Eigen-angle batches of Haar circular ensembles.
 
-    COE/CUE return all n angles in (-pi, pi].  Oplus/Ominus draw Haar
-    orthogonal matrices of order n + 1 and return the nontrivial angles in
-    (0, pi): Oplus is the sector with no forced +1 eigenvalue (determinant
-    (-1)^(n+1)), Ominus the sector whose matrices all have +1 as a forced
-    eigenvalue.  At even order that is determinant +1 / -1; at odd order
-    the forced eigenvalues flip the determinant.  The algebraic angles at
-    0 and pi are discarded, and the rare draw whose rotation angle collides
-    with them is redrawn.
+    COE/CUE return all n angles in (-pi, pi], theta = 2 arctan of the
+    Cayley-transform eigenvalues of Haar matrices.  Oplus/Ominus return the
+    nontrivial angles in (0, pi) of the two sectors of Haar orthogonal
+    matrices of order n + 1: Oplus is the sector with no forced +1 eigenvalue
+    (determinant (-1)^(n+1)), Ominus the sector whose matrices all have +1
+    as a forced eigenvalue.  At even order that is determinant +1 / -1; at
+    odd order the forced eigenvalues flip the determinant.  Their angles
+    carry prod (1 - cos)^A (1 + cos)^B |Vdm(cos)|^2 with A (B) = +1/2 where
+    a +1 (-1) eigenvalue is forced and -1/2 otherwise, so they are drawn as
+    theta = 2 arcsin sqrt(lam) from ``sample_beta_jacobi(2, width, A, B)``.
     """
     if kind not in _CIRCULAR:
         raise BadParameter(f"not a circular kind: {kind!r}")
     if n < 1:
         raise BadParameter("n must be positive")
+    label = f"Haar({kind}, n={n})"
 
     if kind in ("COE", "CUE"):
 
         def block(rng: np.random.Generator, m: int):
-            u = _haar_unitary(rng, m, n)
-            if kind == "COE":
-                u = np.swapaxes(u, 1, 2) @ u
-            return np.sort(np.angle(np.linalg.eigvals(u)), axis=1), {}
+            return stereographic(_circular_tan_half(rng, m, kind, n)), {}
 
-    else:
-        size = n + 1
-        # the no-forced-+1 sector has determinant (-1)^size
-        unforced = 1 if size % 2 == 0 else -1
-        det_sign = unforced if kind == "Oplus" else -unforced
-        width = _oplus_width(n) if kind == "Oplus" else _ominus_width(n)
+        return _merge(_run_blocks(block, count, seed, workers), seed, label)
 
-        def block(rng: np.random.Generator, m: int):
-            out = np.empty((m, width))
-            filled = 0
-            for _ in range(64):
-                angles, counts = _rotation_angles(
-                    _haar_orthogonal(rng, m - filled, size, det_sign)
-                )
-                rows = angles[counts == width, :width]
-                out[filled : filled + rows.shape[0]] = rows
-                filled += rows.shape[0]
-                if filled == m:
-                    return out, {}
-            raise NonConvergence("persistent degenerate rotation angles")
-
-    parts = _run_blocks(block, count, seed, workers)
-    return _merge(parts, seed, f"Haar({kind}, n={n})")
+    ominus = kind == "Ominus"
+    width = n // 2 if ominus else (n + 1) // 2
+    if width == 0:  # Ominus of order 2: both eigenvalues are forced
+        empty = lambda rng, m: (np.empty((m, 0)), {})
+        return _merge(_run_blocks(empty, count, seed, workers), seed, label)
+    # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
+    A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
+    lam = sample_beta_jacobi(2, width, A, B, count, seed, workers).spectra
+    angles = 2.0 * np.arctan2(np.sqrt(lam), np.sqrt(1.0 - lam))
+    return SampleBatch(spectra=angles, seed=seed, label=label)
 
 
 # -- beta-ensemble matrix models -------------------------------------------------
@@ -653,32 +645,27 @@ def _near_int(v: float) -> int | None:
     return int(r) if abs(v - r) < 1e-12 else None
 
 
-def _pullback_source(spec: EnsembleSpec) -> tuple[str, int] | None:
-    """The circular (kind, order) whose tangent-half-angle image is this
-    Cauchy spec, or None when the exponent matches no circular order."""
-    order = _near_int(2.0 * spec.weight.a + 1.0)
-    if order is None or order < 1:
-        return None
-    if spec.kind in ("OE", "UE"):
-        return ("COE" if spec.kind == "OE" else "CUE", order) if order == spec.n else None
-    if spec.mu == 0:
-        return ("Oplus", order) if spec.n == _oplus_width(order) else None
-    return ("Ominus", order) if spec.n == _ominus_width(order) else None
+def _pullback_kind(spec: EnsembleSpec) -> str | None:
+    """COE/CUE when this OE/UE Cauchy spec is the tangent-half-angle image
+    of the circular ensemble of its own order (2a + 1 = n), else None."""
+    if spec.kind in ("OE", "UE") and _near_int(2.0 * spec.weight.a + 1.0) == spec.n:
+        return "COE" if spec.kind == "OE" else "CUE"
+    return None
 
 
 def _exact_route(spec: EnsembleSpec) -> str | None:
     """Name of the exact sampler for this spec, None where only Metropolis
     applies (OE/UE Cauchy at an exponent with no circular pullback)."""
-    if spec.kind in _CIRCULAR:
+    if spec.kind in ("COE", "CUE"):
         return "haar"
+    if spec.kind in _CIRCULAR:
+        return "beta-jacobi"
     family = spec.weight.family
     if family == "gauss":
         return "gaussian" if spec.kind in ("OE", "UE") else "beta-laguerre"
-    if family == "jacobi":
+    if family == "jacobi" or spec.kind == "chUE":
         return "beta-jacobi"
-    if _pullback_source(spec) is not None:
-        return "pullback"
-    return "beta-jacobi" if spec.kind == "chUE" else None
+    return "pullback" if _pullback_kind(spec) is not None else None
 
 
 def has_exact_route(spec: EnsembleSpec) -> bool:
@@ -688,10 +675,6 @@ def has_exact_route(spec: EnsembleSpec) -> bool:
     2a + 1 differs from n; those sample by Metropolis only.
     """
     return _exact_route(spec) is not None
-
-
-def _pullback(angles: SampleBatch) -> np.ndarray:
-    return np.sort(np.tan(0.5 * angles.spectra), axis=1)
 
 
 def _sample_beta_model(spec: EnsembleSpec, count: int, seed: int, workers: int) -> np.ndarray:
@@ -722,15 +705,15 @@ def _sample_beta_model(spec: EnsembleSpec, count: int, seed: int, workers: int) 
 def _sample_exact(
     spec: EnsembleSpec, route: str, count: int, seed: int, workers: int
 ) -> SampleBatch:
-    if route == "haar":
+    if spec.kind in _CIRCULAR:
         return sample_haar_circular(spec.kind, spec.n, count, seed, workers)
     if route == "gaussian":
         beta = 1 if spec.kind == "OE" else 2
         return sample_gaussian_matrix(beta, spec.n, count, seed, workers)
     if route == "pullback":
-        kind, order = _pullback_source(spec)
-        base = sample_haar_circular(kind, order, count, seed, workers)
-        return SampleBatch(spectra=_pullback(base), seed=seed)
+        kind = _pullback_kind(spec)
+        tan_half = lambda rng, m: (_circular_tan_half(rng, m, kind, spec.n), {})
+        return _merge(_run_blocks(tan_half, count, seed, workers), seed, "")
     return SampleBatch(spectra=_sample_beta_model(spec, count, seed, workers), seed=seed)
 
 
@@ -777,11 +760,11 @@ def sample_ensemble(
     Exact routes (``diagnostics["route"]`` names the one taken):
 
     - "gaussian": Gaussian symmetric/Hermitian matrices for Gauss OE/UE;
-    - "haar": Haar unitary/orthogonal matrices for the circular kinds;
-    - "pullback": tangent-half-angle images of COE/CUE/Oplus/Ominus for
-      Cauchy weights whose exponent matches a circular order;
+    - "haar": Haar unitary matrices for COE/CUE;
+    - "pullback": tangent-half-angle images of COE/CUE for OE/UE Cauchy
+      weights whose exponent 2a + 1 equals n;
     - "beta-laguerre": chUE Gauss;
-    - "beta-jacobi": OE/UE/chUE Jacobi and the remaining chUE Cauchy.
+    - "beta-jacobi": OE/UE/chUE Jacobi, chUE Cauchy and Oplus/Ominus.
 
     OE/UE Cauchy at any other exponent, and every spec with method "mcmc",
     runs Metropolis ("metropolis") on the matching log density; those

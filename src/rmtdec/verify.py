@@ -290,8 +290,7 @@ def verify_thm1(
 
     Both sides draw independent rows from exact routes: Gaussian matrices,
     circular pullbacks or the beta-Jacobi model for OE_n, and the
-    beta-Laguerre / beta-Jacobi models or an Oplus/Ominus pullback for the
-    chiral side (see ``samplers.sample_ensemble``); only OE with a Cauchy
+    beta-Laguerre / beta-Jacobi models for the chiral side (see ``samplers.sample_ensemble``); only OE with a Cauchy
     weight off the circular exponents falls back to Metropolis.  The two
     streams are independent.
     """

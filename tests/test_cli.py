@@ -353,6 +353,14 @@ class TestSeedRange:
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_verify_all_checks_seed_up_front(self, capsys, seed: str) -> None:
+        code = cli.main(["verify", "all", "--quick", "--seed", seed])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "seed must lie in [0, 2**64)" in captured.err
+        assert "recurrence" not in captured.out
+
     def test_largest_seed_is_recorded(self, capsys, tmp_path: Path) -> None:
         out = tmp_path / "s.csv"
         top = str(2**64 - 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,7 @@ from rmtdec.samplers import (
     stereographic,
     stereographic_inverse,
 )
+from rmtdec.samplers import _cayley_tan_half, _haar_unitary
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
 
 GAUSS = gauss_weight()
@@ -76,6 +77,33 @@ class TestGaussianMatrix:
             sample_gaussian_matrix(3, 2, 10, seed=0)
 
 
+def _qr_orthogonal(rng: np.random.Generator, m: int, size: int, det_sign: int) -> np.ndarray:
+    """Reference sampler: Haar orthogonal matrices of one determinant sign,
+    from the sign-fixed QR of Gaussian matrices with one row flipped into
+    the sector."""
+    q, r = np.linalg.qr(rng.standard_normal((m, size, size)))
+    d = np.sign(np.einsum("bii->bi", r))
+    d[d == 0.0] = 1.0
+    q = q * d[:, None, :]
+    q[np.linalg.det(q) * det_sign < 0, 0, :] *= -1.0
+    return q
+
+
+def _eigvals_angles(q: np.ndarray, width: int) -> np.ndarray:
+    """Ascending angles in (0, pi) of each matrix's conjugate eigenvalue
+    pairs; the forced eigenvalues at +-1 are dropped."""
+    ang = np.angle(np.linalg.eigvals(q))
+    keep = (ang > 1e-9) & (ang < math.pi - 1e-9)
+    assert np.all(np.count_nonzero(keep, axis=1) == width)
+    return np.sort(np.where(keep, ang, np.inf), axis=1)[:, :width]
+
+
+def _sector_sign(kind: str, n: int) -> int:
+    """Determinant of the order n + 1 sector: Oplus has no forced +1."""
+    unforced = 1 if (n + 1) % 2 == 0 else -1
+    return unforced if kind == "Oplus" else -unforced
+
+
 class TestHaarCircular:
     def test_cue_n1_uniform(self) -> None:
         batch = sample_haar_circular("CUE", 1, 100_000, seed=5)
@@ -119,10 +147,8 @@ class TestHaarCircular:
             assert batch.spectra.max() < math.pi - 1e-9
 
     def test_schur_angles_match_complex_eigenvalues(self) -> None:
-        # reference: the per-matrix real Schur form, whose 2x2 rotation blocks
-        # carry cos(angle) on their diagonal
-        from rmtdec.samplers import _haar_orthogonal, _rotation_angles
-
+        # the reference itself: its angles against the per-matrix real Schur
+        # form, whose 2x2 rotation blocks carry cos(angle) on their diagonal
         def schur_angles(q: np.ndarray) -> np.ndarray:
             t = scipy.linalg.schur(q, output="real")[0]
             angles, i = [], 0
@@ -137,16 +163,53 @@ class TestHaarCircular:
             return np.sort(angles)
 
         rng = np.random.default_rng(21)
-        for sign in (1, -1):
-            qs = _haar_orthogonal(rng, 100, 5, sign)
-            dets = np.linalg.det(qs)
-            np.testing.assert_allclose(dets, sign, atol=1e-10)
-            angles, counts = _rotation_angles(qs)
-            for q, row, c in zip(qs, angles, counts):
-                want = schur_angles(q)
-                assert c == want.size
-                assert np.all(np.isinf(row[c:]))
-                np.testing.assert_allclose(row[:c], want, atol=1e-10)
+        for kind in ("Oplus", "Ominus"):
+            sign = _sector_sign(kind, 4)
+            qs = _qr_orthogonal(rng, 100, 5, sign)
+            np.testing.assert_allclose(np.linalg.det(qs), sign, atol=1e-10)
+            angles = _eigvals_angles(qs, 2)
+            for q, row in zip(qs, angles):
+                np.testing.assert_allclose(row, schur_angles(q), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["Oplus", "Ominus"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_beta_jacobi_angles_match_haar_orthogonal(self, kind: str, n: int) -> None:
+        # per-column two-sample KS against the Haar orthogonal reference
+        count = 40_000
+        width = n // 2 if kind == "Ominus" else (n + 1) // 2
+        batch = sample_haar_circular(kind, n, count, seed=100 + n)
+        assert batch.spectra.shape == (count, width)
+        rng = np.random.default_rng(200 + n)
+        ref = _eigvals_angles(_qr_orthogonal(rng, count, n + 1, _sector_sign(kind, n)), width)
+        for k in range(width):
+            p = scipy.stats.ks_2samp(batch.spectra[:, k], ref[:, k]).pvalue
+            assert p > 0.001, f"{kind} n={n} column {k}: p = {p}"
+
+    @pytest.mark.parametrize("kind", ["COE", "CUE"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cayley_angles_match_eigvals(self, kind: str, n: int) -> None:
+        rng = np.random.default_rng(300 + n)
+        u = _haar_unitary(rng, 2000, n)
+        if kind == "COE":
+            u = np.swapaxes(u, 1, 2) @ u
+        got = stereographic(_cayley_tan_half(u, real=kind == "COE"))
+        want = np.sort(np.angle(np.linalg.eigvals(u)), axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_cayley_fallback_near_pi(self, real: bool) -> None:
+        # hand-built spectra with an angle at pi - 1e-9, whose tan(theta/2)
+        # ~ 2e9 sends the row back to eigvals; V is orthogonal for the
+        # symmetric (COE-like) stack, unitary otherwise
+        rng = np.random.default_rng(31)
+        theta = np.array([[-2.0, 0.5, math.pi - 1e-9], [-1.0, 0.1, 3.0], [-(math.pi - 1e-9), 0.0, 1.0]])
+        v = _qr_orthogonal(rng, 3, 3, 1) if real else _haar_unitary(rng, 3, 3)
+        u = np.einsum("bij,bj,bkj->bik", v, np.exp(1j * theta), v.conj())
+        lam = _cayley_tan_half(u, real)
+        assert np.all(np.any(np.abs(lam) > 100.0, axis=1) == [True, False, True])
+        got = stereographic(lam)
+        np.testing.assert_allclose(got, np.sort(np.angle(np.linalg.eigvals(u)), axis=1), atol=1e-12)
+        np.testing.assert_allclose(got, theta, atol=1e-12)
 
     def test_order3_sector_densities(self) -> None:
         # size 3: one nontrivial angle; no-forced-+1 sector ~ 2cos^2(t/2),
@@ -314,8 +377,7 @@ class TestExactRouting:
         assert not has_exact_route(EnsembleSpec("OE", 3, weight=cauchy_weight(0.7)))
         assert not has_exact_route(EnsembleSpec("OE", 4, weight=cauchy_weight(1.2)))
         assert has_exact_route(EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)))
-        # chiral Cauchy: exponent order 3 pairs with sizes 2 and 1 by pullback;
-        # every other chiral spec goes to a beta-ensemble model
+        # every chiral spec goes to a beta-ensemble model
         w = cauchy_weight(1.0)
         assert has_exact_route(EnsembleSpec("chUE", 2, weight=w, mu=0))
         assert has_exact_route(EnsembleSpec("chUE", 1, weight=w, mu=0))
@@ -334,7 +396,7 @@ class TestExactRouting:
         spec = EnsembleSpec("chUE", 1, weight=w, mu=0)
         batch = sample_ensemble(spec, 500, seed=53)
         angles = sample_haar_circular("Oplus", 2, 500, seed=53)
-        np.testing.assert_array_equal(batch.spectra, np.tan(0.5 * angles.spectra))
+        np.testing.assert_allclose(batch.spectra, np.tan(0.5 * angles.spectra), rtol=1e-12)
 
     def test_chiral_cauchy_pullback_cdf(self) -> None:
         # one positive value with weight (1+x^2)^-2: closed-form CDF
@@ -369,15 +431,16 @@ class TestExactRouting:
             (EnsembleSpec("OE", 3, weight=GAUSS), "gaussian"),
             (EnsembleSpec("UE", 2, weight=GAUSS), "gaussian"),
             (EnsembleSpec("COE", 3), "haar"),
-            (EnsembleSpec("Ominus", 3), "haar"),
+            (EnsembleSpec("Ominus", 3), "beta-jacobi"),
             (EnsembleSpec("OE", 3, weight=cauchy_weight(1.0)), "pullback"),
-            (EnsembleSpec("chUE", 1, weight=cauchy_weight(0.5)), "pullback"),
+            (EnsembleSpec("chUE", 1, weight=cauchy_weight(0.5)), "beta-jacobi"),
             (EnsembleSpec("chUE", 2, weight=GAUSS, mu=1), "beta-laguerre"),
             (EnsembleSpec("chUE", 2, weight=jacobi_weight(0.5)), "beta-jacobi"),
             (EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1), "beta-jacobi"),
             (EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)), "beta-jacobi"),
             (EnsembleSpec("UE", 2, weight=jacobi_weight(0.0)), "beta-jacobi"),
             (EnsembleSpec("OE", 3, weight=GAUSS, method="mcmc"), "metropolis"),
+            (EnsembleSpec("Oplus", 2), "beta-jacobi"),
         ],
     )
     def test_route_diagnostic(self, spec: EnsembleSpec, route: str) -> None:
@@ -561,7 +624,7 @@ class TestSerialization:
     )
     GOLDEN_JSONL = (
         '{"diagnostics": {"ess": 12.5, "route": "gaussian"}, "seed": 7,'
-        ' "spec": "Ensemble(kind=OE, n=3)"}\n'
+        ' "spec": "Ensemble(kind=OE, n=3)", "width": 3}\n'
         '{"values": [-0.0, 5e-324, 0.1]}\n'
         '{"values": [-1e+300, 0.3333333333333333, 1e+300]}\n'
         '{"values": [-Infinity, Infinity, NaN]}\n'
@@ -616,15 +679,16 @@ class TestSerialization:
     @given(
         spectra=arrays(
             np.float64,
-            st.tuples(st.integers(1, 6), st.integers(0, 5)),
+            st.tuples(st.integers(0, 6), st.integers(0, 5)),
             elements=st.floats(allow_nan=True, allow_infinity=True) | SPECIAL,
         ),
         seed=st.integers(0, 2**63 - 1),
         fmt=st.sampled_from(["csv", "jsonl"]),
     )
+    @example(spectra=np.zeros((0, 3)), seed=1, fmt="jsonl")
     def test_round_trip_property(self, tmp_path_factory, spectra, seed: int, fmt: str) -> None:
-        # samplers never return an empty batch, and a JSONL file without
-        # rows cannot tell its width; the CSV header can (test below)
+        # a batch without rows keeps its width: the CSV column header and
+        # the JSONL "width" key both record it
         batch = SampleBatch(
             spectra=np.sort(spectra, axis=1),
             seed=seed,
@@ -651,6 +715,14 @@ class TestSerialization:
         path = tmp_path / "b.csv"
         SampleBatch(spectra=np.zeros((0, 3)), seed=1).to_csv(path)
         assert SampleBatch.from_csv(path).spectra.shape == (0, 3)
+
+    def test_jsonl_without_width_key(self, tmp_path) -> None:
+        # files written before the header recorded the width take it from
+        # the first row
+        path = tmp_path / "b.jsonl"
+        path.write_text(self.GOLDEN_JSONL.replace(', "width": 3', ""))
+        back = SampleBatch.from_jsonl(path)
+        self._assert_same_bits(back.spectra, self._golden_batch().spectra)
 
     def test_unsorted_rejected(self) -> None:
         with pytest.raises(BadParameter):
