@@ -19,10 +19,6 @@ class NotSymmetric(RmtdecError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
 
 
-class DuplicateNodes(RmtdecError):
-    """Polynomial interpolation nodes are not pairwise distinct."""
-
-
 class OutOfSupport(RmtdecError):
     """A point lies outside the open support of a weight."""
 

@@ -30,10 +30,8 @@ from .densities import _log_vdm_rows, _support_tensor, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import (
     QuadratureRule,
-    chebyshev_nodes,
     composite_gl_rule,
     integrate,
-    poly_from_samples,
     sym_eigen,
     tan_transformed_rule,
 )
@@ -250,7 +248,8 @@ def gap_chue_exact(
     the origin never enters, and the polynomial system is built only to
     degree m - 1 (heavy-tailed images have no higher moments to spare).
     On infinite support the u-moment of order 2(m - 1) is probed first, as
-    ``build`` does by default; a divergent one raises MomentDivergence.
+    ``build`` does by default, except for the Gauss weight, which has every
+    moment; a divergent one raises MomentDivergence.
     """
     if mu not in (0, 1):
         raise BadParameter("mu must be 0 or 1")
@@ -266,7 +265,8 @@ def gap_chue_exact(
         if support is None:
             raise BadParameter("a callable weight needs an explicit support")
         fn, omega = w2, support[1]
-    if math.isinf(omega):
+    has_every_moment = isinstance(w2, AdmissibleWeight) and w2.family == "gauss"
+    if math.isinf(omega) and not has_every_moment:
         _probe_moment(lambda x: x ** (2 * mu) * fn(x), (0.0, omega), 2 * (m - 1))
 
     def mapped(u: np.ndarray) -> np.ndarray:
@@ -378,20 +378,19 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     return _OddParts(m, theta, th1s, comp_s, p_s, T0, Ts, U, V, G)
 
 
-def _det_direct(parts: _OddParts, xi: float) -> float:
+def _det_direct(parts: _OddParts, xi: np.ndarray) -> np.ndarray:
+    """The bordered determinant at each complex xi, from one (N, m+1, m+1) stack."""
     m = parts.m
-    z = 2.0 * xi - xi * xi
-    Y = np.empty((m + 1, m + 1))
-    Y[0, :m] = parts.U - z * parts.V + 2.0 * xi * (1.0 - xi) * parts.th1s * parts.Ts
-    Y[0, m] = parts.theta - xi * parts.th1s
-    if m:
-        Y[1:, :m] = (
-            2.0 * xi * parts.comp_s * np.outer(parts.p_s, parts.Ts)
-            - np.eye(m)
-            + z * parts.G
-        )
-        Y[1:, m] = xi * parts.comp_s * parts.p_s
-    return float(np.linalg.det(Y))
+    x = np.asarray(xi, dtype=complex)[:, None, None]
+    z = 2.0 * x - x * x
+    Y = np.empty((x.shape[0], m + 1, m + 1), dtype=complex)
+    Y[:, :1, :m] = parts.U - z * parts.V + 2.0 * x * (1.0 - x) * parts.th1s * parts.Ts
+    Y[:, :1, m:] = parts.theta - x * parts.th1s
+    Y[:, 1:, :m] = (
+        2.0 * x * parts.comp_s * np.outer(parts.p_s, parts.Ts) - np.eye(m) + z * parts.G
+    )
+    Y[:, 1:, m:] = x * parts.comp_s * parts.p_s[:, None]
+    return np.linalg.det(Y)
 
 
 @dataclass(frozen=True)
@@ -441,35 +440,42 @@ def _gaudin_from_gram(G: np.ndarray) -> GaudinData:
     return GaudinData(vals, vecs.T)
 
 
-def _det_gaudin(gp: _GaudinParts, xi: float) -> float:
+def _det_gaudin(gp: _GaudinParts, xi: np.ndarray) -> np.ndarray:
+    """The Gaudin-rotated bordered determinant at each complex xi, as one stack."""
     m = gp.m
-    z = 2.0 * xi - xi * xi
-    Y = np.zeros((m + 1, m + 1))
-    Y[0, :m] = gp.Uq - 2.0 * gp.theta * gp.Tsq - z * (gp.Vq - 2.0 * gp.th1s * gp.Tsq)
-    Y[0, m] = gp.theta - xi * gp.th1s
-    if m:
-        Y[np.arange(1, m + 1), np.arange(m)] = -1.0 + z * gp.nus
-        Y[1:, m] = xi * gp.comp_s * gp.q_s
-    return float(np.linalg.det(Y))
+    x = np.asarray(xi, dtype=complex)[:, None, None]
+    z = 2.0 * x - x * x
+    Y = np.empty((x.shape[0], m + 1, m + 1), dtype=complex)
+    Y[:, :1, :m] = gp.Uq - 2.0 * gp.theta * gp.Tsq - z * (gp.Vq - 2.0 * gp.th1s * gp.Tsq)
+    Y[:, :1, m:] = gp.theta - x * gp.th1s
+    Y[:, 1:, :m] = z * np.diag(gp.nus) - np.eye(m)
+    Y[:, 1:, m:] = x * gp.comp_s * gp.q_s[:, None]
+    return np.linalg.det(Y)
 
 
-def _extract_coeffs(detfn: Callable[[float], float], n: int) -> tuple[np.ndarray, float]:
-    """Fit the normalized determinant at Chebyshev nodes on [0, 2].
+def _extract_coeffs(
+    detfn: Callable[[np.ndarray], np.ndarray], n: int
+) -> tuple[np.ndarray, float]:
+    """Coefficients of the normalized determinant in powers of z = 1 - xi.
 
-    The determinant has xi-degree at most n + 1 but the generating function
-    has degree n; the top fitted coefficient must be interpolation noise.
-    Returns the coefficient vector and det at xi = 0.
+    The determinant has z-degree at most n + 1.  Sampled at the N = n + 2
+    roots of unity z_j = exp(2 pi i j / N), where z_0 = 1 gives xi = 0 and
+    the half-mass value det0, its coefficients are one FFT, accurate to
+    about eps * max |G| <= eps on the unit circle.  The generating function
+    has degree n and real coefficients, so the top coefficient and every
+    imaginary part must be round-off.  Returns E(0..n) and det0.
     """
-    det0 = detfn(0.0)
+    N = n + 2
+    vals = detfn(1.0 - np.exp(2j * np.pi * np.arange(N) / N))
+    det0 = float(vals[0].real)
     if not det0 > 0.0:
         raise NonConvergence(f"determinant at xi = 0 is {det0}, expected positive")
-    nodes = chebyshev_nodes(n + 2, 0.0, 2.0)
-    vals = np.array([detfn(x) for x in nodes]) / det0
-    poly = poly_from_samples(nodes, vals, basis="one-minus-xi")
-    c = poly.coeffs
-    if abs(c[-1]) > 1e-8:
-        raise NonConvergence(f"generating function overflows degree {n}: {c[-1]}")
-    return c[:-1], det0
+    c = np.fft.fft(vals / det0) / N
+    if abs(c[n + 1]) > 1e-8:
+        raise NonConvergence(f"generating function overflows degree {n}: {c[n + 1]}")
+    if np.max(np.abs(c.imag)) > 1e-8:
+        raise NonConvergence(f"generating function has complex coefficients: {c}")
+    return c.real[: n + 1], det0
 
 
 def gap_oe_odd_exact(

@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Quadrature on finite and infinite intervals, the ordered tensor rule behind
-every small-n multiple integral, symmetric eigendecomposition, and
-polynomial interpolation / basis conversion.  Everything here is a pure
-function on immutable inputs; integrands are expected to be vectorized
-(accept an ndarray of abscissae and return an ndarray of values, or for
-``integrate`` a (k, npts) array of k integrands on shared panels).
+every small-n multiple integral, and symmetric eigendecomposition.
+Everything here is a pure function on immutable inputs; integrands are
+expected to be vectorized (accept an ndarray of abscissae and return an
+ndarray of values, or for ``integrate`` a (k, npts) array of k integrands on
+shared panels).
 """
 
 from __future__ import annotations
@@ -17,24 +17,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DuplicateNodes,
-    InvalidInterval,
-    NonConvergence,
-    NotSymmetric,
-)
+from .errors import BadParameter, InvalidInterval, NonConvergence, NotSymmetric
 
 MAX_DEPTH = 40
 
 __all__ = [
     "QuadratureRule",
-    "PolyCoeffs",
     "integrate",
     "ordered_tensor",
     "sym_eigen",
-    "poly_from_samples",
-    "chebyshev_nodes",
     "gauss_legendre_rule",
     "composite_gl_rule",
     "tan_transformed_rule",
@@ -131,7 +122,8 @@ def _panel_values(
     whether f returned (k, npts) rather than (npts,).
 
     When ``transform`` is set, (a, b) are tan-substitution coordinates and the
-    Jacobian is applied here.
+    Jacobian is applied here.  A non-finite value raises NonConvergence: its
+    panel could never settle.
     """
     xh, wh = _leggauss(16)
     xl, wl = _leggauss(8)
@@ -145,6 +137,9 @@ def _panel_values(
     rows = vals.reshape(-1, u.size)
     hi = [half * float(np.dot(wh, r[:16])) for r in rows]
     lo = [half * float(np.dot(wl, r[16:])) for r in rows]
+    # the weights are positive, so a non-finite value makes its sum non-finite
+    if not all(map(math.isfinite, hi + lo)):
+        raise NonConvergence(f"integrand is not finite on panel ({a}, {b})")
     return hi, [abs(h - l) for h, l in zip(hi, lo)], vals.ndim == 2
 
 
@@ -165,9 +160,9 @@ def integrate(
     above its tolerance, so a (1, npts) integrand follows exactly the panels
     of its scalar form.
 
-    Raises NonConvergence if a panel would need more than MAX_DEPTH splits,
-    InvalidInterval when lo >= hi or tol <= 0, and BadParameter when f
-    returns any other shape.
+    Raises NonConvergence if a panel would need more than MAX_DEPTH splits or
+    the integrand is not finite on one, InvalidInterval when lo >= hi or
+    tol <= 0, and BadParameter when f returns any other shape.
     """
     lo, hi = interval
     if not lo < hi:
@@ -309,86 +304,3 @@ def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
     return vals, vecs
-
-
-@lru_cache(maxsize=8)
-def _binomial_flip(size: int) -> np.ndarray:
-    """Matrix B with B[k, j] = (-1)^k C(j, k); maps monomial coeffs a_j of
-    p(xi) to coeffs c_k of p in powers of (1 - xi).  B is an involution."""
-    b = np.zeros((size, size))
-    for k in range(size):
-        for j in range(k, size):
-            b[k, j] = (-1) ** k * math.comb(j, k)
-    return b
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Polynomial coefficients in either the monomial or the (1-xi)^k basis."""
-
-    basis: str
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.basis not in ("monomial", "one-minus-xi"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        object.__setattr__(
-            self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        )
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def to_basis(self, basis: str) -> "PolyCoeffs":
-        if basis == self.basis:
-            return self
-        flip = _binomial_flip(self.coeffs.size)
-        return PolyCoeffs(basis, flip @ self.coeffs)
-
-    def __call__(self, xi: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(xi, dtype=float)
-        arg = x if self.basis == "monomial" else 1.0 - x
-        out = np.zeros_like(arg)
-        for c in self.coeffs[::-1]:
-            out = out * arg + c
-        return float(out) if np.isscalar(xi) else out
-
-
-def poly_from_samples(
-    nodes: Sequence[float],
-    values: Sequence[float],
-    basis: str = "monomial",
-) -> PolyCoeffs:
-    """Interpolating polynomial through (nodes, values), degree = len - 1.
-
-    Newton divided differences expanded to monomial coefficients, then
-    converted exactly to the requested basis.  Raises DuplicateNodes.
-    """
-    x = np.asarray(nodes, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 1:
-        raise DuplicateNodes("need equal-length 1-d nodes and values")
-    if np.unique(x).size != x.size:
-        raise DuplicateNodes("interpolation nodes must be distinct")
-
-    n = x.size
-    dd = y.astype(float).copy()
-    for level in range(1, n):
-        dd[level:] = (dd[level:] - dd[level - 1 : -1]) / (x[level:] - x[: n - level])
-    # Newton -> monomial by synthetic multiplication with (xi - x_k)
-    coeffs = np.array([dd[n - 1]])
-    for k in range(n - 2, -1, -1):
-        # multiply by (xi - x_k) and add dd[k]
-        coeffs = np.concatenate([[0.0], coeffs]) - x[k] * np.concatenate(
-            [coeffs, [0.0]]
-        )
-        coeffs[0] += dd[k]
-    return PolyCoeffs("monomial", coeffs).to_basis(basis)
-
-
-def chebyshev_nodes(count: int, lo: float, hi: float) -> np.ndarray:
-    """``count`` Chebyshev points of the first kind, mapped to (lo, hi), ascending."""
-    k = np.arange(count)
-    x = np.cos((2 * k + 1) * math.pi / (2 * count))
-    return np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)

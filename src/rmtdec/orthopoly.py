@@ -80,7 +80,7 @@ def _probe_moment(
     interval: tuple[float, float],
     degree: int,
 ) -> None:
-    # an integrand that overflows to inf sums to inf instead of failing to settle
+    # an integrand that overflows is not finite on some panel and fails at once
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = integrate(lambda x: x ** (2 * degree) * weight(x), interval, tol=1e-6)

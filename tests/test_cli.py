@@ -110,6 +110,15 @@ class TestGapCommand:
         assert len(d["coeffs"]) == 4
         assert sum(d["coeffs"]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_oe_odd_exact_large_n(self, capsys) -> None:
+        code, text = run(
+            capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "31", "--s", "1.0"
+        )
+        assert code == 0
+        d = json.loads(text)
+        assert len(d["coeffs"]) == 32
+        assert sum(d["coeffs"]) == pytest.approx(1.0, abs=1e-8)
+
     def test_oe_even_falls_back_to_mc(self, capsys) -> None:
         code, text = run(
             capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "4",

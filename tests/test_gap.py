@@ -37,7 +37,7 @@ from rmtdec.gap import (
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import build, gram
 from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
-from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, theta1
+from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, make_weight, theta1
 
 
 class TestGapPolynomial:
@@ -202,6 +202,14 @@ class TestGapChue:
         with pytest.raises(MomentDivergence):
             gap_chue_exact(cauchy_weight(4.0), 0, 7, 1.0)
 
+    def test_gauss_skips_the_moment_probe(self) -> None:
+        # the Gauss weight has every moment; a probe of x^116 times the
+        # weight on the tan-mapped half line overflows to nan instead
+        s = 0.5 * math.sqrt(30)
+        p = gap_chue_exact(gauss_weight(), 0, 30, s)
+        assert p.n == 30
+        assert abs(p.coeffs.sum() - 1.0) <= 1e-8
+
     def test_parameter_validation(self) -> None:
         w = gauss_weight()
         with pytest.raises(BadParameter):
@@ -269,6 +277,14 @@ class TestGapOeOdd:
         assert_allclose(d.coeffs, g.coeffs, atol=1e-9)
         assert d.meta["mode"] == "direct"
         assert g.meta["mode"] == "gaudin"
+
+    @pytest.mark.parametrize("family,a,s", [("gauss", None, 1.0), ("jacobi", 0.5, 0.5)])
+    def test_modes_agree_to_n39(self, family: str, a: float | None, s: float) -> None:
+        w = make_weight(family, a)
+        for n in range(1, 40, 2):
+            d = gap_oe_odd_exact(w, n, s, mode="direct")
+            g = gap_oe_odd_exact(w, n, s, mode="gaudin")
+            assert_allclose(d.coeffs, g.coeffs, rtol=0, atol=1e-12, err_msg=f"n = {n}")
 
     def test_n3_matches_bruteforce(self) -> None:
         w = gauss_weight()
@@ -453,6 +469,30 @@ class TestCheckThmGap:
     def test_jacobi_odd(self) -> None:
         rep = check_thm_gap("jacobi", 3, 1, 0.5, a=0.0)
         assert rep.passed
+
+    @pytest.mark.parametrize(
+        "family,a,n,s",
+        [
+            ("gauss", None, 21, 1.0),
+            ("gauss", None, 31, 1.0),
+            ("gauss", None, 39, 1.0),
+            ("jacobi", 0.5, 21, 0.5),
+            ("jacobi", 0.5, 31, 0.5),
+            ("jacobi", 0.5, 39, 0.5),
+            ("cauchy", 20.0, 21, 0.6),
+        ],
+    )
+    def test_large_odd_n_exact_vs_exact(
+        self, family: str, a: float | None, n: int, s: float
+    ) -> None:
+        for k in range((n - 1) // 2 + 1):
+            rep = check_thm_gap(family, n, k, s, a=a)
+            (sub,) = rep.subtests
+            assert rep.passed
+            assert abs(sub.lhs - sub.rhs) <= 1e-12, (k, sub.lhs, sub.rhs)
+        c = gap_oe_odd_exact(make_weight(family, a), n, s).coeffs
+        assert np.min(c) >= -1e-14
+        assert abs(c.sum() - 1.0) <= 1e-14
 
 
 class TestCheckB1Structure:

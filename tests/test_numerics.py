@@ -1,27 +1,24 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from rmtdec import numerics
+from rmtdec import gap, numerics
 from rmtdec.errors import (
     BadParameter,
-    DuplicateNodes,
     InvalidInterval,
     NonConvergence,
     NotSymmetric,
 )
 from rmtdec.numerics import (
-    PolyCoeffs,
     QuadratureRule,
-    chebyshev_nodes,
     composite_gl_rule,
     gauss_legendre_rule,
     integrate,
     ordered_tensor,
-    poly_from_samples,
     sym_eigen,
     tan_transformed_rule,
 )
@@ -67,6 +64,14 @@ class TestIntegrate:
         # non-integrable 1/x betrays itself as never-settling panel errors
         with pytest.raises(NonConvergence):
             integrate(lambda x: 1.0 / np.abs(x + 1e-320), (0.0, 1.0), tol=1e-10)
+
+    def test_non_finite_integrand_raises_at_once(self) -> None:
+        # x^96 overflows to inf near the tan-mapped endpoint, and inf * 0 = nan
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence):
+                integrate(lambda x: x**96 * np.exp(-x * x), (0.0, np.inf), tol=1e-6)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVectorIntegrate:
@@ -279,56 +284,28 @@ class TestSymEigen:
         assert resid <= 1e-10 * max(np.linalg.norm(m), 1.0)
 
 
-class TestPolyCoeffs:
-    def test_xi_squared_interpolation(self) -> None:
-        nodes = np.array([0.0, 1.0, 2.0])
-        poly = poly_from_samples(nodes, nodes**2)
-        np.testing.assert_allclose(poly.coeffs, [0.0, 0.0, 1.0], atol=1e-11)
+class TestExtractCoeffs:
+    """The roots-of-unity FFT behind the odd-n beta = 1 gap engine."""
 
-    def test_one_minus_xi_cubed(self) -> None:
-        nodes = chebyshev_nodes(4, 0.0, 2.0)
-        vals = (1.0 - nodes) ** 3
-        poly = poly_from_samples(nodes, vals, basis="one-minus-xi")
-        np.testing.assert_allclose(poly.coeffs, [0.0, 0.0, 0.0, 1.0], atol=1e-11)
+    E = gap._bernoulli_coeffs(np.random.default_rng(17).uniform(0.0, 1.0, 40))
+    D0 = 0.37
 
-    def test_exact_on_nodes(self) -> None:
-        rng = np.random.default_rng(3)
-        nodes = chebyshev_nodes(12, 0.0, 2.0)
-        vals = rng.standard_normal(12)
-        poly = poly_from_samples(nodes, vals)
-        got = np.array([poly(t) for t in nodes])
-        np.testing.assert_allclose(got, vals, atol=1e-11)
+    def _detfn(self, top: float = 0.0, sign: float = 1.0):
+        coeffs = np.append(self.E, top)
+        return lambda xi: sign * self.D0 * np.polynomial.polynomial.polyval(1.0 - xi, coeffs)
 
-    def test_basis_round_trip(self) -> None:
-        rng = np.random.default_rng(5)
-        coeffs = rng.standard_normal(9)
-        poly = PolyCoeffs("monomial", coeffs)
-        back = poly.to_basis("one-minus-xi").to_basis("monomial")
-        np.testing.assert_allclose(back.coeffs, coeffs, atol=1e-12)
+    def test_recovers_hand_built_polynomial(self) -> None:
+        detfn = self._detfn()
+        c, det0 = gap._extract_coeffs(detfn, 40)
+        assert c.shape == (41,)
+        np.testing.assert_allclose(c, self.E, rtol=0, atol=1e-14)
+        assert det0 == detfn(np.zeros(1))[0].real
+        assert det0 == pytest.approx(self.D0, rel=1e-15)
 
-    def test_bases_agree_pointwise(self) -> None:
-        poly = PolyCoeffs("monomial", [1.0, -2.0, 0.5, 3.0])
-        flipped = poly.to_basis("one-minus-xi")
-        xi = np.linspace(0.0, 2.0, 23)
-        np.testing.assert_allclose(poly(xi), flipped(xi), atol=1e-12)
+    def test_degree_overflow_raises(self) -> None:
+        with pytest.raises(NonConvergence):
+            gap._extract_coeffs(self._detfn(top=1e-6), 40)
 
-    def test_horner_against_numpy(self) -> None:
-        coeffs = [2.0, -1.0, 0.25, 4.0, -0.125]
-        poly = PolyCoeffs("monomial", coeffs)
-        xi = np.linspace(-1.5, 1.5, 17)
-        np.testing.assert_allclose(poly(xi), np.polynomial.polynomial.polyval(xi, coeffs))
-
-    def test_duplicate_nodes_rejected(self) -> None:
-        with pytest.raises(DuplicateNodes):
-            poly_from_samples([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
-
-    def test_unknown_basis_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            PolyCoeffs("chebyshev", [1.0])
-
-
-def test_chebyshev_nodes_inside_interval() -> None:
-    nodes = chebyshev_nodes(9, 0.0, 2.0)
-    assert nodes.shape == (9,)
-    assert np.all(np.diff(nodes) > 0)
-    assert nodes[0] > 0.0 and nodes[-1] < 2.0
+    def test_nonpositive_det0_raises(self) -> None:
+        with pytest.raises(NonConvergence):
+            gap._extract_coeffs(self._detfn(sign=-1.0), 40)
