@@ -15,11 +15,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .errors import BadParameter, RmtdecError
 from .gap import (
@@ -37,7 +35,7 @@ from .gap import (
     pair_for_24,
     pair_for_24cp,
 )
-from .samplers import EnsembleSpec, _check_seed, sample_ensemble
+from .samplers import _KINDS, EnsembleSpec, _check_seed, sample_ensemble
 from .verify import (
     VerificationReport,
     verify_cor1,
@@ -56,31 +54,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
-_KIND_MAP = {
-    "oe": "OE",
-    "ue": "UE",
-    "chue": "chUE",
-    "coe": "COE",
-    "cue": "CUE",
-    "oplus": "Oplus",
-    "ominus": "Ominus",
-}
-
-IDENTITIES = (
-    "thm1",
-    "cor1",
-    "eq117",
-    "thm_gap",
-    "b1",
-    "eq24",
-    "eq24cp",
-    "eq831p",
-    "thmCE",
-    "thmD4",
-    "dixon_anderson",
-    "q_odd",
-    "recurrence",
-)
+_KIND_MAP = {kind.lower(): kind for kind in _KINDS}
 
 
 def _default_workers() -> int:
@@ -98,8 +72,9 @@ def _default_workers() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation; weight/ensemble constraints re-raise at build
-    time so a bad combination exits with a configuration error."""
+    """One resolved invocation, and the only record of the parameter defaults:
+    the parser leaves unset flags out.  Weight/ensemble constraints re-raise at
+    build time so a bad combination exits with a configuration error."""
 
     command: str
     kind: str | None = None
@@ -132,16 +107,22 @@ class RunConfig:
             raise BadParameter(f"empty interval {self.interval}")
         if self.workers < 1:
             raise BadParameter("workers must be positive")
+        if not self.k or min(self.k) < 0:
+            raise BadParameter(f"k must be one or more counts >= 0, got {list(self.k)}")
         _check_seed(self.seed)
 
+    def need(self, what: str, *names: str) -> None:
+        """Raise the configuration error for the first of ``names`` left unset."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise BadParameter(f"{what} needs --{name}")
+
     def weight(self):
-        if self.family is None:
-            raise BadParameter("this command needs --family")
+        self.need("this command", "family")
         return make_weight(self.family, self.a)
 
     def ensemble(self) -> EnsembleSpec:
-        if self.kind is None:
-            raise BadParameter("this command needs --kind")
+        self.need("this command", "kind")
         kind = _KIND_MAP.get(self.kind.lower())
         if kind is None:
             raise BadParameter(f"unknown ensemble kind {self.kind!r}")
@@ -154,8 +135,7 @@ class RunConfig:
 
 def cmd_sample(config: RunConfig) -> int:
     spec = config.ensemble()
-    if config.out is None:
-        raise BadParameter("sample needs --out")
+    config.need("sample", "out")
     batch = sample_ensemble(spec, config.count, config.seed, workers=config.workers)
     if config.format == "csv":
         batch.to_csv(config.out)
@@ -188,26 +168,21 @@ def _mc_payload(
 def _gap_payload(config: RunConfig) -> dict:
     kind = (config.kind or "").lower()
     if kind == "ue":
-        if config.interval is None:
-            raise BadParameter("gap --kind ue needs --interval LO HI")
+        config.need("gap --kind ue", "interval")
         poly = gap_ue_exact(config.weight(), config.n, config.interval)
     elif kind == "chue":
-        if config.s is None:
-            raise BadParameter("gap --kind chue needs --s")
+        config.need("gap --kind chue", "s")
         poly = gap_chue_exact(config.weight(), config.mu, config.n, config.s)
     elif kind == "cue":
-        if config.theta is None:
-            raise BadParameter("gap --kind cue needs --theta")
+        config.need("gap --kind cue", "theta")
         poly = gap_cue_exact(config.n, config.theta)
     elif kind == "coe":
-        if config.theta is None:
-            raise BadParameter("gap --kind coe needs --theta")
+        config.need("gap --kind coe", "theta")
         if not 0.0 < config.theta <= math.pi:
             raise BadParameter("theta must lie in (0, pi]")
         return _mc_payload(config, kind, EnsembleSpec("COE", config.n), config.theta, {})
     elif kind == "oe":
-        if config.s is None:
-            raise BadParameter("gap --kind oe needs --s")
+        config.need("gap --kind oe", "s")
         if config.n % 2 == 0:
             spec = EnsembleSpec("OE", config.n, config.weight())
             labels = {"family": config.family, "a": config.a}
@@ -237,134 +212,160 @@ def cmd_gap(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_NEEDS_FAMILY = frozenset(
-    ("thm1", "cor1", "eq117", "thm_gap", "b1", "eq24", "eq24cp",
-     "dixon_anderson", "q_odd", "recurrence")
+def _mc(c: RunConfig) -> dict:
+    """The Monte Carlo keywords every sampling checker takes."""
+    return {"count": c.count, "seed": c.seed, "workers": c.workers}
+
+
+def _given(**kwargs) -> dict:
+    """The keywords that are set, so the callee's own defaults cover the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """One `verify` token: its summary, the RunConfig fields it needs, and its
+    run.  Each run names a module-level checker, resolved at call time, so a
+    rebinding of that name (a tracer, a test double) is seen."""
+
+    summary: str
+    needs: tuple[str, ...]
+    run: Callable[[RunConfig], VerificationReport]
+    per_k: bool = False  # one report per --k value
+
+
+IDENTITIES: dict[str, _Identity] = {
+    "thm1": _Identity(
+        "even-decimated OE singular values against the chiral ensemble",
+        ("family",),
+        lambda c: verify_thm1(c.family, c.a, c.n, **_mc(c)),
+    ),
+    "cor1": _Identity(
+        "UE singular values against the superposed even-decimated OE pair",
+        ("family",),
+        lambda c: verify_cor1(c.family, c.a, c.n, **_mc(c), variant="super"),
+    ),
+    "eq117": _Identity(
+        "UE singular values against the union of the two chiral ensembles",
+        ("family",),
+        lambda c: verify_cor1(c.family, c.a, c.n, **_mc(c), variant="chiral"),
+    ),
+    "thm_gap": _Identity(
+        "adjacent-pair sums of OE gap probabilities against the chiral gap",
+        ("family", "s"),
+        lambda c: check_thm_gap(c.family, c.n, c.k[0], c.s, a=c.a, **_mc(c)),
+        per_k=True,
+    ),
+    "b1": _Identity(
+        "structure of the odd-order OE generating function "
+        "(direct vs Gaudin, chiral even part)",
+        ("family", "s"),
+        lambda c: check_B1_structure(c.family, c.n, c.s, a=c.a),
+    ),
+    "eq24": _Identity(
+        "same-size OE superposition counting convolution against the UE gap; "
+        "count label (i + j + 1) // 2",
+        ("family", "s"),
+        lambda c: check_identity_24(
+            pair_for_24(c.family, **_given(a=c.a)), c.n, list(c.k), c.s, **_mc(c)
+        ),
+    ),
+    "eq24cp": _Identity(
+        "adjacent-size OE superposition convolution against the UE gap; "
+        "count label (i + j) // 2",
+        ("family", "s"),
+        lambda c: check_identity_24cp(
+            pair_for_24cp(c.family, c.n, b=c.b, **_given(a=c.a)),
+            c.n, list(c.k), c.s, side=c.side, **_mc(c),
+        ),
+    ),
+    "eq831p": _Identity(
+        "counting convolution of two COE runs against the exact CUE gap; "
+        "count label (i + 1) // 2 + j // 2",
+        ("theta",),
+        lambda c: check_8_31p(c.n, list(c.k), c.theta, **_mc(c)),
+    ),
+    "thmCE": _Identity(
+        "folded COE decimations against the O± sectors, and CUE against the COE union",
+        (),
+        lambda c: verify_thmCE(c.n, **_mc(c)),
+    ),
+    "thmD4": _Identity(
+        "COE adjacent-count sums against the chiral gaps of the tangent half-angle image",
+        ("theta",),
+        lambda c: check_thm_D4(c.n, list(c.k), c.theta, **_mc(c)),
+    ),
+    "dixon_anderson": _Identity(
+        "nested interlacing integral against its companion-weight closed form",
+        ("family",),
+        lambda c: verify_dixon_anderson(
+            c.family, c.a, c.m, c.mu, seed=c.seed, configs=c.configs, tol=c.tol
+        ),
+    ),
+    "q_odd": _Identity(
+        "chi-square fit of the odd-decimated marginal density",
+        ("family",),
+        lambda c: verify_q_odd(c.family, c.n, a=c.a, **_mc(c)),
+    ),
+    "recurrence": _Identity(
+        "weight admissibility: antiderivative recurrence and closed-form theta",
+        ("family",),
+        lambda c: verify_recurrence(c.family, c.a),
+    ),
+}
+
+# `verify all`: (token, overrides) rows, each applied to a fresh RunConfig.
+# Monte Carlo counts are full size; `--quick` divides them by 5.
+_PROFILE = (
+    ("recurrence", dict(family="gauss")),
+    ("recurrence", dict(family="jacobi", a=0.5)),
+    ("recurrence", dict(family="cauchy", a=2.0)),
+    ("dixon_anderson", dict(family="gauss", m=2, mu=0)),
+    ("dixon_anderson", dict(family="jacobi", a=0.0, m=1, mu=1)),
+    ("thm1", dict(family="gauss", n=3, count=100_000)),
+    ("cor1", dict(family="gauss", n=2, count=100_000)),
+    ("eq117", dict(family="gauss", n=3, count=100_000)),
+    ("thm_gap", dict(family="gauss", n=3, k=(0,), s=1.0, count=100_000)),
+    ("thm_gap", dict(family="gauss", n=2, k=(0,), s=1.0, count=100_000)),
+    ("b1", dict(family="gauss", n=3, s=1.0)),
+    ("eq24", dict(family="laguerre", n=2, k=(0, 1), s=0.7, count=100_000)),
+    ("eq24cp", dict(family="gauss", n=2, k=(0, 1), s=0.6, side="left", count=100_000)),
+    ("eq831p", dict(n=2, k=(0, 1), theta=1.2, count=100_000)),
+    ("thmCE", dict(n=2, count=100_000)),
+    ("thmD4", dict(n=2, k=(0, 1), theta=1.2, count=100_000)),
+    ("q_odd", dict(family="gauss", n=2, count=50_000)),
 )
 
 
-def _run_identity(name: str, p: dict) -> VerificationReport:
-    """One checker invocation from a resolved parameter dict."""
-    family = p.get("family")
-    a = p.get("a")
-    if name in _NEEDS_FAMILY and family is None:
-        raise BadParameter(f"verify {name} needs --family")
-    kscalar = int(np.atleast_1d(p["k"])[0])
-    if name == "thm1":
-        return verify_thm1(family, a, p["n"], p["count"], p["seed"], workers=p["workers"])
-    if name == "cor1":
-        return verify_cor1(
-            family, a, p["n"], p["count"], p["seed"], workers=p["workers"], variant="super"
-        )
-    if name == "eq117":
-        return verify_cor1(
-            family, a, p["n"], p["count"], p["seed"], workers=p["workers"], variant="chiral"
-        )
-    if name == "thm_gap":
-        return check_thm_gap(
-            family,
-            p["n"],
-            kscalar,
-            _require(p, "s", name),
-            a=a,
-            count=p["count"],
-            seed=p["seed"],
-            workers=p["workers"],
-        )
-    if name == "b1":
-        return check_B1_structure(family, p["n"], _require(p, "s", name), a=a)
-    if name == "eq24":
-        pair = pair_for_24(family, a) if a is not None else pair_for_24(family)
-        return check_identity_24(
-            pair, p["n"], list(p["k"]), _require(p, "s", name),
-            count=p["count"], seed=p["seed"], workers=p["workers"],
-        )
-    if name == "eq24cp":
-        if a is not None:
-            pair = pair_for_24cp(family, p["n"], a, p["b"])
-        else:
-            pair = pair_for_24cp(family, p["n"], b=p["b"])
-        return check_identity_24cp(
-            pair, p["n"], list(p["k"]), _require(p, "s", name), side=p["side"],
-            count=p["count"], seed=p["seed"], workers=p["workers"],
-        )
-    if name == "eq831p":
-        return check_8_31p(
-            p["n"], list(p["k"]), _require(p, "theta", name),
-            count=p["count"], seed=p["seed"], workers=p["workers"],
-        )
-    if name == "thmCE":
-        return verify_thmCE(p["n"], p["count"], p["seed"], workers=p["workers"])
-    if name == "thmD4":
-        return check_thm_D4(
-            p["n"], list(p["k"]), _require(p, "theta", name),
-            count=p["count"], seed=p["seed"], workers=p["workers"],
-        )
-    if name == "dixon_anderson":
-        return verify_dixon_anderson(
-            family, a, p["m"], p["mu"], seed=p["seed"], configs=p["configs"], tol=p["tol"]
-        )
-    if name == "q_odd":
-        return verify_q_odd(family, p["n"], p["count"], p["seed"], a=a, workers=p["workers"])
-    if name == "recurrence":
-        return verify_recurrence(family, a)
-    raise BadParameter(f"unknown identity {name!r}")
+def _jobs(config: RunConfig) -> list[tuple[str, RunConfig]]:
+    """The (token, config) runs of one `verify` call."""
+    if config.identity == "all":
+        jobs = []
+        for token, over in _PROFILE:
+            if config.quick and "count" in over:
+                over = {**over, "count": over["count"] // 5}
+            jobs.append(
+                (token, RunConfig("verify", seed=config.seed, workers=config.workers, **over))
+            )
+        return jobs
+    token = config.identity
+    if token not in IDENTITIES:
+        raise BadParameter(f"unknown identity {token!r}")
+    if IDENTITIES[token].per_k:
+        return [(token, replace(config, k=(k,))) for k in config.k]
+    return [(token, config)]
 
 
-def _require(p: dict, key: str, name: str) -> float:
-    if p.get(key) is None:
-        raise BadParameter(f"verify {name} needs --{key}")
-    return p[key]
-
-
-def _all_profile(quick: bool, seed: int, workers: int) -> list[tuple[str, dict]]:
-    """The `verify all` suite; `--quick` shrinks every Monte Carlo run."""
-    c = 20_000 if quick else 100_000
-    cq = 10_000 if quick else 50_000
-    rows = [
-        ("recurrence", dict(family="gauss")),
-        ("recurrence", dict(family="jacobi", a=0.5)),
-        ("recurrence", dict(family="cauchy", a=2.0)),
-        ("dixon_anderson", dict(family="gauss", m=2, mu=0)),
-        ("dixon_anderson", dict(family="jacobi", a=0.0, m=1, mu=1)),
-        ("thm1", dict(family="gauss", n=3, count=c)),
-        ("cor1", dict(family="gauss", n=2, count=c)),
-        ("eq117", dict(family="gauss", n=3, count=c)),
-        ("thm_gap", dict(family="gauss", n=3, k=(0,), s=1.0, count=c)),
-        ("thm_gap", dict(family="gauss", n=2, k=(0,), s=1.0, count=c)),
-        ("b1", dict(family="gauss", n=3, s=1.0)),
-        ("eq24", dict(family="laguerre", n=2, k=(0, 1), s=0.7, count=c)),
-        ("eq24cp", dict(family="gauss", n=2, k=(0, 1), s=0.6, side="left", count=c)),
-        ("eq831p", dict(n=2, k=(0, 1), theta=1.2, count=c)),
-        ("thmCE", dict(n=2, count=c)),
-        ("thmD4", dict(n=2, k=(0, 1), theta=1.2, count=c)),
-        ("q_odd", dict(family="gauss", n=2, count=cq)),
-    ]
-    base = dict(
-        family=None, a=None, b=1.0, n=2, mu=0, m=1, count=c, seed=seed,
-        s=None, theta=None, k=(0,), side="left", configs=5, tol=None, workers=workers,
-    )
-    return [(name, {**base, **over}) for name, over in rows]
+def _run_identity(token: str, config: RunConfig) -> VerificationReport:
+    entry = IDENTITIES[token]
+    config.need(f"verify {token}", *entry.needs)
+    return entry.run(config)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.identity == "all":
-        jobs = _all_profile(config.quick, config.seed, config.workers)
-    else:
-        p = dict(
-            family=config.family, a=config.a, b=config.b, n=config.n, mu=config.mu,
-            m=config.m, count=config.count, seed=config.seed, s=config.s,
-            theta=config.theta, k=config.k, side=config.side, configs=config.configs,
-            tol=config.tol, workers=config.workers,
-        )
-        if config.identity == "thm_gap" and len(config.k) > 1:
-            jobs = [(config.identity, {**p, "k": (ki,)}) for ki in config.k]
-        else:
-            jobs = [(config.identity, p)]
-
     reports = []
-    for name, p in jobs:
-        rep = _run_identity(name, p)
+    for token, job in _jobs(config):
+        rep = _run_identity(token, job)
         reports.append(rep)
         print(rep.table())
         print()
@@ -386,15 +387,15 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value file of defaults; flags override")
+    p.add_argument("--config", default=None, help="key = value file of defaults; flags override")
     p.add_argument("--family", help="weight family: gauss, jacobi, cauchy (pairs add laguerre)")
     p.add_argument("--a", type=float, help="weight parameter where the family takes one")
-    p.add_argument("--b", type=float, default=1.0, help="second exponent for jacobi pairs")
-    p.add_argument("--n", type=int, default=2, help="ensemble order")
-    p.add_argument("--mu", type=int, default=0, help="chiral weight selector in {0, 1}")
-    p.add_argument("--count", type=int, default=10_000, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0, help="seed in [0, 2**64); fully determines output")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--b", type=float, help="second exponent for jacobi pairs")
+    p.add_argument("--n", type=int, help="ensemble order")
+    p.add_argument("--mu", type=int, help="chiral weight selector in {0, 1}")
+    p.add_argument("--count", type=int, help="Monte Carlo sample count")
+    p.add_argument("--seed", type=int, help="seed in [0, 2**64); fully determines output")
+    p.add_argument("--workers", type=int,
                    help="parallel workers (default: RMTDEC_WORKERS or cores)")
     p.add_argument("--out", help="output file path")
 
@@ -406,21 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
         "gap probabilities, and verify the identity suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an unset flag stays out of the namespace, so RunConfig's default applies
+    quiet = dict(argument_default=argparse.SUPPRESS)
 
-    ps = sub.add_parser("sample", help="draw spectra and write CSV or JSON lines")
+    ps = sub.add_parser("sample", help="draw spectra and write CSV or JSON lines", **quiet)
     _add_common(ps)
     ps.add_argument("--kind", required=True,
                     help="oe, ue, chue, coe, cue, oplus, ominus")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
+    ps.add_argument("--format", choices=("csv", "json"))
     ps.add_argument(
         "--method",
         choices=("auto", "exact", "mcmc"),
-        default="auto",
         help="auto: the exact route where one exists, else Metropolis; "
         "exact: fail without one; mcmc: Metropolis (weighted kinds only)",
     )
 
-    pg = sub.add_parser("gap", help="gap probabilities, exact when available")
+    pg = sub.add_parser("gap", help="gap probabilities, exact when available", **quiet)
     _add_common(pg)
     pg.add_argument("--kind", required=True, help="oe, ue, chue, cue, coe")
     pg.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
@@ -430,16 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser(
         "verify",
         help="run one identity checker or the whole suite",
-        epilog="identities: " + ", ".join(IDENTITIES) + ", all",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="identities:\n"
+        + "".join(f"  {token:<15} {entry.summary}\n" for token, entry in IDENTITIES.items())
+        + f"  {'all':<15} the {len(_PROFILE)}-row suite over every identity",
+        **quiet,
     )
     _add_common(pv)
     pv.add_argument("identity", help="identity name or 'all'")
-    pv.add_argument("--k", type=int, nargs="+", default=[0], help="gap count(s)")
+    pv.add_argument("--k", type=int, nargs="+", help="gap count(s)")
     pv.add_argument("--s", type=float, help="interval endpoint")
     pv.add_argument("--theta", type=float, help="circular interval half-width")
-    pv.add_argument("--side", choices=("left", "right"), default="left")
-    pv.add_argument("--m", type=int, default=1, help="interlacing integral order")
-    pv.add_argument("--configs", type=int, default=5, help="random configurations")
+    pv.add_argument("--side", choices=("left", "right"))
+    pv.add_argument("--m", type=int, help="interlacing integral order")
+    pv.add_argument("--configs", type=int, help="random configurations")
     pv.add_argument("--tol", type=float, help="override the residual tolerance")
     pv.add_argument("--quick", action="store_true", help="reduced-size suite")
     return parser
@@ -491,32 +497,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
 
 
 def _to_config(args: argparse.Namespace) -> RunConfig:
-    interval = getattr(args, "interval", None)
-    return RunConfig(
-        command=args.command,
-        kind=getattr(args, "kind", None),
-        family=args.family,
-        a=args.a,
-        b=args.b,
-        n=args.n,
-        mu=args.mu,
-        m=getattr(args, "m", 1),
-        count=args.count,
-        seed=args.seed,
-        interval=tuple(interval) if interval is not None else None,
-        s=getattr(args, "s", None),
-        theta=getattr(args, "theta", None),
-        k=tuple(getattr(args, "k", [0])),
-        side=getattr(args, "side", "left"),
-        configs=getattr(args, "configs", 5),
-        tol=getattr(args, "tol", None),
-        identity=getattr(args, "identity", None),
-        quick=getattr(args, "quick", False),
-        out=args.out,
-        format=getattr(args, "format", "csv"),
-        method=getattr(args, "method", "auto"),
-        workers=args.workers if args.workers is not None else _default_workers(),
-    )
+    names = {f.name for f in fields(RunConfig)}
+    values = {key: value for key, value in vars(args).items() if key in names}
+    for key in ("interval", "k"):
+        if key in values:
+            values[key] = tuple(values[key])
+    if "workers" not in values:
+        values["workers"] = _default_workers()
+    return RunConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

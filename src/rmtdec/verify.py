@@ -434,6 +434,8 @@ def verify_dixon_anderson(
         raise BadParameter("nested quadrature supports m in {1, 2}")
     if mu not in (0, 1):
         raise BadParameter("mu must be 0 or 1")
+    if configs < 1:
+        raise BadParameter(f"configs must be positive, got {configs}")
     w = make_weight(family, a)
     mhat = m + mu
     n = 2 * m + mu

@@ -256,10 +256,8 @@ class TestVerifyCommand:
         assert outs[0] == outs[1]
 
     def test_all_identities_routed(self) -> None:
-        # every documented identity token resolves to a runnable entry
-        for name, p in cli._all_profile(quick=True, seed=0, workers=1):
-            assert name in cli.IDENTITIES
-        covered = {name for name, _ in cli._all_profile(True, 0, 1)}
+        # every registry token has a profile row, and every row names a token
+        covered = {token for token, _ in cli._PROFILE}
         assert covered == set(cli.IDENTITIES)
 
     def test_quick_profile_never_calls_metropolis(self, monkeypatch) -> None:
@@ -271,9 +269,91 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(samplers, "sample_mcmc", no_metropolis)
         monkeypatch.setattr(gap, "sample_mcmc", no_metropolis)
-        for name, p in cli._all_profile(True, 0, 1):
-            rep = cli._run_identity(name, p)
-            assert rep.passed, f"{name}: {rep.table()}"
+        jobs = cli._jobs(cli.RunConfig("verify", identity="all", quick=True, workers=1))
+        for token, config in jobs:
+            rep = cli._run_identity(token, config)
+            assert rep.passed, f"{token}: {rep.table()}"
+
+    QUICK_ROWS = [
+        ("recurrence", {"family": "gauss", "a": None, "max_order": 8}),
+        ("recurrence", {"family": "jacobi", "a": 0.5, "max_order": 8}),
+        ("recurrence", {"family": "cauchy", "a": 2.0, "max_order": 8}),
+        ("dixon_anderson", {"family": "gauss", "a": None, "m": 2, "mu": 0, "seed": 0}),
+        ("dixon_anderson", {"family": "jacobi", "a": 0.0, "m": 1, "mu": 1, "seed": 0}),
+        ("thm1", {"family": "gauss", "a": None, "n": 3, "count": 20000, "seed": 0}),
+        ("cor1", {"family": "gauss", "a": None, "n": 2, "count": 20000, "seed": 0,
+                  "variant": "super"}),
+        ("eq117", {"family": "gauss", "a": None, "n": 3, "count": 20000, "seed": 0,
+                   "variant": "chiral"}),
+        ("thm_gap", {"family": "gauss", "a": None, "n": 3, "k": 0, "s": 1.0, "count": 20000,
+                     "seed": 0}),
+        ("thm_gap", {"family": "gauss", "a": None, "n": 2, "k": 0, "s": 1.0, "count": 20000,
+                     "seed": 0}),
+        ("b1", {"family": "gauss", "a": None, "n": 3, "s": 1.0}),
+        ("eq24", {"pair": "laguerre", "n": 2, "k": [0, 1], "s": [0.7], "count": 20000,
+                  "seed": 0}),
+        ("eq24cp", {"pair": "gauss", "n": 2, "k": [0, 1], "s": [0.6], "side": "left",
+                    "count": 20000, "seed": 0}),
+        ("eq831p", {"n": 2, "k": [0, 1], "theta": 1.2, "count": 20000, "seed": 0}),
+        ("thmCE", {"n": 2, "count": 20000, "seed": 0, "nu": 1}),
+        ("thmD4", {"n": 2, "k": [0, 1], "theta": 1.2, "count": 20000, "seed": 0}),
+        ("q_odd", {"family": "gauss", "a": None, "n": 2, "count": 10000, "seed": 0}),
+    ]
+
+    def test_quick_profile_rows_are_pinned(self, capsys, tmp_path: Path) -> None:
+        # an edit to the profile cannot drop or change a row silently
+        out = tmp_path / "all.json"
+        code = cli.main(["verify", "all", "--quick", "--seed", "0", "--workers", "1",
+                         "--out", str(out)])
+        assert code == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [(r["identity"], r["parameters"]) for r in reports] == self.QUICK_ROWS
+
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_dixon_anderson_without_configs_exits_2(
+        self, capsys, tmp_path: Path, configs: str
+    ) -> None:
+        out = tmp_path / "rep.json"
+        code = cli.main(["verify", "dixon_anderson", "--family", "gauss",
+                         "--configs", configs, "--out", str(out)])
+        assert code == 2
+        assert "configs must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thmD4", "--n", "2", "--k", "-1", "--theta", "1.2"],
+            ["thm_gap", "--family", "gauss", "--n", "3", "--k", "-1", "--s", "1.0"],
+            ["eq24", "--family", "laguerre", "--n", "2", "--k", "0", "-1", "--s", "0.7"],
+            ["eq831p", "--n", "2", "--k", "-2", "--theta", "1.2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_k_exits_2(self, capsys, tmp_path: Path, argv: list[str]) -> None:
+        out = tmp_path / "rep.json"
+        code = cli.main(["verify", *argv, "--count", "100", "--out", str(out)])
+        assert code == 2
+        assert "k must be one or more counts >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_lists_every_token_with_its_summary(self, capsys) -> None:
+        assert cli.main(["verify", "--help"]) == 0
+        text = capsys.readouterr().out
+        for token, entry in cli.IDENTITIES.items():
+            assert f"  {token:<15} {entry.summary}" in text
+
+    def test_readme_identity_table_matches_registry(self) -> None:
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| token | checks |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("| `"):
+                break
+            token, summary = (cell.strip() for cell in line.strip("|").split("|", 1))
+            rows.append((token.strip("`"), summary))
+        assert rows == [(token, e.summary) for token, e in cli.IDENTITIES.items()]
 
 
 class TestConfigFile:
