@@ -496,9 +496,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     return parser.parse_args(argv)
 
 
+# the only RunConfig fields `verify all` takes; every row sets the rest
+_ALL_FIELDS = {"command", "identity", "seed", "workers", "out", "quick"}
+
+
 def _to_config(args: argparse.Namespace) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     values = {key: value for key, value in vars(args).items() if key in names}
+    extra = sorted(values.keys() - _ALL_FIELDS) if values.get("identity") == "all" else []
+    if extra:
+        flags = ", ".join(f"--{key}" for key in extra)
+        raise BadParameter(f"verify all sets every run itself and takes no {flags}")
     for key in ("interval", "k"):
         if key in values:
             values[key] = tuple(values[key])

@@ -9,17 +9,22 @@ Metropolis pair weights in ``gap`` and the interlacing integrand in
 ``log_q_odd_batch``.  The scalar forms validate their input and then
 evaluate one row through the batch form or the kernel.
 
-Numeric normalization constants are available for n <= 4 through the
-ordered tensor rule of ``numerics``, escalated along an order ladder that
-the interlacing integral in ``verify`` shares.  Integrals of a weight's
-density over its finite Jacobi support are taken in t with x = sin t, which
-the brute-force gap oracle in ``gap`` shares.
+Every small-n multiple integral is the ordered tensor rule of ``numerics``,
+escalated by ``_settle`` along an order ladder: the normalization constants
+for n <= 4, and the placement sums of ``_placement_masses``, which put
+ordered points on a segment grid in every possible way and add each
+placement's integral to the entry its label names.  The brute-force gap
+oracle in ``gap`` labels a placement by its count in J, and the odd-marginal
+fit in ``verify`` by the quantile cell its points fall in.  Integrals of a
+weight's density over its finite Jacobi support are taken in t with
+x = sin t (``_support_tensor``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -254,38 +259,19 @@ _ORDER_LADDER = {
 }
 
 
-def _settle(value_at: Callable[[int], float], n: int, tol: float) -> float:
-    """Escalate the tensor order for n points along the ladder until two
-    successive values of ``value_at(order)`` agree to ``tol`` relative;
-    failing that raises NonConvergence."""
+def _settle(value_at: Callable[[int], float | np.ndarray], ladder: Sequence[int],
+            tol: float, floor: float = 1e-300) -> float | np.ndarray:
+    """Escalate the tensor order along ``ladder`` until two successive values
+    of ``value_at(order)``, a number or an array, agree in every entry to
+    ``tol`` relative to max(|value|, floor); failing that raises
+    NonConvergence."""
     prev = None
-    for order in _ORDER_LADDER[n]:
+    for order in ladder:
         val = value_at(order)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
+        if prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(np.abs(val), floor)):
             return val
         prev = val
     raise NonConvergence(f"ordered integral did not settle at tol={tol}")
-
-
-def _support_map(
-    w: AdmissibleWeight, log_density: Callable[[np.ndarray], np.ndarray]
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The coordinate in which a density on the support of ``w`` is
-    integrated, as (increasing map from x, log density of (batch, n) rows in
-    that coordinate with the Jacobian included).
-
-    On the finite Jacobi support it is t with x = sin t, as in
-    ``theta_by_quadrature``: the (1 - x^2)^a endpoint singularity, on which
-    Gauss-Legendre stalls, becomes a power of cos t, analytic for
-    half-integer a.  Elsewhere it is x itself.
-    """
-    if math.isinf(w.omega):
-        return np.asarray, log_density
-
-    def log_density_t(t: np.ndarray) -> np.ndarray:
-        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
-
-    return np.arcsin, log_density_t
 
 
 def _support_tensor(
@@ -295,10 +281,39 @@ def _support_tensor(
     counts: Sequence[int],
     order: int,
 ) -> float:
-    """``ordered_tensor`` for a density on the support of ``w``, taken in
-    the coordinate of ``_support_map``."""
-    to_t, log_density_t = _support_map(w, log_density)
-    return ordered_tensor(log_density_t, to_t(edges), counts, order)
+    """``ordered_tensor`` for a density on the support of ``w``.
+
+    On the finite Jacobi support it is taken in t with x = sin t, as in
+    ``theta_by_quadrature``: the (1 - x^2)^a endpoint singularity, on which
+    Gauss-Legendre stalls, becomes a power of cos t, analytic for
+    half-integer a.  Elsewhere it is taken in x itself.
+    """
+    if math.isinf(w.omega):
+        return ordered_tensor(log_density, edges, counts, order)
+
+    def log_density_t(t: np.ndarray) -> np.ndarray:
+        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
+
+    return ordered_tensor(log_density_t, np.arcsin(edges), counts, order)
+
+
+def _placement_masses(w: AdmissibleWeight, log_density: Callable[[np.ndarray], np.ndarray],
+                      edges: Sequence[float], n: int, label: Callable[[tuple[int, ...]], int],
+                      size: int, order: int) -> np.ndarray:
+    """Masses of n ordered points on the support of ``w``, summed by label.
+
+    A placement gives each point, in ascending order, the index of its
+    segment between ``edges``; its ``_support_tensor`` integral at ``order``
+    is added to entry ``label(segments)`` of a length-``size`` vector.  The
+    placements are visited in one fixed order, all points in the last
+    segment first, so each sum is reproducible bit for bit.
+    """
+    out = np.zeros(size)
+    parts = len(edges) - 1
+    for segs in reversed(list(combinations_with_replacement(range(parts), n))):
+        counts = np.bincount(segs, minlength=parts).tolist()
+        out[label(segs)] += _support_tensor(w, log_density, edges, counts, order)
+    return out
 
 
 def normalize(
@@ -318,4 +333,6 @@ def normalize(
     lo, hi = support
     if not lo < hi:
         raise BadParameter(f"empty support {support}")
-    return _settle(lambda order: ordered_tensor(log_density, support, [n], order), n, tol)
+    return _settle(
+        lambda order: ordered_tensor(log_density, support, [n], order), _ORDER_LADDER[n], tol
+    )

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .densities import _log_vdm_rows, _support_tensor, log_p_beta_batch
+from .densities import _log_vdm_rows, _placement_masses, _settle, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import (
     QuadratureRule,
@@ -35,7 +35,7 @@ from .numerics import (
     sym_eigen,
     tan_transformed_rule,
 )
-from .orthopoly import _probe_moment, build, gram, squared_argument_rule
+from .orthopoly import OrthoSystem, _probe_moment, build, gram, squared_argument_rule
 from .samplers import (
     EnsembleSpec,
     McmcParams,
@@ -72,6 +72,7 @@ __all__ = [
 
 _COEFF_SLACK = 1e-9
 _SUM_TOL = 1e-8
+_Z_TOL = 3.0  # |z| gate of every Monte Carlo subtest
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def _w1_integral(
     """int_lo^hi f(x, w1(x)) dx for a vector integrand f returning (k, npts).
 
     On the finite Jacobi support the integral is taken in t with x = sin t,
-    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_map``:
+    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_tensor``:
     the (1 - x^2)^a endpoint singularity, on which ``integrate`` stalls for
     a < 0, becomes the power cos(t)^(2a+1), which ``integrate`` resolves by
     bisection.  Nodes within about 1e-8 of t = pi/2, where sin t rounds to
@@ -342,18 +343,30 @@ def _w1_integral(
     return integrate(in_t, (math.asin(lo), math.asin(hi)), tol=1e-12)
 
 
-def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
-    """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s).
-
-    T0, Ts, U and the inner integral of V are one vector integral each over
-    the m odd-degree polynomials ``sys.evaluate(x, odd_idx)``; every
-    component meets the 1e-12 tolerance against its own scale.
-    """
+def _odd_block(
+    w1: AdmissibleWeight, n: int, s: float
+) -> tuple[int, OrthoSystem | None, list[int]]:
+    """m, the orthonormal system up to degree 2m - 1 (None when m = 0) and
+    its odd indices, for n = 2m + 1 points on (-s, s)."""
     if n < 1 or n % 2 == 0:
         raise BadParameter("the bordered determinant needs odd n >= 1")
     if not 0.0 < s < w1.omega:
         raise BadParameter(f"need 0 < s < {w1.omega}")
     m = (n - 1) // 2
+    if m == 0:
+        return 0, None, []
+    return m, build(w1.w2, w1.support, 2 * m - 1), list(range(1, 2 * m, 2))
+
+
+def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
+    """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s).
+
+    One vector integrand, the m odd-degree polynomials times w1 and times
+    theta1 w1, is integrated over (0, s) and over (s, omega), giving A and
+    B; T0, Ts, U and V are sums of their parts.  Every component meets the
+    1e-12 tolerance against its own scale.
+    """
+    m, sys, odd_idx = _odd_block(w1, n, s)
     theta = w1.theta
     th1s = float(theta1(w1, s))
     comp_s = float(w1.companion(s))
@@ -361,19 +374,18 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
         z = np.zeros(0)
         return _OddParts(0, theta, th1s, comp_s, z, z, z, z, z, np.zeros((0, 0)))
 
-    sys = build(w1.w2, w1.support, 2 * m - 1)
-    odd_idx = list(range(1, 2 * m, 2))
     p_s = sys.evaluate(np.array([s]), odd_idx)[:, 0]
 
     def odd(x: np.ndarray, wx: np.ndarray) -> np.ndarray:
-        return wx * sys.evaluate(x, odd_idx)  # row k: wx p_{2k-1}(x), k = 1..m
+        rows = wx * sys.evaluate(x, odd_idx)  # row k: wx p_{2k-1}(x), k = 1..m
+        return np.concatenate([rows, theta1(w1, x) * rows])
 
-    omega = w1.omega
-    T0 = _w1_integral(w1, odd, 0.0, omega)
-    Ts = _w1_integral(w1, odd, s, omega)
-    U = 2.0 * _w1_integral(w1, lambda x, wx: odd(x, theta1(w1, x) * wx), 0.0, omega)
-    inner = _w1_integral(w1, lambda t, wt: odd(t, wt) * (th1s - theta1(w1, t)), 0.0, s)
-    V = 2.0 * th1s * T0 - 2.0 * inner
+    A = _w1_integral(w1, odd, 0.0, s)
+    B = _w1_integral(w1, odd, s, w1.omega)
+    Ts = B[:m]
+    T0 = A[:m] + Ts
+    U = 2.0 * (A[m:] + B[m:])
+    V = 2.0 * (th1s * Ts + A[m:])
     G = gram(sys, (-s, s), odd_idx)
     return _OddParts(m, theta, th1s, comp_s, p_s, T0, Ts, U, V, G)
 
@@ -513,10 +525,10 @@ def _odd_gap(parts: _OddParts, s: float, mode: str) -> GapPolynomial:
 
 def gaudin_data(w1: AdmissibleWeight, n: int, s: float) -> GaudinData:
     """Eigen-decomposition of the restricted odd-degree Gram block."""
-    parts = _odd_parts(w1, n, s)
-    if parts.m == 0:
+    m, sys, odd_idx = _odd_block(w1, n, s)
+    if m == 0:
         raise BadParameter("n = 1 has no odd-degree block to diagonalize")
-    return _gaudin_from_gram(parts.G)
+    return _gaudin_from_gram(gram(sys, (-s, s), odd_idx))
 
 
 # -- brute force, n <= 4 -------------------------------------------------------------
@@ -541,27 +553,12 @@ def _brute_distribution(
     def log_density(xs: np.ndarray) -> np.ndarray:
         return log_p_beta_batch(w1, 1, xs)
 
-    prev = None
-    for order in _BRUTE_LADDER[n]:
-        nums = np.zeros(n + 1)
-        for counts in _compositions(n, len(edges) - 1):
-            nums[counts[mid]] += _support_tensor(w1, log_density, edges, counts, order)
-        probs = nums / nums.sum()
-        if prev is not None and np.all(
-            np.abs(probs - prev) <= tol * np.maximum(probs, 1e-6)
-        ):
-            return tuple(float(p) for p in probs)
-        prev = probs
-    raise NonConvergence("ordered quadrature did not settle on the order ladder")
+    def probs_at(order: int) -> np.ndarray:
+        label = lambda segs: segs.count(mid)  # the placement's count in J
+        nums = _placement_masses(w1, log_density, edges, n, label, n + 1, order)
+        return nums / nums.sum()
 
-
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, parts - 1):
-            yield (head,) + rest
+    return tuple(float(p) for p in _settle(probs_at, _BRUTE_LADDER[n], tol, 1e-6))
 
 
 def gap_oe_bruteforce(
@@ -569,9 +566,10 @@ def gap_oe_bruteforce(
 ) -> float:
     """E(k; J) for n <= 4 points at beta = 1 by direct ordered quadrature.
 
-    Splits the support at the interval endpoints, sums composition-wise
-    tensor integrals, and self-normalizes, escalating the per-dimension
-    order until successive ladder levels agree to ``tol``.
+    Splits the support at the interval endpoints, sums the placement
+    integrals (``densities._placement_masses``) by their count in J, and
+    self-normalizes, escalating the per-dimension order until successive
+    ladder levels agree to ``tol``.
     """
     if not 1 <= n <= 4:
         raise BadParameter("brute force is limited to 1 <= n <= 4")
@@ -597,7 +595,6 @@ def _z_or_residual(
     rhs: float,
     var: float,
     count: int,
-    z_tol: float = 3.0,
 ) -> tuple[str, str, float, float, float, float]:
     """z subtest against the sampling error; exact-residual fallback when the
     estimator is degenerate (both sides pinned at 0 or 1)."""
@@ -605,7 +602,7 @@ def _z_or_residual(
         var = rhs * (1.0 - rhs) / count
     if var <= 0.0:
         return (name, "residual", abs(lhs - rhs), 1e-9, lhs, rhs)
-    return (name, "z", abs(lhs - rhs) / math.sqrt(var), z_tol, lhs, rhs)
+    return (name, "z", abs(lhs - rhs) / math.sqrt(var), _Z_TOL, lhs, rhs)
 
 
 def check_thm_gap(
@@ -652,7 +649,6 @@ def check_B1_structure(
     n: int,
     s: float,
     a: float | None = None,
-    xi_grid: np.ndarray | None = None,
 ) -> VerificationReport:
     """Structure of the odd-n beta = 1 generating function.
 
@@ -671,7 +667,7 @@ def check_B1_structure(
     parts = _odd_parts(w, n, s)
     direct = _odd_gap(parts, s, "direct")
     gaud = _odd_gap(parts, s, "gaudin")
-    grid = np.linspace(0.0, 2.0, 81) if xi_grid is None else np.asarray(xi_grid, dtype=float)
+    grid = np.linspace(0.0, 2.0, 81)
 
     checks = [
         (
@@ -718,7 +714,8 @@ class WeightPair:
 
     ``exact`` draws sorted beta = 1 rows, (n, count, seed, workers) -> array,
     from a matrix model of the base weight; None leaves Metropolis on
-    ``log_w1`` as the only sampler.
+    ``log_w1`` as the only sampler.  ``exponents`` holds the family's
+    parameters that the weights use, for the report.
     """
 
     name: str
@@ -727,6 +724,7 @@ class WeightPair:
     w2: Callable[[np.ndarray], np.ndarray]
     heavy_tail: bool = False
     exact: Callable[[int, int, int, int], np.ndarray] | None = None
+    exponents: Mapping[str, float] = field(default_factory=dict, hash=False)
 
 
 def _laguerre_rows(p: float) -> Callable[[int, int, int, int], np.ndarray]:
@@ -764,7 +762,8 @@ def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
             return np.where((x > 0.0) & (x < 1.0), v, -np.inf)
 
         return WeightPair(
-            "jacobi", (0.0, 1.0), jw1, lambda x: (1.0 - x) ** a, exact=_jacobi_rows(1.0, a, 0.0)
+            "jacobi", (0.0, 1.0), jw1, lambda x: (1.0 - x) ** a,
+            exact=_jacobi_rows(1.0, a, 0.0), exponents={"a": a},
         )
     raise BadParameter(f"no same-size superposition row for {family!r}")
 
@@ -796,6 +795,7 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
             lw1,
             lambda x: x**a * np.exp(-x),
             exact=_laguerre_rows(0.5 * (a - 1.0)),
+            exponents={"a": a},
         )
     if family == "jacobi":
         if a <= -1.0 or b <= -1.0:
@@ -812,6 +812,7 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
             jw1,
             lambda x: (1.0 + x) ** a * (1.0 - x) ** b,
             exact=_jacobi_rows(a, b, -1.0),
+            exponents={"a": a, "b": b},
         )
     if family == "cauchy":
         if a <= 0.0:
@@ -823,6 +824,7 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
             lambda x: -ex * np.log1p(x * x),
             lambda x: (1.0 + x * x) ** (-(n + a)),
             heavy_tail=True,
+            exponents={"a": a},
         )
     raise BadParameter(f"no adjacent-size superposition row for {family!r}")
 
@@ -933,7 +935,8 @@ def check_identity_24(
     ks = [int(v) for v in np.atleast_1d(k)]
     svals = [float(v) for v in np.atleast_1d(s)]
     checks = _check_pair_convolution("eq24", pair, n, n, ks, svals, "left", count, seed, workers)
-    params = {"pair": pair.name, "n": n, "k": ks, "s": svals, "count": count, "seed": seed}
+    params = {"pair": pair.name, **pair.exponents, "n": n, "k": ks, "s": svals,
+              "count": count, "seed": seed}
     return build_report("eq24", params, checks=checks)
 
 
@@ -959,6 +962,7 @@ def check_identity_24cp(
     )
     params = {
         "pair": pair.name,
+        **pair.exponents,
         "n": n,
         "k": ks,
         "s": svals,

@@ -13,21 +13,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
 from .densities import (
+    _ORDER_LADDER,
     _log_vdm_rows,
+    _placement_masses,
     _settle,
-    _support_map,
     _support_tensor,
     log_q_odd_batch,
-    normalize,
 )
 from .errors import BadParameter, EmptySample
-from .numerics import composite_gl_rule, integrate, tan_transformed_rule
 from .samplers import EnsembleSpec, _check_seed, sample_ensemble
 from .weights import (
     AdmissibleWeight,
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 ALPHA = 1e-3
+_COUNT_BINS = 8  # pooled quantile bins of the counting chi-squares
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,16 @@ def build_report(
     parameters: Mapping[str, object],
     stat_tests: Sequence[tuple[str, str, float, float]] = (),
     checks: Sequence[tuple[str, str, float, float, float | None, float | None]] = (),
-    alpha: float = ALPHA,
 ) -> VerificationReport:
     """Assemble a report from p-value tests and tolerance checks.
 
     ``stat_tests`` rows are (name, kind, statistic, p_value); each is held to
-    the Bonferroni share alpha / len(stat_tests).  ``checks`` rows are
+    the Bonferroni share ALPHA / len(stat_tests).  ``checks`` rows are
     (name, kind, statistic, tolerance, lhs, rhs) and pass when the statistic
     is finite and within tolerance.
     """
     subtests: list[SubtestResult] = []
-    share = alpha / max(len(stat_tests), 1)
+    share = ALPHA / max(len(stat_tests), 1)
     for name, kind, statistic, p in stat_tests:
         subtests.append(
             SubtestResult(name, kind, float(statistic), share, bool(p >= share), p_value=float(p))
@@ -161,7 +160,7 @@ def build_report(
         subtests.append(
             SubtestResult(name, kind, float(statistic), float(tol), ok, lhs=lhs, rhs=rhs)
         )
-    return VerificationReport(identity, dict(parameters), tuple(subtests), alpha)
+    return VerificationReport(identity, dict(parameters), tuple(subtests))
 
 
 # -- two-sample machinery -----------------------------------------------------------
@@ -192,7 +191,7 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(special.chdtrc(dof, stat)) if dof >= 1 else math.nan
 
 
-def _counting_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8) -> list[tuple[str, str, float, float]]:
+def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, float]]:
     """Chi-square homogeneity of per-sample counts in pooled quantile bins.
 
     For each bin the two ensembles' distributions of the per-row point count
@@ -200,11 +199,11 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8) -> list[tuple[st
     category holds at least 10 rows.
     """
     pooled = np.concatenate([a.ravel(), b.ravel()])
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1))
+    edges = np.quantile(pooled, np.linspace(0.0, 1.0, _COUNT_BINS + 1))
     edges[0], edges[-1] = -np.inf, np.inf
     out: list[tuple[str, str, float, float]] = []
     width = a.shape[1]
-    for i in range(bins):
+    for i in range(_COUNT_BINS):
         ca = np.sum((a > edges[i]) & (a <= edges[i + 1]), axis=1)
         cb = np.sum((b > edges[i]) & (b <= edges[i + 1]), axis=1)
         oa = np.bincount(ca, minlength=width + 1).astype(float)
@@ -232,7 +231,7 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8) -> list[tuple[st
 
 
 def two_sample_battery(
-    a: np.ndarray, b: np.ndarray, prefix: str = "", bins: int = 8
+    a: np.ndarray, b: np.ndarray, prefix: str = ""
 ) -> list[tuple[str, str, float, float]]:
     """KS per order statistic, KS on pooled points, counting chi-squares.
 
@@ -252,7 +251,7 @@ def two_sample_battery(
         tests.append((f"{prefix}ks_order_{j + 1}", "ks", d, p))
     d, p = ks_two_sample(a.ravel(), b.ravel())
     tests.append((f"{prefix}ks_pooled", "ks", d, p))
-    tests.extend((f"{prefix}{n}", k, s, p) for n, k, s, p in _counting_chi2(a, b, bins))
+    tests.extend((f"{prefix}{n}", k, s, p) for n, k, s, p in _counting_chi2(a, b))
     return tests
 
 
@@ -457,7 +456,7 @@ def verify_dixon_anderson(
         edges = [0.0] * mu + list(s[::-1]) + [w.omega]
         lhs = _settle(
             lambda order: _support_tensor(w, log_g, edges, [1] * mhat, order),
-            mhat,
+            _ORDER_LADDER[mhat],
             tol / 20.0,
         )
         rhs = const * math.exp(_log_g(w, mu, s[None, :], companion=True)[0])
@@ -484,6 +483,42 @@ def _chi2_gof(observed: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
     return stat, _chi2_sf(stat, dof)
 
 
+def _cell_index(edges: np.ndarray, points) -> np.ndarray:
+    """Flat index of the grid cell that holds one point per column, or one
+    array of points per column; row c of ``edges`` cuts column c into bins."""
+    bins = edges.shape[1] - 1
+    index = [
+        np.clip(np.searchsorted(e, p, side="right") - 1, 0, bins - 1)
+        for e, p in zip(edges, points)
+    ]
+    return np.ravel_multi_index(index, (bins,) * edges.shape[0])
+
+
+def _cell_probs(w1: AdmissibleWeight, n: int, edges: np.ndarray) -> np.ndarray:
+    """Probability of each cell of the grid ``edges`` (one row of bin edges
+    from 0 to omega per odd column) under the odd-location marginal.
+
+    A cell's mass sums the placement integrals on the merged grid of the
+    column edges (``densities._placement_masses``) whose points fall in it;
+    the whole vector is escalated until every cell settles to 1e-9 relative,
+    with a floor of 1e-6 of the total.  The normalization constant is the
+    one-segment integral over the ordered region, on ``normalize``'s ladder
+    and tolerance, so the masses' sum is an independent check of it.
+    """
+    mhat = edges.shape[0]
+    # log_q_odd_batch is looked up at call time, so a rebinding is seen
+    logq = lambda rows: log_q_odd_batch(w1, rows, n)
+    ladder = _ORDER_LADDER[mhat]
+    support = [0.0, w1.omega]
+    z = _settle(lambda order: _support_tensor(w1, logq, support, [mhat], order), ladder, 1e-7)
+    grid = np.unique(edges)
+    # a point in segment i of the merged grid lies in the cell that holds grid[i]
+    label = lambda segs: _cell_index(edges, grid[list(segs)])
+    size = (edges.shape[1] - 1) ** mhat
+    mass_at = lambda order: _placement_masses(w1, logq, grid, mhat, label, size, order)
+    return _settle(mass_at, ladder, 1e-9, 1e-6 * z) / z
+
+
 def verify_q_odd(
     family: str,
     n: int,
@@ -494,56 +529,26 @@ def verify_q_odd(
 ) -> VerificationReport:
     """Odd-decimated singular values against the predicted marginal density.
 
-    n = 2 bins the single odd value into 16 quantile bins; n = 3 bins the
-    ordered pair into an 8 x 8 quantile grid.  Expected bin masses come from
-    quadrature of the marginal normalized over the ordered region, taken in
-    t with x = sin t on the Jacobi support (``densities._support_map``).
+    Each column of odd values (one at n = 2, an ordered pair at n = 3) is cut
+    at its own quantiles, into 16 bins for one column and 8 for each of two,
+    and the cells of that grid are counted against ``_cell_probs``.
     """
     if n not in (2, 3):
         raise BadParameter("binned comparison is defined for n in {2, 3}")
     w1 = make_weight(family, a)
-    mhat = (n + 1) // 2
+    bins = 16 if n == 2 else 8
     batch = sample_ensemble(EnsembleSpec("OE", n, w1), count, seed, workers=workers)
     odd = _odd_cols(_folded(batch.spectra))
 
-    # every integral is taken in the coordinate of _support_map (x = sin t
-    # on the Jacobi support); its map is increasing, so the ordered region
-    # and the quantile bins keep their shape
-    to_t, logq = _support_map(w1, lambda rows: log_q_odd_batch(w1, rows, n))
-    z = normalize(logq, mhat, tuple(to_t([0.0, w1.omega])))
-
-    if n == 2:
-        edges = np.quantile(odd[:, 0], np.linspace(0.0, 1.0, 17))
-        edges[0], edges[-1] = 0.0, w1.omega
-        t_edges = to_t(edges)
-        probs = np.array(
-            [
-                integrate(
-                    lambda t: np.exp(logq(t[:, None])), (t_edges[i], t_edges[i + 1]), tol=1e-9
-                )
-                for i in range(16)
-            ]
-        ) / z
-        observed = np.histogram(odd[:, 0], bins=edges)[0].astype(float)
-    else:
-        e1 = np.quantile(odd[:, 0], np.linspace(0.0, 1.0, 9))
-        e2 = np.quantile(odd[:, 1], np.linspace(0.0, 1.0, 9))
-        e1[0], e1[-1] = 0.0, w1.omega
-        e2[0], e2[-1] = 0.0, w1.omega
-        t1, t2 = to_t(e1), to_t(e2)
-        probs_grid = np.empty((8, 8))
-        for i in range(8):
-            for j in range(8):
-                probs_grid[i, j] = _cell_mass(logq, t1[i], t1[i + 1], t2[j], t2[j + 1])
-        probs = probs_grid.ravel() / z
-        ix = np.clip(np.searchsorted(e1, odd[:, 0], side="right") - 1, 0, 7)
-        jx = np.clip(np.searchsorted(e2, odd[:, 1], side="right") - 1, 0, 7)
-        observed = np.bincount(ix * 8 + jx, minlength=64).astype(float)
+    edges = np.quantile(odd, np.linspace(0.0, 1.0, bins + 1), axis=0).T
+    edges[:, 0], edges[:, -1] = 0.0, w1.omega
+    observed = np.bincount(_cell_index(edges, odd.T), minlength=bins**odd.shape[1])
+    probs = _cell_probs(w1, n, edges)
 
     raw_mass = float(probs.sum())
     mass_resid = abs(raw_mass - 1.0)
     probs = probs / raw_mass
-    stat, p = _chi2_gof(observed, probs)
+    stat, p = _chi2_gof(observed.astype(float), probs)
     params = {"family": w1.family, "a": w1.a, "n": n, "count": count, "seed": seed}
     return build_report(
         "q_odd",
@@ -551,41 +556,6 @@ def verify_q_odd(
         stat_tests=[("chi2_bins", "chi2", stat, p)],
         checks=[("bin_mass", "residual", mass_resid, 1e-5, raw_mass, 1.0)],
     )
-
-
-def _cell_mass(
-    logq: Callable[[np.ndarray], np.ndarray],
-    x0: float,
-    x1: float,
-    y0: float,
-    y1: float,
-) -> float:
-    """Integral of exp(logq) over the cell (x0,x1) x (y0,y1) cut by t1 < t2.
-
-    The inner y-range starts at max(x, y0); x-nodes where the cell is empty
-    contribute nothing.  Infinite y1 goes through the tan substitution.
-    """
-    if x0 >= y1:
-        return 0.0
-    x_hi = min(x1, y1)
-    if math.isinf(x_hi):
-        xr = tan_transformed_rule(x0, x_hi, 8, 12)
-    else:
-        xr = composite_gl_rule(x0, x_hi, 6, 12)
-    rows, wts = [], []
-    for xn, xw in zip(xr.nodes, xr.weights):
-        lo = max(xn, y0)
-        if lo >= y1:
-            continue
-        if math.isinf(y1):
-            yr = tan_transformed_rule(lo, y1, 8, 12)
-        else:
-            yr = composite_gl_rule(lo, y1, 6, 12)
-        rows.append(np.column_stack([np.full(yr.nodes.size, xn), yr.nodes]))
-        wts.append(xw * yr.weights)
-    if not rows:
-        return 0.0
-    return float(np.dot(np.concatenate(wts), np.exp(logq(np.concatenate(rows)))))
 
 
 # -- admissibility recurrence -------------------------------------------------------

@@ -309,6 +309,47 @@ class TestVerifyCommand:
         reports = json.loads(out.read_text())["reports"]
         assert [(r["identity"], r["parameters"]) for r in reports] == self.QUICK_ROWS
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_verify_all_rejects_per_run_flags(
+        self, capsys, tmp_path: Path, source: str
+    ) -> None:
+        out = tmp_path / "all.json"
+        argv = ["verify", "all", "--quick", "--out", str(out)]
+        if source == "flag":
+            argv += ["--count", "5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("count = 5\nseed = 3\n")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--count" in captured.err
+        assert "recurrence" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,recorded",
+        [
+            (["eq24", "--family", "jacobi", "--a", "{a}"], {"a"}),
+            (["eq24cp", "--family", "laguerre", "--a", "{a}"], {"a"}),
+            (["eq24cp", "--family", "jacobi", "--a", "{a}", "--b", "1.5"], {"a", "b"}),
+        ],
+    )
+    def test_pair_exponents_are_recorded(
+        self, capsys, tmp_path: Path, argv: list[str], recorded: set[str]
+    ) -> None:
+        params = []
+        for a in ("0.5", "2.0"):
+            out = tmp_path / f"rep{a}.json"
+            cli.main(["verify", *(v.format(a=a) for v in argv), "--n", "2", "--k", "0",
+                      "--s", "0.5", "--count", "400", "--seed", "3", "--out", str(out)])
+            params.append(json.loads(out.read_text())["reports"][0]["parameters"])
+        assert params[0]["a"] == 0.5 and params[1]["a"] == 2.0
+        assert recorded <= params[0].keys()
+        assert {k: v for k, v in params[0].items() if k != "a"} == {
+            k: v for k, v in params[1].items() if k != "a"
+        }
+
     @pytest.mark.parametrize("configs", ["0", "-3"])
     def test_dixon_anderson_without_configs_exits_2(
         self, capsys, tmp_path: Path, configs: str

@@ -12,6 +12,7 @@ from scipy.special import erf
 
 import rmtdec
 from rmtdec.densities import (
+    _ORDER_LADDER,
     OrderedSpectrum,
     SingularSpectrum,
     log_chiral_batch,
@@ -23,6 +24,8 @@ from rmtdec.densities import (
     log_q_odd_batch,
     log_q_xy,
     normalize,
+    _placement_masses,
+    _settle,
 )
 from rmtdec.errors import BadParameter, InterlacingViolated, OutOfSupport
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
@@ -354,6 +357,32 @@ class TestDensityProperties:
         t = np.sort(np.abs(x))
         t[k + 1] = t[k]
         assert log_q_odd_batch(w, t[None, :], 2 * t.size - 1)[0] == -np.inf
+
+
+class TestPlacementMasses:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["gauss", "jacobi"]),
+        n=st.integers(1, 3),
+        cuts=st.lists(st.floats(0.02, 0.98), max_size=3, unique=True),
+    )
+    def test_sum_matches_normalize(self, family: str, n: int, cuts: list[float]) -> None:
+        # the placements of n points over any segment grid tile the ordered
+        # region; the Jacobi masses are taken in t with x = sin t, the
+        # normalization in x, on a box where the density is analytic in x
+        w = FAMILIES[family]
+        lo, hi = (-2.5, 3.0) if family == "gauss" else (-0.9, 0.95)
+        edges = [lo, *sorted(lo + c * (hi - lo) for c in cuts), hi]
+        assume(np.min(np.diff(edges)) > 1e-3)
+        logd = lambda x: log_p_beta_batch(w, 1, x)
+        masses = _settle(
+            lambda order: _placement_masses(w, logd, edges, n, lambda s: s.count(0), n + 1, order),
+            _ORDER_LADDER[n],
+            1e-11,
+            1e-6,
+        )
+        want = normalize(logd, n, (lo, hi), tol=1e-12)
+        assert masses.sum() == pytest.approx(want, rel=1e-10)
 
 
 def test_pair_products_and_determinants_live_in_densities() -> None:

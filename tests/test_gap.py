@@ -409,6 +409,22 @@ class TestBruteForce:
             se = max(est.stderr_of(k), 1e-12)
             assert abs(est.prob(k) - b) < 3.5 * se
 
+    @pytest.mark.parametrize(
+        "w,n,s,want",
+        [
+            (gauss_weight(), 3, 0.75, [0.17330697134126474, 0.59773569688209,
+                                       0.21896342609096636, 0.009993905685678844]),
+            (cauchy_weight(4.0), 3, 0.75, [0.0009152155242733233, 0.0741327778470623,
+                                           0.47106467757349163, 0.45388732905517276]),
+            (jacobi_weight(0.5), 2, 0.5, [0.20703125, 0.5825037944942959, 0.2104649555057039]),
+        ],
+        ids=["gauss", "cauchy4", "jacobi0.5"],
+    )
+    def test_values_are_pinned(self, w, n: int, s: float, want: list[float]) -> None:
+        # bit for bit: the order ladder, the composition summation order and
+        # the settling test are part of what the brute force computes
+        assert [gap_oe_bruteforce(w, n, (-s, s), k) for k in range(n + 1)] == want
+
     def test_order_cap(self) -> None:
         with pytest.raises(BadParameter):
             gap_oe_bruteforce(gauss_weight(), 5, (-1.0, 1.0), 0)
@@ -597,6 +613,10 @@ class TestWeightPairs:
         assert g.w2(np.array([0.5]))[0] == pytest.approx(math.exp(-0.25))
         c = pair_for_24cp("cauchy", 2, a=1.0)
         assert c.heavy_tail
+        # the report records the exponents each family's weights use
+        assert c.exponents == {"a": 1.0}
+        assert g.exponents == {} and pair_for_24("laguerre").exponents == {}
+        assert pair_for_24cp("jacobi", 2, a=1.0, b=2.0).exponents == {"a": 1.0, "b": 2.0}
         assert c.w2(np.array([1.0]))[0] == pytest.approx(2.0 ** -3.0)
         with pytest.raises(BadParameter):
             pair_for_24cp("cauchy", 2, a=0.0)

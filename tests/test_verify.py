@@ -11,11 +11,13 @@ from scipy import special, stats
 
 from rmtdec.densities import log_q_odd_batch
 from rmtdec.errors import BadParameter, EmptySample
+from rmtdec.numerics import integrate
 from rmtdec.samplers import EnsembleSpec, sample_ensemble
 from rmtdec.verify import (
     ALPHA,
     SubtestResult,
     VerificationReport,
+    _cell_probs,
     _chi2_sf,
     build_report,
     ks_two_sample,
@@ -320,3 +322,66 @@ class TestRecurrenceReport:
         assert rep.passed
         names = [s.name for s in rep.subtests]
         assert "theta_closed_form" in names
+
+
+def _ordered_pair_integral(f, lo1: float, hi1: float, lo2: float, hi2: float) -> float:
+    """Nested adaptive integral of f(u1, u2) over lo1 < u1 < hi1,
+    lo2 < u2 < hi2, u1 < u2; the outer range is split where the inner lower
+    limit max(u1, lo2) has its kink."""
+    hi1 = min(hi1, hi2)
+    if not lo1 < hi1:
+        return 0.0
+
+    def outer(u1s: np.ndarray) -> np.ndarray:
+        return np.array([
+            integrate(lambda u2: f(np.full(u2.size, u1), u2), (max(u1, lo2), hi2), tol=1e-12)
+            if max(u1, lo2) < hi2 else 0.0
+            for u1 in u1s
+        ])
+
+    cuts = [lo1, *(c for c in (lo2,) if lo1 < c < hi1), hi1]
+    return sum(integrate(outer, (a, b), tol=1e-11) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class TestQOddCellProbs:
+    """The n = 3 cell probabilities against nested adaptive integrals of the
+    odd-location marginal w1(x1) w1(x2) (x2^2 - x1^2) (c(x1) - c(x2)), c the
+    companion weight, written out in x (Gauss) or in t with x = sin t
+    (Jacobi, where 1 - x^2 = cos(t)^2 keeps its precision near omega)."""
+
+    @pytest.mark.parametrize(
+        "w,cols",
+        [
+            (gauss_weight(), ([0.0, 0.4, 1.0, math.inf], [0.0, 0.7, 1.5, math.inf])),
+            (jacobi_weight(0.0), ([0.0, 0.3, 0.6, 1.0], [0.0, 0.45, 0.8, 1.0])),
+            (jacobi_weight(0.5), ([0.0, 0.3, 0.6, 1.0], [0.0, 0.45, 0.8, 1.0])),
+        ],
+        ids=["gauss", "jacobi0", "jacobi0.5"],
+    )
+    def test_cells_match_nested_integrals(self, w, cols) -> None:
+        probs = _cell_probs(w, 3, np.array(cols)).reshape(3, 3)
+        if math.isinf(w.omega):
+            to_u = lambda x: x
+
+            def f(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+                c1, c2 = np.exp(-0.5 * x1**2), np.exp(-0.5 * x2**2)
+                return c1 * c2 * (x2**2 - x1**2) * (c1 - c2)
+
+        else:
+            to_u = math.asin
+
+            def f(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+                k1, k2 = np.cos(t1), np.cos(t2)
+                vdm = np.sin(t2 - t1) * np.sin(t2 + t1)
+                comp = k1 ** (2 * w.a + 2) - k2 ** (2 * w.a + 2)
+                return (k1 * k2) ** (2 * w.a + 1) * vdm * comp
+
+        u = [[to_u(e) for e in col] for col in cols]
+        z = _ordered_pair_integral(f, u[0][0], u[0][-1], u[1][0], u[1][-1])
+        # (1, 1) is cut by the diagonal, (2, 2) is cut and touches omega,
+        # (0, 2) touches omega uncut, and (2, 0) lies above the diagonal
+        for i, j in ((1, 1), (2, 2), (0, 2), (2, 0)):
+            want = _ordered_pair_integral(f, u[0][i], u[0][i + 1], u[1][j], u[1][j + 1]) / z
+            assert probs[i, j] == pytest.approx(want, rel=1e-9, abs=1e-15), (i, j)
+        assert probs[2, 0] == 0.0
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
