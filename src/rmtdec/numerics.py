@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -113,34 +113,38 @@ def tan_transformed_rule(lo: float, hi: float, panels: int, order: int) -> Quadr
 
 def _panel_values(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    ends: Sequence[tuple[float, float]],
     transform: bool,
-) -> tuple[list[float], list[float], bool]:
-    """High-order estimates of the integral of f over panel (a, b) and their
-    errors against the embedded low-order rule, one per component, and
-    whether f returned (k, npts) rather than (npts,).
+) -> tuple[list[tuple[list[float], list[float]]], bool]:
+    """For each panel (a, b) in ``ends``, high-order estimates of the integral
+    of f over it and their errors against the embedded low-order rule, one
+    per component; and whether f returned (k, npts) rather than (npts,).
 
-    When ``transform`` is set, (a, b) are tan-substitution coordinates and the
-    Jacobian is applied here.  A non-finite value raises NonConvergence: its
-    panel could never settle.
+    All panels' nodes go to f in one call.  When ``transform`` is set, the
+    ends are tan-substitution coordinates and the Jacobian is applied here.
+    A non-finite value raises NonConvergence: its panel could never settle.
     """
     xh, wh = _leggauss(16)
     xl, wl = _leggauss(8)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    u = np.concatenate([mid + half * xh, mid + half * xl])
+    x = np.concatenate([xh, xl])
+    ab = np.asarray(ends, dtype=float)
+    mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
+    u = (mid[:, None] + half[:, None] * x).ravel()
     vals = np.asarray(f(np.tan(u) if transform else u), dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[-1] != u.size:
         raise BadParameter(f"integrand returned shape {vals.shape}, not (npts,) or (k, npts)")
     if transform:
         vals = vals / np.cos(u) ** 2
-    rows = vals.reshape(-1, u.size)
-    hi = [half * float(np.dot(wh, r[:16])) for r in rows]
-    lo = [half * float(np.dot(wl, r[16:])) for r in rows]
-    # the weights are positive, so a non-finite value makes its sum non-finite
-    if not all(map(math.isfinite, hi + lo)):
-        raise NonConvergence(f"integrand is not finite on panel ({a}, {b})")
-    return hi, [abs(h - l) for h, l in zip(hi, lo)], vals.ndim == 2
+    rows = vals.reshape(-1, len(ab), x.size)
+    out = []
+    for p, (a, b) in enumerate(ends):
+        hi = [half[p] * float(np.dot(wh, r[p, :16])) for r in rows]
+        lo = [half[p] * float(np.dot(wl, r[p, 16:])) for r in rows]
+        # the weights are positive, so a non-finite value makes its sum non-finite
+        if not all(map(math.isfinite, hi + lo)):
+            raise NonConvergence(f"integrand is not finite on panel ({a}, {b})")
+        out.append((hi, [abs(h - l) for h, l in zip(hi, lo)]))
+    return out, vals.ndim == 2
 
 
 def integrate(
@@ -179,10 +183,9 @@ def integrate(
 
     # panel: (a, b, values, errors, depth), one value and error per component
     edges = np.linspace(a, b, 9)
-    panels = []
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        val, err, vector = _panel_values(f, pa, pb, transform)
-        panels.append((pa, pb, val, err, 0))
+    ends = list(zip(edges[:-1], edges[1:]))
+    sweep, vector = _panel_values(f, ends, transform)
+    panels = [(pa, pb, val, err, 0) for (pa, pb), (val, err) in zip(ends, sweep)]
     comps = range(len(panels[0][2]))
 
     for _ in range(200_000):
@@ -200,39 +203,45 @@ def integrate(
                 f"integrate: error {err_total[c]:.3e} above tol at max depth over {interval}"
             )
         mid = 0.5 * (pa + pb)
-        panels[worst] = (pa, mid, *_panel_values(f, pa, mid, transform)[:2], depth + 1)
-        panels.append((mid, pb, *_panel_values(f, mid, pb, transform)[:2], depth + 1))
+        left, right = _panel_values(f, [(pa, mid), (mid, pb)], transform)[0]
+        panels[worst] = (pa, mid, *left, depth + 1)
+        panels.append((mid, pb, *right, depth + 1))
     raise NonConvergence(f"integrate: panel budget exhausted over {interval}")
 
 
-# grids up to this many nodes are kept; the top rungs of the dim-4 order
-# ladders hold 1e5 to 1.7e6 nodes (up to 67 MB) and are rebuilt per call
+# grids up to this many nodes keep their blocks; the top rungs of the dim-4
+# order ladders (1e5 to 1.7e6 nodes) rebuild them block by block per call
 _GRID_CACHE_NODES = 100_000
+# rows of the tensor grid built and evaluated at a time
+_BLOCK_ROWS = 1 << 14
 
 
-def _build_tensor_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on (0, 1)^dim as an (order**dim, dim) array, and
-    the log of each node's product weight; both read-only."""
+def _tensor_block(order: int, dim: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows start .. start + _BLOCK_ROWS of the Gauss-Legendre grid on
+    (0, 1)^dim, in C order over the order**dim nodes, and the log of each
+    node's product weight; both read-only."""
     g, gw = _leggauss(order)
     t = 0.5 * (g + 1.0)
     tw = 0.5 * gw
-    grids = np.meshgrid(*([t] * dim), indexing="ij")
-    tmat = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrids = np.meshgrid(*([tw] * dim), indexing="ij")
-    logwt = np.sum(np.log(np.stack([gr.ravel() for gr in wgrids], axis=1)), axis=1)
+    idx = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, order**dim)), (order,) * dim)
+    tmat = np.stack([t[i] for i in idx], axis=1)
+    logwt = np.sum(np.log(np.stack([tw[i] for i in idx], axis=1)), axis=1)
     tmat.setflags(write=False)
     logwt.setflags(write=False)
     return tmat, logwt
 
 
-_cached_tensor_grid = lru_cache(maxsize=32)(_build_tensor_grid)
+@lru_cache(maxsize=32)
+def _cached_tensor_blocks(order: int, dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    return tuple(_tensor_block(order, dim, s) for s in range(0, order**dim, _BLOCK_ROWS))
 
 
-def _tensor_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_build_tensor_grid``, cached for grids of at most _GRID_CACHE_NODES."""
+def _tensor_blocks(order: int, dim: int) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of the order**dim grid in row order, cached for grids of at
+    most _GRID_CACHE_NODES nodes and built one at a time above that."""
     if order**dim <= _GRID_CACHE_NODES:
-        return _cached_tensor_grid(order, dim)
-    return _build_tensor_grid(order, dim)
+        return _cached_tensor_blocks(order, dim)
+    return (_tensor_block(order, dim, s) for s in range(0, order**dim, _BLOCK_ROWS))
 
 
 def ordered_tensor(
@@ -245,12 +254,15 @@ def ordered_tensor(
 
     The region holds ``counts[i]`` ascending points in segment
     (edges[i], edges[i+1]); ``log_density`` receives a (batch, sum(counts))
-    array of ascending rows in x-space.  Within a segment (a, b) the points
-    come from the iterated map u_j = u_{j-1} + (b - u_{j-1}) t_j on
-    t in (0,1)^c, whose Jacobian is prod (b - u_{j-1}).  An infinite outer
-    edge sends every edge through u = atan(x), with the sec^2 Jacobian
-    applied here.  Raises InvalidInterval unless the edges ascend strictly
-    and there is one count per segment.
+    array of ascending rows in x-space and must be row-wise, each row's value
+    independent of the others, since the grid is evaluated in blocks of
+    _BLOCK_ROWS rows.  Within a segment (a, b) the points come from the
+    iterated map u_j = u_{j-1} + (b - u_{j-1}) t_j on t in (0,1)^c, whose
+    Jacobian is prod (b - u_{j-1}).  An infinite outer edge sends every edge
+    through u = atan(x), with the sec^2 Jacobian applied here.  Memory is
+    8 bytes per grid node plus one block's temporaries.  Raises
+    InvalidInterval unless the edges ascend strictly and there is one count
+    per segment.
     """
     x_edges = np.asarray(edges, dtype=float)
     if x_edges.ndim != 1 or x_edges.size != len(counts) + 1:
@@ -266,29 +278,35 @@ def ordered_tensor(
     else:
         bounds = [float(e) for e in x_edges]
 
-    tmat, logwt = _tensor_grid(order, sum(counts))
-    u = np.empty_like(tmat)
-    logjac = np.zeros(tmat.shape[0])
-    col = 0
-    for a, b, c in zip(bounds[:-1], bounds[1:], counts):
-        prev = np.full(tmat.shape[0], a)
-        for _ in range(c):
-            span = b - prev
-            u[:, col] = prev + span * tmat[:, col]
-            logjac += np.log(span)
-            prev = u[:, col]
-            col += 1
-    if transform:
-        xs = np.tan(u)
-        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
-    else:
-        xs = u
+    dim = sum(counts)
+    logvals = np.empty(order**dim)
+    start = 0
+    for tmat, logwt in _tensor_blocks(order, dim):
+        u = np.empty_like(tmat)
+        logjac = np.zeros(tmat.shape[0])
+        col = 0
+        for a, b, c in zip(bounds[:-1], bounds[1:], counts):
+            prev = np.full(tmat.shape[0], a)
+            for _ in range(c):
+                span = b - prev
+                u[:, col] = prev + span * tmat[:, col]
+                logjac += np.log(span)
+                prev = u[:, col]
+                col += 1
+        if transform:
+            xs = np.tan(u)
+            logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
+        else:
+            xs = u
+        stop = start + tmat.shape[0]
+        logvals[start:stop] = np.asarray(log_density(xs), dtype=float) + logjac + logwt
+        start = stop
 
-    logvals = np.asarray(log_density(xs), dtype=float) + logjac + logwt
     peak = float(np.max(logvals))
     if not np.isfinite(peak):
         return 0.0
-    return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
+    logvals -= peak
+    return float(np.exp(peak) * np.sum(np.exp(logvals, out=logvals)))
 
 
 def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

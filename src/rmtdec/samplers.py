@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,6 +54,8 @@ _CIRCULAR = ("COE", "CUE", "Oplus", "Ominus")
 _BLOCKS = 4
 # |tan(theta/2)| beyond which a Cayley row falls back to eigvals
 _CAYLEY_MAX = 100.0
+# rows formatted per write by SampleBatch.to_csv and to_jsonl
+_IO_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,16 @@ class SampleBatch:
     def to_csv(self, path) -> None:
         """Write a "# spec=... seed=... diagnostics={...}" line, the column
         header v1..vN, then one row per spectrum.  Values are written with
-        %.17g, so they read back bit-identically; the whole body is one
-        format operation over the flattened ``spectra.tolist()``."""
+        %.17g, so they read back bit-identically; each block of _IO_ROWS
+        rows is one format operation over its flattened ``tolist()``."""
         diag = json.dumps(self.diagnostics, sort_keys=True, separators=(",", ":"))
         head = f"# spec={self.label} seed={self.seed} diagnostics={diag}\n"
         columns = ",".join(f"v{i + 1}" for i in range(self.width)) + "\n"
         row = ",".join(["%.17g"] * self.width) + "\n"
-        body = row * self.count % tuple(self.spectra.ravel().tolist())
-        Path(path).write_text(head + columns + body)
+        with Path(path).open("w") as fh:
+            fh.write(head + columns)
+            for block in self._blocks():
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":
@@ -182,9 +186,9 @@ class SampleBatch:
 
     def to_jsonl(self, path) -> None:
         """Write a header object {"diagnostics", "seed", "spec", "width"},
-        then one {"values": [...]} object per spectrum.  The rows come from
-        one ``json.dumps`` of ``spectra.tolist()``, cut at the "], [" between
-        rows (float text never holds a bracket)."""
+        then one {"values": [...]} object per spectrum.  Each block of
+        _IO_ROWS rows comes from one ``json.dumps`` of its ``tolist()``, cut
+        at the "], [" between rows (float text never holds a bracket)."""
         head = json.dumps(
             {
                 "spec": self.label,
@@ -194,9 +198,15 @@ class SampleBatch:
             },
             sort_keys=True,
         )
-        rows = json.dumps(self.spectra.tolist())[1:-1]
-        body = '{"values": ' + rows.replace("], [", ']}\n{"values": [') + "}\n"
-        Path(path).write_text(head + "\n" + (body if self.count else ""))
+        with Path(path).open("w") as fh:
+            fh.write(head + "\n")
+            for block in self._blocks():
+                rows = json.dumps(block.tolist())[1:-1]
+                fh.write('{"values": ' + rows.replace("], [", ']}\n{"values": [') + "}\n")
+
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """The spectra in consecutive blocks of at most _IO_ROWS rows."""
+        return (self.spectra[i : i + _IO_ROWS] for i in range(0, self.count, _IO_ROWS))
 
     @classmethod
     def from_jsonl(cls, path) -> "SampleBatch":

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rmtdec import gap, numerics
+from rmtdec import densities, gap, numerics
 from rmtdec.errors import (
     BadParameter,
     InvalidInterval,
@@ -22,6 +23,7 @@ from rmtdec.numerics import (
     sym_eigen,
     tan_transformed_rule,
 )
+from rmtdec.weights import gauss_weight, jacobi_weight
 
 
 class TestIntegrate:
@@ -157,24 +159,131 @@ class TestTensorGridCache:
         assert vals[0] == vals[1] == vals[2]
 
     def test_cached_grid_is_shared_and_read_only(self) -> None:
-        tmat, logwt = numerics._tensor_grid(9, 3)
-        again = numerics._tensor_grid(9, 3)
-        assert again[0] is tmat and again[1] is logwt
+        blocks = numerics._tensor_blocks(9, 3)
+        again = numerics._tensor_blocks(9, 3)
+        assert len(blocks) == 1
+        tmat, logwt = blocks[0]
+        assert again[0][0] is tmat and again[0][1] is logwt
         assert tmat.shape == (9**3, 3) and logwt.shape == (9**3,)
         for arr in (tmat, logwt):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_large_grids_not_retained(self) -> None:
-        # 22^4 = 234,256 nodes: above the cap, so rebuilt on every call
+        # 22^4 = 234,256 nodes: above the cap, so rebuilt block by block on every call
         assert 22**4 > numerics._GRID_CACHE_NODES
-        before = numerics._cached_tensor_grid.cache_info().currsize
-        first = numerics._tensor_grid(22, 4)
-        second = numerics._tensor_grid(22, 4)
-        assert numerics._cached_tensor_grid.cache_info().currsize == before
-        assert first[0] is not second[0]
-        np.testing.assert_array_equal(first[0], second[0])
-        np.testing.assert_array_equal(first[1], second[1])
+        before = numerics._cached_tensor_blocks.cache_info().currsize
+        first = list(numerics._tensor_blocks(22, 4))
+        second = list(numerics._tensor_blocks(22, 4))
+        assert numerics._cached_tensor_blocks.cache_info().currsize == before
+        assert first[0][0] is not second[0][0]
+        assert len(first) == len(second) == -(-(22**4) // numerics._BLOCK_ROWS)
+        for (t1, l1), (t2, l2) in zip(first, second):
+            np.testing.assert_array_equal(t1, t2)
+            np.testing.assert_array_equal(l1, l2)
+
+    @pytest.mark.parametrize("order,dim", [(9, 3), (129, 2), (12, 4), (18, 4)])
+    def test_blocks_tile_the_meshgrid_grid(self, order: int, dim: int) -> None:
+        tmat, logwt = _whole_grid(order, dim)
+        blocks = list(numerics._tensor_blocks(order, dim))
+        assert all(t.shape[0] <= numerics._BLOCK_ROWS for t, _ in blocks)
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), tmat)
+        np.testing.assert_array_equal(np.concatenate([lw for _, lw in blocks]), logwt)
+
+
+def _whole_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order**dim Gauss-Legendre grid on (0, 1)^dim in one piece, and the
+    log of each node's product weight."""
+    g, gw = np.polynomial.legendre.leggauss(order)
+    t, tw = 0.5 * (g + 1.0), 0.5 * gw
+    tmat = np.stack([gr.ravel() for gr in np.meshgrid(*([t] * dim), indexing="ij")], axis=1)
+    wmat = np.stack([gr.ravel() for gr in np.meshgrid(*([tw] * dim), indexing="ij")], axis=1)
+    return tmat, np.sum(np.log(wmat), axis=1)
+
+
+def _whole_grid_tensor(log_density, edges, counts, order: int) -> float:
+    """``ordered_tensor`` with the whole grid evaluated in one call."""
+    x_edges = np.asarray(edges, dtype=float)
+    transform = not np.all(np.isfinite(x_edges))
+    if transform:
+        bounds = [
+            math.atan(e) if np.isfinite(e) else math.copysign(0.5 * math.pi, e)
+            for e in x_edges
+        ]
+    else:
+        bounds = [float(e) for e in x_edges]
+    tmat, logwt = _whole_grid(order, sum(counts))
+    u = np.empty_like(tmat)
+    logjac = np.zeros(tmat.shape[0])
+    col = 0
+    for a, b, c in zip(bounds[:-1], bounds[1:], counts):
+        prev = np.full(tmat.shape[0], a)
+        for _ in range(c):
+            span = b - prev
+            u[:, col] = prev + span * tmat[:, col]
+            logjac += np.log(span)
+            prev = u[:, col]
+            col += 1
+    if transform:
+        xs = np.tan(u)
+        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
+    else:
+        xs = u
+    logvals = np.asarray(log_density(xs), dtype=float) + logjac + logwt
+    peak = float(np.max(logvals))
+    if not np.isfinite(peak):
+        return 0.0
+    return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
+
+
+def _beta1_gauss(x: np.ndarray) -> np.ndarray:
+    return densities.log_p_beta_batch(gauss_weight(), 1, x)
+
+
+class TestBlockedTensor:
+    # 2^14 = 16,384 rows per block: 127^2, 25^3 and 11^4 fit in one block,
+    # 129^2, 26^3 and 12^4 need two; 18^4 is above _GRID_CACHE_NODES
+    @pytest.mark.parametrize(
+        "edges,counts,order",
+        [
+            ([-np.inf, np.inf], [1], 80),
+            ([-1.5, 0.2, 2.0], [1, 1], 127),
+            ([-np.inf, 0.2, np.inf], [1, 1], 128),
+            ([-1.5, 0.2, 2.0], [2, 0], 129),
+            ([-2.0, -0.3, 0.4, np.inf], [1, 1, 1], 25),
+            ([-np.inf, 0.5, np.inf], [2, 1], 26),
+            ([-1.0, 1.0], [4], 11),
+            ([-np.inf, -0.5, 0.5, np.inf], [1, 2, 1], 12),
+            ([-np.inf, 0.0, np.inf], [3, 1], 18),
+        ],
+    )
+    def test_matches_whole_grid_bit_for_bit(self, edges, counts, order: int) -> None:
+        got = ordered_tensor(_beta1_gauss, edges, counts, order)
+        assert got == _whole_grid_tensor(_beta1_gauss, edges, counts, order)
+
+    @pytest.mark.parametrize(
+        "edges,counts,order",
+        [([-1.0, 0.3, 1.0], [2, 1], 26), ([-1.0, -0.2, 0.3, 1.0], [1, 2, 1], 12)],
+    )
+    def test_jacobi_sin_map_bit_for_bit(self, edges, counts, order: int) -> None:
+        w = jacobi_weight(0.5)
+        log_density = lambda x: densities.log_p_beta_batch(w, 1, x)
+        got = densities._support_tensor(w, log_density, edges, counts, order)
+        log_density_t = lambda t: log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
+        assert got == _whole_grid_tensor(log_density_t, np.arcsin(edges), counts, order)
+
+    def test_memory_is_one_array_per_node(self) -> None:
+        # 234,256 rows: the whole-grid rule traced 37 MB here, a dozen
+        # temporaries per row; the blocked rule 5.4 MB, 8 bytes a row plus a block
+        f = lambda x: -0.5 * np.sum(x**2, axis=1)
+        ordered_tensor(f, [-1.0, 2.0], [4], 8)
+        tracemalloc.start()
+        try:
+            ordered_tensor(f, [-1.0, 2.0], [4], 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmtdec import gap
+from rmtdec import gap, samplers
 from rmtdec.densities import log_p_beta_batch, normalize
 from rmtdec.errors import BadParameter, PoleAtPi, StuckChain
 from rmtdec.samplers import (
@@ -654,6 +654,17 @@ class TestSerialization:
         batch = self._golden_batch()
         path = tmp_path / f"b.{fmt}"
         getattr(batch, f"to_{fmt}")(path)
+        want = self.GOLDEN_CSV if fmt == "csv" else self.GOLDEN_JSONL
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_blocked_writes_match_golden_text(self, tmp_path, monkeypatch, fmt: str,
+                                              rows: int) -> None:
+        # writers format _IO_ROWS rows at a time; any block size gives the same bytes
+        monkeypatch.setattr(samplers, "_IO_ROWS", rows)
+        path = tmp_path / f"b.{fmt}"
+        getattr(self._golden_batch(), f"to_{fmt}")(path)
         want = self.GOLDEN_CSV if fmt == "csv" else self.GOLDEN_JSONL
         assert path.read_bytes() == want.encode()
 
