@@ -28,14 +28,8 @@ import numpy as np
 
 from .densities import _log_vdm_rows, _placement_masses, _settle, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
-from .numerics import (
-    QuadratureRule,
-    composite_gl_rule,
-    integrate,
-    sym_eigen,
-    tan_transformed_rule,
-)
-from .orthopoly import OrthoSystem, _probe_moment, build, gram, squared_argument_rule
+from .numerics import integrate, sym_eigen
+from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
 from .samplers import (
     EnsembleSpec,
     McmcParams,
@@ -94,6 +88,8 @@ class GapPolynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.size != self.n + 1:
             raise BadParameter(f"need {self.n + 1} entries for order {self.n}")
+        if not np.all(np.isfinite(c)):
+            raise NonConvergence(f"gap coefficients are not finite: {c}")
         if np.min(c) < -_COEFF_SLACK or np.max(c) > 1.0 + _COEFF_SLACK:
             raise NonConvergence(f"gap coefficients escape [0, 1]: {c}")
         if abs(float(c.sum()) - 1.0) > _SUM_TOL:
@@ -200,83 +196,41 @@ def _bernoulli_coeffs(lams: np.ndarray) -> np.ndarray:
 
 
 def gap_ue_exact(
-    w2: AdmissibleWeight | Callable[[np.ndarray], np.ndarray],
-    n: int,
-    J: tuple[float, float],
-    support: tuple[float, float] | None = None,
+    w2: AdmissibleWeight | ClassicalWeight, n: int, J: tuple[float, float]
 ) -> GapPolynomial:
     """Exact E(0..n; J) for n eigenvalues with joint density prod w2 |Vdm|^2.
 
-    ``w2`` is an admissible weight (its squared-base weight is used) or a
-    plain callable with an explicit ``support``.
+    ``w2`` is a classical weight, or an admissible weight whose squared-base
+    weight is used.
     """
-    if isinstance(w2, AdmissibleWeight):
-        fn, supp = w2.w2, w2.support
-    else:
-        if support is None:
-            raise BadParameter("a callable weight needs an explicit support")
-        fn, supp = w2, support
     if n < 1:
         raise BadParameter("need at least one eigenvalue")
-    sys = build(fn, supp, n - 1)
+    sys = build(w2.w2 if isinstance(w2, AdmissibleWeight) else w2, n - 1)
     G = gram(sys, J, list(range(n)))
     lams, _ = sym_eigen(G)
     return GapPolynomial(_bernoulli_coeffs(lams), n, (float(J[0]), float(J[1])))
 
 
-def _squared_rules(omega: float, s: float) -> tuple[QuadratureRule, QuadratureRule]:
-    """Pushforward rules under u = x^2 for the build and the Gram restriction."""
-    if math.isinf(omega):
-        base = tan_transformed_rule(0.0, math.inf, 125, 16)
-    else:
-        base = composite_gl_rule(0.0, omega, 125, 16)
-    grambase = composite_gl_rule(0.0, s, 64, 16)
-    return squared_argument_rule(base), squared_argument_rule(grambase)
-
-
-def gap_chue_exact(
-    w2: AdmissibleWeight | Callable[[np.ndarray], np.ndarray],
-    mu: int,
-    m: int,
-    s: float,
-    support: tuple[float, float] | None = None,
-) -> GapPolynomial:
+def gap_chue_exact(w2: AdmissibleWeight, mu: int, m: int, s: float) -> GapPolynomial:
     """Exact E(0..m; (0, s)) for m positive points with density
     prod x^(2 mu) w2(x) * Vdm(x^2)^2.
 
-    Mapped to u = x^2 the weight is u^(mu - 1/2) w2(sqrt u); the pushforward
-    quadrature keeps every evaluation at u > 0, so the half-integer power at
-    the origin never enters, and the polynomial system is built only to
-    degree m - 1 (heavy-tailed images have no higher moments to spare).
-    On infinite support the u-moment of order 2(m - 1) is probed first, as
-    ``build`` does by default, except for the Gauss weight, which has every
-    moment; a divergent one raises MomentDivergence.
+    Mapped to u = x^2 the weight is u^(mu - 1/2) w2(sqrt u), a Laguerre,
+    Jacobi or beta-prime weight in closed form; ``gram`` takes its power at
+    u = 0 with a Gauss-Jacobi panel.  The system is built only to degree
+    m - 1, and a mapped weight without the u-moments of order 2(m - 1)
+    raises MomentDivergence.
     """
     if mu not in (0, 1):
         raise BadParameter("mu must be 0 or 1")
     if m < 0:
         raise BadParameter("m must be nonnegative")
-    if not s > 0.0:
-        raise BadParameter("need s > 0")
+    if not 0.0 < s <= w2.omega or math.isinf(s):
+        raise BadParameter(f"need a finite s with 0 < s <= {w2.omega}")
     if m == 0:
         return GapPolynomial(np.array([1.0]), 0, (0.0, float(s)))
-    if isinstance(w2, AdmissibleWeight):
-        fn, omega = w2.w2, w2.omega
-    else:
-        if support is None:
-            raise BadParameter("a callable weight needs an explicit support")
-        fn, omega = w2, support[1]
-    has_every_moment = isinstance(w2, AdmissibleWeight) and w2.family == "gauss"
-    if math.isinf(omega) and not has_every_moment:
-        _probe_moment(lambda x: x ** (2 * mu) * fn(x), (0.0, omega), 2 * (m - 1))
-
-    def mapped(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return u ** (mu - 0.5) * fn(np.sqrt(u))
-
-    build_rule, gram_rule = _squared_rules(omega, s)
-    sys = build(mapped, (0.0, omega**2), m - 1, rule=build_rule)
-    G = gram(sys, (0.0, s**2), list(range(m)), rule=gram_rule)
+    sys = build(w2.w2.squared_argument(mu), m - 1)
+    G = gram(sys, (0.0, s**2), list(range(m)))
     lams, _ = sym_eigen(G)
     return GapPolynomial(_bernoulli_coeffs(lams), m, (0.0, float(s)))
 
@@ -355,7 +309,7 @@ def _odd_block(
     m = (n - 1) // 2
     if m == 0:
         return 0, None, []
-    return m, build(w1.w2, w1.support, 2 * m - 1), list(range(1, 2 * m, 2))
+    return m, build(w1.w2, 2 * m - 1), list(range(1, 2 * m, 2))
 
 
 def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
@@ -377,7 +331,8 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     p_s = sys.evaluate(np.array([s]), odd_idx)[:, 0]
 
     def odd(x: np.ndarray, wx: np.ndarray) -> np.ndarray:
-        rows = wx * sys.evaluate(x, odd_idx)  # row k: wx p_{2k-1}(x), k = 1..m
+        with np.errstate(divide="ignore"):  # wx underflows to 0 at the far nodes
+            rows = sys.evaluate(x, odd_idx, np.log(wx))  # row k: wx p_{2k-1}(x), k = 1..m
         return np.concatenate([rows, theta1(w1, x) * rows])
 
     A = _w1_integral(w1, odd, 0.0, s)
@@ -709,8 +664,8 @@ def check_B1_structure(
 
 @dataclass(frozen=True)
 class WeightPair:
-    """A beta = 1 base weight and the beta = 2 weight its superposition
-    decimates to, on a shared support.
+    """A beta = 1 base weight and the classical beta = 2 weight its
+    superposition decimates to, on the support of ``w2``.
 
     ``exact`` draws sorted beta = 1 rows, (n, count, seed, workers) -> array,
     from a matrix model of the base weight; None leaves Metropolis on
@@ -719,12 +674,15 @@ class WeightPair:
     """
 
     name: str
-    support: tuple[float, float]
     log_w1: Callable[[np.ndarray], np.ndarray]
-    w2: Callable[[np.ndarray], np.ndarray]
+    w2: ClassicalWeight
     heavy_tail: bool = False
     exact: Callable[[int, int, int, int], np.ndarray] | None = None
     exponents: Mapping[str, float] = field(default_factory=dict, hash=False)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.w2.support
 
 
 def _laguerre_rows(p: float) -> Callable[[int, int, int, int], np.ndarray]:
@@ -750,7 +708,7 @@ def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
             return np.where(x > 0.0, -0.5 * x, -np.inf)
 
         return WeightPair(
-            "laguerre", (0.0, math.inf), lw1, lambda x: np.exp(-x), exact=_laguerre_rows(0.0)
+            "laguerre", lw1, ClassicalWeight("laguerre"), exact=_laguerre_rows(0.0)
         )
     if family == "jacobi":
         if a <= -1.0:
@@ -762,7 +720,7 @@ def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
             return np.where((x > 0.0) & (x < 1.0), v, -np.inf)
 
         return WeightPair(
-            "jacobi", (0.0, 1.0), jw1, lambda x: (1.0 - x) ** a,
+            "jacobi", jw1, ClassicalWeight("jacobi", a, 0.0, (0.0, 1.0)),
             exact=_jacobi_rows(1.0, a, 0.0), exponents={"a": a},
         )
     raise BadParameter(f"no same-size superposition row for {family!r}")
@@ -773,9 +731,8 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
     if family == "gauss":
         return WeightPair(
             "gauss",
-            (-math.inf, math.inf),
             lambda x: -0.5 * x * x,
-            lambda x: np.exp(-x * x),
+            ClassicalWeight("hermite"),
             exact=lambda n, count, seed, workers: sample_gaussian_matrix(
                 1, n, count, seed, workers
             ).spectra,
@@ -791,9 +748,8 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
 
         return WeightPair(
             "laguerre",
-            (0.0, math.inf),
             lw1,
-            lambda x: x**a * np.exp(-x),
+            ClassicalWeight("laguerre", b=a),
             exact=_laguerre_rows(0.5 * (a - 1.0)),
             exponents={"a": a},
         )
@@ -808,9 +764,8 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
 
         return WeightPair(
             "jacobi",
-            (-1.0, 1.0),
             jw1,
-            lambda x: (1.0 + x) ** a * (1.0 - x) ** b,
+            ClassicalWeight("jacobi", b, a),
             exact=_jacobi_rows(a, b, -1.0),
             exponents={"a": a, "b": b},
         )
@@ -820,9 +775,8 @@ def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> Weight
         ex = 0.5 * (n + a + 1.0)
         return WeightPair(
             "cauchy",
-            (-math.inf, math.inf),
             lambda x: -ex * np.log1p(x * x),
-            lambda x: (1.0 + x * x) ** (-(n + a)),
+            ClassicalWeight("romanovski", n + a),
             heavy_tail=True,
             exponents={"a": a},
         )
@@ -910,7 +864,7 @@ def _check_pair_convolution(
         J = (pair.support[0], si) if side == "left" else (si, pair.support[1])
         pA = _count_probs(runA, J)
         pB = _count_probs(runB, J)
-        poly = gap_ue_exact(pair.w2, n, J, support=pair.support)
+        poly = gap_ue_exact(pair.w2, n, J)
         for ki in ks:
             rhs, var = _label_convolution(pA, pB, identity, ki, count)
             checks.append(_z_or_residual(f"k={ki}_s={si:g}", poly.prob(ki), rhs, var, count))

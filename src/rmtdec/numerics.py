@@ -26,9 +26,7 @@ __all__ = [
     "integrate",
     "ordered_tensor",
     "sym_eigen",
-    "gauss_legendre_rule",
     "composite_gl_rule",
-    "tan_transformed_rule",
 ]
 
 
@@ -42,12 +40,7 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights integrating over ``interval``.
-
-    Infinite endpoints are permitted; such rules are built through the
-    substitution x = tan(u) with the Jacobian folded into the weights,
-    so nodes are always finite reals.
-    """
+    """Nodes and positive weights integrating over ``interval``."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -66,20 +59,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
-
-
-def gauss_legendre_rule(lo: float, hi: float, order: int) -> QuadratureRule:
-    """Plain Gauss-Legendre rule on a finite interval."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise InvalidInterval("gauss_legendre_rule needs finite endpoints")
-    if not lo < hi:
-        raise InvalidInterval(f"empty interval ({lo}, {hi})")
-    x, w = _leggauss(order)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return QuadratureRule(mid + half * x, half * w, (lo, hi))
-
 
 def composite_gl_rule(lo: float, hi: float, panels: int, order: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule: ``panels`` equal panels of ``order`` nodes."""
@@ -91,23 +70,6 @@ def composite_gl_rule(lo: float, hi: float, panels: int, order: int) -> Quadratu
     halfs = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
     weights = (halfs[:, None] * w[None, :]).ravel()
-    return QuadratureRule(nodes, weights, (lo, hi))
-
-
-def tan_transformed_rule(lo: float, hi: float, panels: int, order: int) -> QuadratureRule:
-    """Composite rule on a possibly infinite interval via x = tan(u).
-
-    The returned nodes live in x-space and the sec^2 Jacobian is folded into
-    the weights, so ``rule.apply(f)`` approximates the integral of f over
-    (lo, hi) directly.
-    """
-    ulo = math.atan(lo) if np.isfinite(lo) else -0.5 * math.pi
-    uhi = math.atan(hi) if np.isfinite(hi) else 0.5 * math.pi
-    if not ulo < uhi:
-        raise InvalidInterval(f"empty interval ({lo}, {hi})")
-    base = composite_gl_rule(ulo, uhi, panels, order)
-    nodes = np.tan(base.nodes)
-    weights = base.weights / np.cos(base.nodes) ** 2
     return QuadratureRule(nodes, weights, (lo, hi))
 
 
@@ -312,11 +274,14 @@ def ordered_tensor(
 def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    Raises NotSymmetric when the relative asymmetry exceeds 1e-12.
+    Raises NotSymmetric when the relative asymmetry exceeds 1e-12 and
+    NonConvergence when an entry is not finite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric("expected a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise NonConvergence("matrix has non-finite entries")
     scale = max(float(np.linalg.norm(m)), 1.0)
     if float(np.linalg.norm(m - m.T)) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")

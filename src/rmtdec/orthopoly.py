@@ -1,194 +1,300 @@
-"""Orthonormal polynomials for arbitrary positive weights.
+"""Orthonormal polynomials of the classical weights, in closed form.
 
-Built by the discrete Stieltjes procedure on a dense quadrature
-discretization of the weight, which keeps one code path for classical and
-heavy-tailed weights alike.  Gram matrices of the polynomials over
-subintervals are the raw material for every determinantal gap probability
-downstream.
+Every weight an engine builds on is classical: Hermite, Laguerre, Jacobi,
+Romanovski or beta-prime.  Their monic three-term recurrences, masses and
+the degree up to which their moments exist are known in closed form (DLMF
+18.9; Gautschi, *Orthogonal Polynomials*, 2004), so ``build`` reads them
+from one table.  Gram matrices of the orthonormal functions p_k sqrt(w)
+over subintervals are the raw material for every determinantal gap
+probability downstream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
+from scipy.special import beta as beta_fn, betaln, gamma
 
-from .errors import BadParameter, MomentDivergence, NonConvergence
-from .numerics import (
-    QuadratureRule,
-    composite_gl_rule,
-    integrate,
-    tan_transformed_rule,
-)
+from .errors import BadParameter, MomentDivergence, OutOfSupport
+from .numerics import composite_gl_rule
 
 __all__ = [
+    "ClassicalWeight",
     "OrthoSystem",
     "build",
     "gram",
-    "squared_argument_rule",
 ]
 
-DEGREE_CAP = 40
+_LINE, _HALF_LINE = (-math.inf, math.inf), (0.0, math.inf)
+_SUPPORTS = {"hermite": _LINE, "laguerre": _HALF_LINE, "romanovski": _LINE, "betaprime": _HALF_LINE}
+
+
+@dataclass(frozen=True)
+class ClassicalWeight:
+    """A classical weight: its shape, exponents a and b, and support.
+
+        hermite     e^{-x^2}                  on (-inf, inf)
+        laguerre    x^b e^{-x}                on (0, inf)
+        jacobi      (hi - x)^a (x - lo)^b     on (lo, hi) = ``support``
+        romanovski  (1 + x^2)^{-a}            on (-inf, inf)
+        betaprime   x^b (1 + x)^{-a}          on (0, inf)
+
+    b is always the exponent at the lower end; a sets the upper end or the
+    tail.  Calling the record evaluates the weight on its open support.
+    """
+
+    shape: str
+    a: float = 0.0
+    b: float = 0.0
+    support: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        fixed = _SUPPORTS.get(self.shape)
+        if fixed is None and self.shape != "jacobi":
+            raise BadParameter(f"unknown weight shape {self.shape!r}")
+        support = self.support or fixed or (-1.0, 1.0)
+        finite = -math.inf < support[0] < support[1] < math.inf
+        if (support != fixed) if fixed else not finite:
+            raise BadParameter(f"a {self.shape} weight cannot live on {support}")
+        object.__setattr__(self, "support", support)
+
+    def log(self, x: float | np.ndarray) -> np.ndarray:
+        """log w(x) on the open support; it stays finite where w underflows."""
+        x = np.asarray(x, dtype=float)
+        (lo, hi), a, b = self.support, self.a, self.b
+        if np.any((x <= lo) | (x >= hi)):
+            raise OutOfSupport(f"{self.shape} weight defined only on ({lo}, {hi})")
+        return {
+            "hermite": lambda: -(x**2),
+            "laguerre": lambda: b * np.log(x) - x,
+            "jacobi": lambda: a * np.log(hi - x) + b * np.log(x - lo),
+            "romanovski": lambda: -a * np.log1p(x**2),
+            "betaprime": lambda: b * np.log(x) - a * np.log1p(x),
+        }[self.shape]()
+
+    def __call__(self, x: float | np.ndarray) -> np.ndarray:
+        return np.exp(self.log(x))
+
+    def squared_argument(self, mu: int) -> ClassicalWeight:
+        """The weight u^(mu - 1/2) w(sqrt u) of u = x^2 for this even weight w:
+        Hermite maps to Laguerre, symmetric Jacobi to Jacobi on (0, hi^2) and
+        Romanovski to beta-prime."""
+        (lo, hi), b = self.support, mu - 0.5
+        if self.shape == "hermite":
+            return ClassicalWeight("laguerre", b=b)
+        if self.shape == "jacobi" and self.a == self.b and lo == -hi:
+            return ClassicalWeight("jacobi", self.a, b, (0.0, hi * hi))
+        if self.shape == "romanovski":
+            return ClassicalWeight("betaprime", self.a, b)
+        raise BadParameter(f"{self} is not an even weight")
+
+    def moments_exist(self, degree: int) -> bool:
+        """Whether the mass and every moment up to order 2 * degree are finite."""
+        a, b, top = self.a, self.b, 2 * degree + 1.0
+        return {"hermite": True, "laguerre": b > -1.0, "jacobi": min(a, b) > -1.0,
+                "romanovski": top < 2.0 * a, "betaprime": b > -1.0 and top + b < a}[self.shape]
+
+
+def _jacobi_recurrence(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_0..alpha_{degree-1} and beta_1..beta_degree of the monic Jacobi
+    polynomials for (1 - t)^a (1 + t)^b on (-1, 1).  alpha_0 and beta_1 use
+    their reduced forms, which settle the 0/0 at a + b = 0 and a + b = -1."""
+    k = np.arange(degree, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (s * (s + 2.0))
+        k, s = k + 1.0, s + 2.0
+        beta = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    if degree:
+        alpha[0] = (b - a) / (a + b + 2.0)
+        beta[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    return alpha, beta
+
+
+def _monic_recurrence(w: ClassicalWeight, degree: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """alpha_0..alpha_{degree-1}, beta_1..beta_degree and the mass of w."""
+    a, b = w.a, w.b
+    k = np.arange(1, degree + 1, dtype=float)  # the index of beta_k
+    if w.shape == "hermite":
+        return np.zeros(degree), 0.5 * k, math.sqrt(math.pi)
+    if w.shape == "laguerre":
+        return 2.0 * k + b - 1.0, k * (k + b), float(gamma(b + 1.0))
+    if w.shape == "romanovski":
+        beta = k * (2.0 * a - k) / ((2.0 * a - 2.0 * k) ** 2 - 1.0)
+        return np.zeros(degree), beta, float(beta_fn(0.5, a - 0.5))
+    if w.shape == "jacobi":
+        lo, hi = w.support
+        mass = np.exp((a + b + 1.0) * math.log(hi - lo) + betaln(a + 1.0, b + 1.0))
+        alpha, beta = _jacobi_recurrence(a, b, degree)
+    else:
+        # the moments of x^b (1 + x)^(-a) are proportional to those of the
+        # Jacobi weight (0 - x)^b (x + 1)^(-a) on (-1, 0), continued in a
+        lo, hi = -1.0, 0.0
+        mass = beta_fn(b + 1.0, a - b - 1.0)
+        alpha, beta = _jacobi_recurrence(b, -a, degree)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * alpha, half * half * beta, float(mass)
 
 
 @dataclass(frozen=True)
 class OrthoSystem:
-    """Orthonormal polynomial family p_0..p_max_degree for one weight.
+    """Orthonormal polynomial family p_0..p_max_degree for one classical weight.
 
-    recur_a[j], recur_b[j] are the symmetric three-term coefficients in
-    x p_j = recur_b[j+1] p_{j+1} + recur_a[j] p_j + recur_b[j] p_{j-1},
-    with recur_b[0] = sqrt(total mass) normalizing p_0.  norms[j] is the
-    leading coefficient of p_j.
+    recur_a[j] (j < max_degree) and recur_b[j] are the symmetric three-term
+    coefficients in x p_j = recur_b[j+1] p_{j+1} + recur_a[j] p_j + recur_b[j] p_{j-1},
+    with recur_b[0] = sqrt(total mass) normalizing p_0.
     """
 
-    weight: Callable[[np.ndarray], np.ndarray]
-    interval: tuple[float, float]
+    weight: ClassicalWeight
     max_degree: int
     recur_a: np.ndarray
     recur_b: np.ndarray
-    norms: np.ndarray
 
     def evaluate(
-        self, x: np.ndarray, indices: Sequence[int] | None = None
+        self, x: np.ndarray, indices: Sequence[int] | None = None, log_factor: float | np.ndarray = 0.0
     ) -> np.ndarray:
-        """Matrix P[i, j] = p_{indices[i]}(x_j); all degrees when indices is None."""
+        """Matrix P[i, j] = exp(log_factor_j) p_{indices[i]}(x_j); all degrees
+        when indices is None.
+
+        The recurrence runs on p_k alone and is renormalized every
+        _RESCALE steps, its scale kept as a logarithm together with
+        log_factor, so a factor that underflows on its own (a weight root far
+        out) and a p_k that overflows on its own still give their product.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if indices is None:
-            indices = range(self.max_degree + 1)
-        indices = list(indices)
+        indices = list(range(self.max_degree + 1) if indices is None else indices)
         if indices and max(indices) > self.max_degree:
-            raise BadParameter(
-                f"degree {max(indices)} beyond system cap {self.max_degree}"
-            )
+            raise BadParameter(f"degree {max(indices)} beyond system degree {self.max_degree}")
         top = max(indices, default=0)
         rows = np.empty((top + 1, x.size))
-        prev = np.zeros_like(x)
-        cur = np.full_like(x, 1.0 / self.recur_b[0])
-        rows[0] = cur
+        log_scale = np.broadcast_to(np.asarray(log_factor, dtype=float) - math.log(self.recur_b[0]), x.shape)
+        rows[0] = scale = np.exp(log_scale)
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        a, b = self.recur_a, self.recur_b
         for j in range(top):
-            nxt = ((x - self.recur_a[j]) * cur - self.recur_b[j] * prev) / self.recur_b[
-                j + 1
-            ]
-            prev, cur = cur, nxt
-            rows[j + 1] = cur
+            prev, cur = cur, ((x - a[j]) * cur - b[j] * prev) / b[j + 1]
+            if j % _RESCALE == _RESCALE - 1:
+                size = np.abs(prev) + np.abs(cur)
+                prev, cur = prev / size, cur / size
+                log_scale = log_scale + np.log(size)
+                scale = np.exp(log_scale)
+            rows[j + 1] = scale * cur
         return rows[indices]
 
 
-def _probe_moment(
-    weight: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    degree: int,
-) -> None:
-    # an integrand that overflows is not finite on some panel and fails at once
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = integrate(lambda x: x ** (2 * degree) * weight(x), interval, tol=1e-6)
-    except NonConvergence:
-        value = np.inf
-    if not np.isfinite(value):
-        raise MomentDivergence(
-            f"moment of order {2 * degree} does not converge on {interval}"
-        )
+_RESCALE = 8  # p_k grows like |x|^k, so eight steps stay far inside the float range
 
 
-def build(
-    weight: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    max_degree: int,
-    rule: QuadratureRule | None = None,
-) -> OrthoSystem:
-    """Stieltjes construction of the orthonormal family up to max_degree.
-
-    ``rule`` overrides the default dense discretization; its nodes must carry
-    the plain Lebesgue measure on ``interval`` (the weight is applied here).
-    Raises MomentDivergence when the needed moments fail to converge.
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise BadParameter(f"empty interval {interval}")
-    if not 0 <= max_degree <= DEGREE_CAP:
-        raise BadParameter(f"max_degree must be in [0, {DEGREE_CAP}]")
-    if rule is None:
-        if np.isfinite(lo) and np.isfinite(hi):
-            rule = composite_gl_rule(lo, hi, 125, 16)
-        else:
-            _probe_moment(weight, interval, max_degree)
-            rule = tan_transformed_rule(lo, hi, 125, 16)
-
-    nodes = rule.nodes
-    rho = np.asarray(weight(nodes), dtype=float) * rule.weights
-    if np.any(rho < 0) or not np.all(np.isfinite(rho)):
-        raise BadParameter("weight must be nonnegative and finite on the nodes")
-
-    mass = float(rho.sum())
-    if mass <= 0:
-        raise BadParameter("weight has no mass on the discretization")
-    recur_a = np.zeros(max_degree + 1)
-    recur_b = np.zeros(max_degree + 1)
-    recur_b[0] = np.sqrt(mass)
-
-    sq = np.sqrt(rho)
-    prev = np.zeros_like(nodes)
-    cur = sq / recur_b[0]  # p_0(x_i) sqrt(rho_i)
-    for j in range(max_degree + 1):
-        recur_a[j] = float(np.dot(nodes * cur, cur))
-        if j == max_degree:
-            break
-        raw = (nodes - recur_a[j]) * cur - (recur_b[j] if j > 0 else 0.0) * prev
-        norm = float(np.linalg.norm(raw))
-        if norm < 1e-13 * np.sqrt(mass):
-            raise BadParameter(f"measure cannot support degree {j + 1}")
-        recur_b[j + 1] = norm
-        prev, cur = cur, raw / norm
-
-    norms = np.empty(max_degree + 1)
-    norms[0] = 1.0 / recur_b[0]
-    for j in range(1, max_degree + 1):
-        norms[j] = norms[j - 1] / recur_b[j]
-    return OrthoSystem(weight, (float(lo), float(hi)), max_degree, recur_a, recur_b, norms)
+def build(weight: ClassicalWeight, max_degree: int) -> OrthoSystem:
+    """The orthonormal family of ``weight`` up to max_degree, from the table;
+    MomentDivergence when the weight lacks the moments of order 2 * max_degree."""
+    if not isinstance(weight, ClassicalWeight):
+        raise BadParameter(f"build needs a ClassicalWeight, got {type(weight).__name__}")
+    if max_degree < 0:
+        raise BadParameter(f"max_degree must be nonnegative, got {max_degree}")
+    if not weight.moments_exist(max_degree):
+        raise MomentDivergence(f"{weight} has no finite moments up to order {2 * max_degree}")
+    alpha, beta, mass = _monic_recurrence(weight, max_degree)
+    if not 0.0 < mass < math.inf:
+        raise BadParameter(f"the mass of {weight} is {mass}, outside the float range")
+    return OrthoSystem(weight, max_degree, alpha, np.sqrt(np.concatenate([[mass], beta])))
 
 
-def gram(
-    sys: OrthoSystem,
-    J: tuple[float, float],
-    indices: Sequence[int] | None = None,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
+def gram(sys: OrthoSystem, J: tuple[float, float], indices: Sequence[int] | None = None) -> np.ndarray:
     """G[j, k] = int_J w p_j p_k over the clipped interval J.
 
-    Empty or degenerate J yields the zero matrix.  A custom ``rule`` (plain
-    Lebesgue nodes/weights on J) replaces the default composite one.
+    The orthonormal functions p_k sqrt(w) come from the recurrence with
+    the factor sqrt(w), in log form, at the nodes of ``_gram_rule``, which
+    is sized to the top degree.  Empty or degenerate J yields the zero
+    matrix.
     """
-    if indices is None:
-        indices = range(sys.max_degree + 1)
-    indices = list(indices)
-    size = len(indices)
-    lo = max(sys.interval[0], J[0])
-    hi = min(sys.interval[1], J[1])
+    indices = list(range(sys.max_degree + 1) if indices is None else indices)
+    w = sys.weight
+    lo, hi = max(w.support[0], J[0]), min(w.support[1], J[1])
     if not lo < hi:
-        return np.zeros((size, size))
-    if rule is None:
-        if np.isfinite(lo) and np.isfinite(hi):
-            rule = composite_gl_rule(lo, hi, 48, 16)
-        else:
-            rule = tan_transformed_rule(lo, hi, 96, 16)
-    p = sys.evaluate(rule.nodes, indices)
-    rho = np.asarray(sys.weight(rule.nodes), dtype=float) * rule.weights
-    g = (p * rho) @ p.T
+        return np.zeros((len(indices), len(indices)))
+    nodes, weights = _gram_rule(w, lo, hi, max(indices, default=0))
+    q = sys.evaluate(nodes, indices, 0.5 * w.log(nodes))
+    g = (q * weights) @ q.T
     return 0.5 * (g + g.T)
 
 
-def squared_argument_rule(base: QuadratureRule) -> QuadratureRule:
-    """Push a rule on (0, b) forward through u = x^2, Jacobian included.
+# past its turning point the square of a Hermite or Laguerre function falls
+# at least as fast as e^{-x^2} past the origin: 5e-22 at x = 7
+_MARGIN = 7.0
+_ORDER = 16
 
-    Used to integrate against mapped weights u^{mu-1/2} w2(sqrt(u)) without
-    ever evaluating near the u = 0 singularity: the returned nodes are x_i^2
-    and the weights 2 x_i w_i, so the x-space rule's accuracy carries over.
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for (1 + t)^e on (-1, 1), from the
+    eigenvectors of the table's Jacobi matrix (Golub-Welsch)."""
+    alpha, beta = _jacobi_recurrence(0.0, e, _ORDER)
+    off = np.sqrt(beta[:-1])
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (e + 1.0) / (e + 1.0) * vecs[0] ** 2
+
+
+def _gram_rule(w: ClassicalWeight, lo: float, hi: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and plain weights for int_lo^hi p_j p_k w, j, k <= top.
+
+    Each shape is integrated in a chart v where its functions oscillate
+    evenly: x itself for Hermite, y = sqrt(x) for Laguerre, x = lo + (hi -
+    lo) sin^2(v / 2) for Jacobi, x = tan(v) for Romanovski, x = tan(v)^2
+    for beta-prime.  Hermite and Laguerre ranges end _MARGIN past the
+    turning point of degree top.  The v range gets equal Gauss-Legendre
+    panels, as many as its width times the oscillation frequency needs.
+    Where J reaches an end of the support, the integrand of the top pair is
+    s^e times a smooth function of s = |x - end| (finite end) or s = 1/|x|
+    (infinite end); lower pairs add integer powers of s.  That end panel is
+    Gauss-Jacobi in s for the power e, with the power divided out of its
+    weights as recomputed from the float node x, so it cancels exactly
+    against the weight evaluated there.
     """
-    if base.interval[0] < 0 or np.any(base.nodes < 0):
-        raise BadParameter("squared_argument_rule needs a rule on (0, b)")
-    lo, hi = base.interval
-    return QuadratureRule(
-        base.nodes**2, 2.0 * base.nodes * base.weights, (lo * lo, hi * hi)
-    )
+    (slo, shi), a, b = w.support, w.a, w.b
+    if w.shape in ("hermite", "laguerre"):
+        sq = w.shape == "laguerre"
+        turn = math.sqrt(4.0 * top + 2.0 * b + 2.0 if sq else 2.0 * top + 1.0)
+        vlo = max(math.sqrt(lo) if sq else lo, -turn - _MARGIN)
+        vhi = min(math.sqrt(hi) if sq else hi, turn + _MARGIN)
+        to_x, jac = (np.square, lambda x: 2.0 * np.sqrt(x)) if sq else ((lambda v: v), np.ones_like)
+        freq, powers = 2.0 * turn, (b if sq else None, None)
+    elif w.shape == "jacobi":
+        width = shi - slo
+        vlo, vhi = (2.0 * math.asin(math.sqrt((v - slo) / width)) for v in (lo, hi))
+        to_x = lambda v: slo + width * np.sin(0.5 * v) ** 2
+        jac = lambda x: np.sqrt((x - slo) * (shi - x))
+        freq, powers = 2.0 * top + abs(a) + abs(b) + 2.0, (b, a)
+    else:
+        sq = w.shape == "betaprime"
+        vlo, vhi = (math.atan(math.sqrt(v) if sq else v) for v in (lo, hi))
+        to_x = (lambda v: np.tan(v) ** 2) if sq else np.tan
+        jac = (lambda x: 2.0 * np.sqrt(x) * (1.0 + x)) if sq else (lambda x: 1.0 + x * x)
+        n = 4.0 * top + 2.0 * b + 2.0 if sq else 2.0 * top + 1.0
+        tail = a - b - 2.0 * top - 2.0 if sq else 2.0 * (a - top - 1.0)
+        freq, powers = 2.0 * math.sqrt(2.0 * a * n) + 2.0 * n, (b if sq else tail, tail)
+    panels = max(48, math.ceil((vhi - vlo) * freq / 4.0))
+    edges = np.linspace(vlo, vhi, panels + 1)
+    keep = np.ones((panels, _ORDER), dtype=bool)
+    nodes, weights = [], []
+    for side, e in enumerate(powers):
+        end = (slo, shi)[side]
+        if e is None or (lo, hi)[side] != end:
+            continue
+        keep[-side] = False
+        e = e if e < 2 * _ORDER - 1 else 0.0  # a high power is smooth enough for Gauss-Legendre
+        t, g = _gauss_jacobi(e)
+        inner = float(to_x(edges[-2 if side else 1]))
+        span = abs(inner - end) if math.isfinite(end) else 1.0 / abs(inner)
+        s = 0.5 * span * (1.0 + t)
+        x = end + math.copysign(1.0, inner - end) * s if math.isfinite(end) else math.copysign(1.0, inner) / s
+        s, ds = (np.abs(x - end), 1.0) if math.isfinite(end) else (1.0 / np.abs(x), x * x)
+        nodes.append(x)
+        weights.append((0.5 * span) ** (1.0 + e) * g * ds / s**e)
+    rule = composite_gl_rule(vlo, vhi, panels, _ORDER)
+    x = to_x(rule.nodes[keep.ravel()])
+    return np.concatenate([x, *nodes]), np.concatenate([rule.weights[keep.ravel()] * jac(x), *weights])

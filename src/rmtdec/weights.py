@@ -22,6 +22,7 @@ from scipy.special import betainc, gammainc
 
 from .errors import BadParameter, OrderExceeded, OutOfSupport
 from .numerics import integrate
+from .orthopoly import ClassicalWeight
 
 __all__ = [
     "AdmissibleWeight",
@@ -143,17 +144,13 @@ class AdmissibleWeight:
             out = (1.0 + arr**2) ** (-self.a)
         return float(out) if arr.ndim == 0 else out
 
-    def w2(self, x: float | np.ndarray) -> float | np.ndarray:
-        """phi * w1^2: e^{-x^2}, (1-x^2)^{2a+1}, (1+x^2)^{-2a-1}."""
-        arr = np.asarray(x, dtype=float)
-        self._check_support(arr)
-        if self.family == "gauss":
-            out = np.exp(-(arr**2))
-        elif self.family == "jacobi":
-            out = (1.0 - arr**2) ** (2.0 * self.a + 1.0)
-        else:
-            out = (1.0 + arr**2) ** (-2.0 * self.a - 1.0)
-        return float(out) if arr.ndim == 0 else out
+    @property
+    def w2(self) -> ClassicalWeight:
+        """phi * w1^2 as a callable classical weight: Hermite e^{-x^2},
+        Jacobi (1-x^2)^{2a+1} or Romanovski (1+x^2)^{-2a-1}."""
+        c = 2.0 * (self.a or 0.0) + 1.0
+        shape = {"gauss": ("hermite",), "jacobi": ("jacobi", c, c), "cauchy": ("romanovski", c)}
+        return ClassicalWeight(*shape[self.family])
 
     def psi(self, x: float | np.ndarray) -> float | np.ndarray:
         """-theta1(x)/companion(x), with psi(0) = 0 by continuity."""

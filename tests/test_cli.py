@@ -178,6 +178,59 @@ class TestGapCommand:
         )
         assert code == 3
 
+    def test_jacobi_negative_exponent_ue(self, capsys) -> None:
+        # the incomplete-beta moment reference gives E(0) = 0.8104851607056552
+        code, text = run(
+            capsys, "gap", "--kind", "ue", "--family", "jacobi", "--a", "-0.9", "--n", "2",
+            "--interval", "-0.5", "0.5",
+        )
+        assert code == 0
+        assert json.loads(text)["coeffs"][0] == pytest.approx(0.8104851607056552, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "ue", "--n", "42", "--interval", "-0.5", "0.5"],
+            ["--kind", "oe", "--n", "43", "--s", "0.5"],
+        ],
+        ids=["ue42", "oe43"],
+    )
+    def test_exact_engines_past_n_41(self, capsys, argv: list[str]) -> None:
+        code, text = run(capsys, "gap", "--family", "gauss", *argv)
+        assert code == 0
+        d = json.loads(text)
+        assert d["engine"] == "exact"
+        assert sum(d["coeffs"]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_large_n_exit_codes(self, capsys) -> None:
+        """Every exact engine ends in a documented exit code at large n, on
+        finite and infinite ranges, and never lets a raw numpy error out.
+        Even-n OE counts Monte Carlo rows, so the Cauchy family, whose even
+        OE rows come from Metropolis, runs only its odd-n exact engine."""
+        families = [
+            ["--family", "gauss"],
+            ["--family", "jacobi", "--a", "0.5"],
+            ["--family", "jacobi", "--a", "-0.5"],
+            ["--family", "cauchy", "--a", "3"],
+            ["--family", "cauchy", "--a", "40"],
+        ]
+        ranges = {
+            "ue": [["--interval", "-0.5", "0.5"], ["--interval", "0.5", "inf"]],
+            "chue": [["--s", "0.5"], ["--s", "inf"]],
+            "oe": [["--s", "0.5"], ["--s", "inf"]],
+        }
+        for fam in families:
+            for n in (41, 42, 60, 120):
+                for kind, kind_ranges in ranges.items():
+                    if kind == "oe" and n % 2 == 0 and fam[1] == "cauchy":
+                        continue
+                    for rng in kind_ranges:
+                        argv = ["gap", "--kind", kind, *fam, "--n", str(n), *rng,
+                                "--count", "100", "--workers", "1"]
+                        code = cli.main(argv)
+                        capsys.readouterr()
+                        assert code in (0, 2, 3), argv
+
     def test_missing_interval_flag(self, capsys) -> None:
         code, _ = run(capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "3")
         assert code == 2
@@ -190,6 +243,15 @@ class TestVerifyCommand:
         assert "overall: PASS" in text
         payload = json.loads(text[text.index("{") :])
         assert payload["passed"] is True
+
+    def test_thm_gap_jacobi_negative_exponent_passes(self, capsys) -> None:
+        # two exact engines at a = -1/4, where (1 - x^2)^(2a+1) has a
+        # non-integer exponent; they agree to far below the 1e-8 gate
+        code, _ = run(
+            capsys, "verify", "thm_gap", "--family", "jacobi", "--a", "-0.25", "--n", "3",
+            "--s", "0.5",
+        )
+        assert code == 0
 
     def test_report_written_to_file(self, capsys, tmp_path: Path) -> None:
         out = tmp_path / "rep.json"

@@ -35,7 +35,7 @@ from rmtdec.gap import (
     _label_convolution,
 )
 from rmtdec.numerics import integrate
-from rmtdec.orthopoly import build, gram
+from rmtdec.orthopoly import ClassicalWeight, build, gram
 from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, make_weight, theta1
 
@@ -52,6 +52,13 @@ class TestGapPolynomial:
     def test_bad_sum(self) -> None:
         with pytest.raises(NonConvergence):
             GapPolynomial(np.array([0.5, 0.4]), 1, (0.0, 1.0))
+
+    def test_non_finite_entry(self) -> None:
+        # NaN escapes every range and sum comparison, so it is tested on its own
+        with pytest.raises(NonConvergence):
+            GapPolynomial(np.array([np.nan, np.nan]), 1, (0.0, 1.0))
+        with pytest.raises(NonConvergence):
+            GapPolynomial(np.array([np.nan, 1.0]), 1, (0.0, 1.0))
 
     def test_prob_outside_range(self) -> None:
         p = GapPolynomial(np.array([0.25, 0.75]), 1, (0.0, 1.0))
@@ -136,7 +143,7 @@ class TestGapUe:
         w = gauss_weight()
         J = (-0.7, 0.4)
         p = gap_ue_exact(w, 3, J)
-        sys = build(w.w2, w.support, 2)
+        sys = build(w.w2, 2)
         G = gram(sys, J, [0, 1, 2])
         assert p.prob(0) == pytest.approx(float(np.linalg.det(np.eye(3) - G)), abs=1e-11)
 
@@ -149,9 +156,38 @@ class TestGapUe:
             se = max(est.stderr_of(k), 1e-12)
             assert abs(est.prob(k) - p.prob(k)) < 3.5 * se
 
-    def test_callable_needs_support(self) -> None:
+    def test_plain_callable_rejected(self) -> None:
+        # the engines take classical weight records, not bare callables
         with pytest.raises(BadParameter):
             gap_ue_exact(lambda x: np.exp(-(x**2)), 2, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("n", [60, 101])
+    def test_parity_split_at_large_n(self, n: int) -> None:
+        # even and odd Hermite functions are the two chiral systems, so the
+        # UE generating function on (-s, s) is the product of the chUE ones
+        w, s = gauss_weight(), 1.3
+        ue = gap_ue_exact(w, n, (-s, s)).coeffs
+        even = gap_chue_exact(w, 0, (n + 1) // 2, s).coeffs
+        odd = gap_chue_exact(w, 1, n // 2, s).coeffs
+        assert_allclose(ue, np.convolve(even, odd), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_infinite_ranges_at_large_n(self, n: int) -> None:
+        # on the whole line the Gram is the identity, so all n points lie in
+        # J; on (-inf, 0.5) the engine matches the Gram of a rule with ten
+        # times the nodes on (-25, 0.5), past which the Hermite functions up
+        # to degree 79 are below 1e-100
+        w = gauss_weight()
+        assert_allclose(gap_ue_exact(w, n, (-np.inf, np.inf)).coeffs, np.eye(n + 1)[n], atol=1e-13)
+        t, h = np.polynomial.legendre.leggauss(40)
+        edges = np.linspace(-25.0, 0.5, 801)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * t).ravel()
+        q = build(w.w2, n - 1).evaluate(x, None, -0.5 * x**2)
+        want = np.array([1.0])
+        for lam in np.linalg.eigvalsh((q * (half * h).ravel()) @ q.T):
+            want = np.convolve(want, [1.0 - lam, lam])
+        assert_allclose(gap_ue_exact(w, n, (-np.inf, 0.5)).coeffs, want, rtol=0, atol=1e-12)
 
     def test_needs_points(self) -> None:
         with pytest.raises(BadParameter):
@@ -198,17 +234,17 @@ class TestGapChue:
         with pytest.raises(MomentDivergence):
             gap_chue_exact(w, 0, 4, 1.0)
         assert gap_chue_exact(w, 0, 3, 1.0).n == 3
-        # x^24 overflows before the divergence shows; the probe must still fail
+        # the beta-prime image u^(-1/2) (1 + u)^(-9) has no u-moment of order 12
         with pytest.raises(MomentDivergence):
             gap_chue_exact(cauchy_weight(4.0), 0, 7, 1.0)
 
-    def test_gauss_skips_the_moment_probe(self) -> None:
-        # the Gauss weight has every moment; a probe of x^116 times the
-        # weight on the tan-mapped half line overflows to nan instead
-        s = 0.5 * math.sqrt(30)
-        p = gap_chue_exact(gauss_weight(), 0, 30, s)
-        assert p.n == 30
-        assert abs(p.coeffs.sum() - 1.0) <= 1e-8
+    def test_gauss_has_every_moment(self) -> None:
+        # the Laguerre image of the Gauss weight has every moment, so no
+        # width is refused; m = 60 builds to degree 59
+        for m in (30, 60):
+            p = gap_chue_exact(gauss_weight(), 0, m, 0.5 * math.sqrt(m))
+            assert p.n == m
+            assert abs(p.coeffs.sum() - 1.0) <= 1e-8
 
     def test_parameter_validation(self) -> None:
         w = gauss_weight()
@@ -562,7 +598,7 @@ class TestOddPartsIntegrals:
     def test_components_match_scalar_integrals(self, w, n: int, s: float) -> None:
         parts = gap._odd_parts(w, n, s)
         m = (n - 1) // 2
-        sys = build(w.w2, w.support, 2 * m - 1)
+        sys = build(w.w2, 2 * m - 1)
         th1s = float(theta1(w, s))
 
         def w1_integral(f, lo, hi):
@@ -622,6 +658,22 @@ class TestWeightPairs:
             pair_for_24cp("cauchy", 2, a=0.0)
         with pytest.raises(BadParameter):
             pair_for_24cp("hermite", 2)
+
+    @pytest.mark.parametrize("n,a,t", [(2, -0.75, 0.5), (3, 0.5, 0.3), (4, -0.9, 0.2)])
+    def test_eq24_jacobi_hard_edge_gap(self, n: int, a: float, t: float) -> None:
+        # w2 = (1 - x)^a on (0, 1) has E(0; (0, t)) = (1 - t)^(n (n + a));
+        # at a = -3/4, n = 2, t = 1/2 that is 2^(-5/2) = 0.1767767
+        p = gap_ue_exact(pair_for_24("jacobi", a).w2, n, (0.0, t))
+        assert p.prob(0) == pytest.approx((1.0 - t) ** (n * (n + a)), abs=1e-12)
+
+    def test_pairs_carry_classical_weights(self) -> None:
+        assert pair_for_24("laguerre").w2 == ClassicalWeight("laguerre")
+        assert pair_for_24("jacobi", a=-0.5).w2 == ClassicalWeight("jacobi", -0.5, 0.0, (0.0, 1.0))
+        assert pair_for_24cp("gauss", 2).w2 == ClassicalWeight("hermite")
+        assert pair_for_24cp("laguerre", 2, a=1.5).w2 == ClassicalWeight("laguerre", b=1.5)
+        # (1 + x)^a (1 - x)^b: b is the exponent at the upper end
+        assert pair_for_24cp("jacobi", 2, a=1.0, b=2.0).w2 == ClassicalWeight("jacobi", 2.0, 1.0)
+        assert pair_for_24cp("cauchy", 2, a=1.0).w2 == ClassicalWeight("romanovski", 3.0)
 
     def test_only_cauchy_pair_uses_metropolis(self) -> None:
         assert pair_for_24cp("cauchy", 2, a=1.0).exact is None

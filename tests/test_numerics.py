@@ -17,12 +17,11 @@ from rmtdec.errors import (
 from rmtdec.numerics import (
     QuadratureRule,
     composite_gl_rule,
-    gauss_legendre_rule,
     integrate,
     ordered_tensor,
     sym_eigen,
-    tan_transformed_rule,
 )
+from rmtdec.orthopoly import ClassicalWeight, _gram_rule
 from rmtdec.weights import gauss_weight, jacobi_weight
 
 
@@ -334,13 +333,14 @@ class TestQuadratureRule:
 
     def test_gl_exactness_degree(self) -> None:
         # order-n GL integrates degree 2n-1 exactly
-        rule = gauss_legendre_rule(-1.0, 2.0, 6)
+        rule = composite_gl_rule(-1.0, 2.0, 1, 6)
         exact = (2.0**12 - 1.0) / 12.0
-        assert rule.apply(lambda x: x**11) == pytest.approx(exact, rel=1e-13)
+        assert np.dot(rule.weights, rule.nodes**11) == pytest.approx(exact, rel=1e-13)
 
     def test_tan_transform_gaussian(self) -> None:
-        rule = tan_transformed_rule(-np.inf, np.inf, 40, 16)
-        val = rule.apply(lambda x: np.exp(-(x**2) / 2))
+        # the x = tan(v) chart of the Romanovski Gram rule on the whole line
+        nodes, weights = _gram_rule(ClassicalWeight("romanovski", 1.0), -np.inf, np.inf, 0)
+        val = np.dot(weights, np.exp(-(nodes**2) / 2))
         assert val == pytest.approx(math.sqrt(2 * math.pi), rel=1e-11)
 
     def test_rejects_bad_weights(self) -> None:
@@ -349,7 +349,7 @@ class TestQuadratureRule:
 
     def test_rejects_empty_interval(self) -> None:
         with pytest.raises(InvalidInterval):
-            gauss_legendre_rule(1.0, 1.0, 4)
+            composite_gl_rule(1.0, 1.0, 1, 4)
 
 
 class TestSymEigen:
@@ -383,6 +383,13 @@ class TestSymEigen:
             sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotSymmetric):
             sym_eigen(np.zeros((2, 3)))
+
+    def test_rejects_non_finite(self) -> None:
+        # a NaN passes the asymmetry test, since no comparison with NaN holds
+        with pytest.raises(NonConvergence):
+            sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NonConvergence):
+            sym_eigen(np.diag([1.0, np.inf]))
 
     def test_residual_bound_random(self) -> None:
         rng = np.random.default_rng(11)
