@@ -16,8 +16,8 @@ ordered points on a segment grid in every possible way and add each
 placement's integral to the entry its label names.  The brute-force gap
 oracle in ``gap`` labels a placement by its count in J, and the odd-marginal
 fit in ``verify`` by the quantile cell its points fall in.  Integrals of a
-weight's density over its finite Jacobi support are taken in t with
-x = sin t (``_support_tensor``).
+weight's density over its finite Jacobi support, and ``normalize`` on any
+finite box, are taken in t with x = c + h sin t (``_sine_chart``).
 """
 
 from __future__ import annotations
@@ -251,11 +251,13 @@ def log_q_odd_batch(w1: AdmissibleWeight, x: np.ndarray, n: int) -> np.ndarray:
 # -- numeric normalization -------------------------------------------------------
 
 
+# the last rung of each ladder is there for ``normalize``'s sine chart, whose
+# nodes in the middle of a box lie pi/2 times farther apart than in x itself
 _ORDER_LADDER = {
-    1: [16, 24, 36, 54, 80],
-    2: [8, 12, 18, 27, 40, 60],
-    3: [8, 12, 18, 27, 40, 60],
-    4: [8, 12, 18, 24, 32],
+    1: [16, 24, 36, 54, 80, 120],
+    2: [8, 12, 18, 27, 40, 60, 90],
+    3: [8, 12, 18, 27, 40, 60, 90],
+    4: [8, 12, 18, 24, 32, 48],
 }
 
 
@@ -290,11 +292,15 @@ def _support_tensor(
     """
     if math.isinf(w.omega):
         return ordered_tensor(log_density, edges, counts, order)
+    return ordered_tensor(_sine_chart(log_density, 0.0, 1.0), np.arcsin(edges), counts, order)
 
-    def log_density_t(t: np.ndarray) -> np.ndarray:
-        return log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
 
-    return ordered_tensor(log_density_t, np.arcsin(edges), counts, order)
+def _sine_chart(log_density: Callable[[np.ndarray], np.ndarray], c: float,
+                h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``log_density`` in t with x = c + h sin t, plus the log Jacobian
+    sum log(h cos t): an endpoint power (x - lo)^a (hi - x)^b on
+    (c - h, c + h) becomes a power of cos t."""
+    return lambda t: log_density(c + h * np.sin(t)) + np.sum(np.log(h * np.cos(t)), axis=1)
 
 
 def _placement_masses(w: AdmissibleWeight, log_density: Callable[[np.ndarray], np.ndarray],
@@ -324,15 +330,22 @@ def normalize(
 ) -> float:
     """Integral of exp(log_density) over the ordered region lo < x_1 < ... < hi.
 
-    ``log_density`` must accept a (batch, n) array of ascending rows.  The
-    tensor order is escalated until two successive estimates agree to ``tol``
-    relative; failing that raises NonConvergence.  Restricted to n <= 4.
+    ``log_density`` must accept a (batch, n) array of ascending rows.  On a
+    finite support the integral is taken in t with x = c + h sin t
+    (``_sine_chart``), so that an endpoint singularity such as the Jacobi
+    (1 - x^2)^a does not stall the rule; on an infinite one it is taken in
+    x.  The tensor order is escalated until two successive estimates agree
+    to ``tol`` relative; failing that raises NonConvergence.  Restricted to
+    n <= 4.
     """
     if not 1 <= n <= 4:
         raise BadParameter("normalize supports 1 <= n <= 4")
     lo, hi = support
     if not lo < hi:
         raise BadParameter(f"empty support {support}")
-    return _settle(
-        lambda order: ordered_tensor(log_density, support, [n], order), _ORDER_LADDER[n], tol
-    )
+    if math.isinf(lo) or math.isinf(hi):
+        f, edges = log_density, support
+    else:
+        f = _sine_chart(log_density, 0.5 * (lo + hi), 0.5 * (hi - lo))
+        edges = (-0.5 * math.pi, 0.5 * math.pi)
+    return _settle(lambda order: ordered_tensor(f, edges, [n], order), _ORDER_LADDER[n], tol)

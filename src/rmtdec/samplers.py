@@ -6,8 +6,12 @@ Cayley transform is Hermitian with eigenvalues tan(theta/2)), the
 tangent-half-angle pullbacks of COE/CUE for the matched Cauchy weights,
 and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi (Edelman-Sutton)
 bidiagonal models with real parameters for the chiral and Jacobi laws and
-the Oplus/Ominus angles.  Only the rare COE/CUE row with an angle near pi
-calls a non-symmetric eigensolver.  A generic random-walk Metropolis
+the Oplus/Ominus angles.  Matrices of order 1 and 2 take closed forms at
+each linear-algebra step (the Haar QR, U^T U, the Cayley step, Hermitian
+eigenvalues and bidiagonal singular values), so small-n batches pay no
+per-matrix LAPACK call; from order 3 on the steps are LAPACK's.  Only the
+rare COE/CUE row with an angle near pi, or with I + U singular, calls a
+non-symmetric eigensolver.  A generic random-walk Metropolis
 sampler covers the rest (OE and UE with a Cauchy weight off the circular
 exponents) and serves as an independent cross-check on request.  All
 samplers are deterministic given the seed, an integer in [0, 2**64) (any
@@ -133,7 +137,7 @@ class SampleBatch:
         arr = np.asarray(self.spectra, dtype=float)
         if arr.ndim != 2:
             raise BadParameter("spectra must be a (count, width) array")
-        if arr.shape[1] > 1 and np.any(np.diff(arr, axis=1) < 0):
+        if np.any(arr[:, 1:] < arr[:, :-1]):
             raise BadParameter("every spectrum must be sorted ascending")
         object.__setattr__(self, "spectra", arr)
 
@@ -298,19 +302,91 @@ def sample_gaussian_matrix(
         else:
             a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
             h = (a + np.conj(np.swapaxes(a, 1, 2))) / (2.0 * math.sqrt(2.0))
-        return np.linalg.eigvalsh(h), {}
+        return _eigvalsh(h), {}
 
     parts = _run_blocks(block, count, seed, workers)
     return _merge(parts, seed, f"Gaussian(beta={beta}, n={n})")
 
 
-def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("bii->bi", r)
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian or real symmetric
+    matrices, read from the diagonal and the lower triangle as ``eigvalsh``
+    reads them.  At order 1 that is the real diagonal, at order 2
+    t -+ hypot((a - d)/2, |b|) with t = (a + d)/2, and above that
+    ``eigvalsh`` itself."""
+    n = h.shape[-1]
+    if n > 2:
+        return np.linalg.eigvalsh(h)
+    if n == 1:
+        return h[:, 0, :].real
+    a, d = h[:, 0, 0].real, h[:, 1, 1].real
+    t = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), np.abs(h[:, 1, 0]))
+    return np.stack([t - r, t + r], axis=1)
+
+
+def _phase(d: np.ndarray) -> np.ndarray:
+    """d / |d|, and 1 where d is 0."""
     mag = np.abs(d)
-    phase = np.where(mag == 0.0, 1.0, d / np.where(mag == 0.0, 1.0, mag))
-    return q * phase[:, None, :]
+    return np.where(mag == 0.0, 1.0, d / np.where(mag == 0.0, 1.0, mag))
+
+
+def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Q of the QR decomposition z = QR whose R has a positive real diagonal,
+    for m complex Gaussian z of order n: Haar unitaries (Mezzadri).  At
+    order 2 the first column of Q is z_1/|z_1| = (a, b), and the second is
+    its unitary complement (-conj b, conj a) times the phase of
+    det z = |z_1| r_22; above that Q is ``qr``'s, with its columns turned
+    by the phases of R's diagonal."""
+    z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    if n == 1:
+        return _phase(z)
+    if n == 2:
+        a, b = (z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=1)[:, None]).T
+        p = _phase(a * z[:, 1, 1] - b * z[:, 0, 1])
+        q = np.empty_like(z)
+        q[:, 0, 0], q[:, 1, 0] = a, b
+        q[:, 0, 1], q[:, 1, 1] = -p * b.conj(), p * a.conj()
+        return q
+    q, r = np.linalg.qr(z)
+    return q * _phase(np.einsum("bii->bi", r))[:, None, :]
+
+
+def _transpose_times(u: np.ndarray) -> np.ndarray:
+    """U^T U for a stack of matrices, written out at order <= 2."""
+    n = u.shape[-1]
+    if n == 1:
+        return u * u
+    if n > 2:
+        return np.swapaxes(u, 1, 2) @ u
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    v = np.empty_like(u)
+    v[:, 0, 0] = u00 * u00 + u10 * u10
+    v[:, 0, 1] = v[:, 1, 0] = u00 * u01 + u10 * u11
+    v[:, 1, 1] = u01 * u01 + u11 * u11
+    return v
+
+
+def _cayley(u: np.ndarray) -> np.ndarray:
+    """H = i (I + U)^-1 (I - U) for a stack of matrices.  At order 2 it is
+    i adj(I + U) (I - U) / det(I + U) written out, with
+    det(I + U) = 1 + tr U + det U; at order <= 2 a singular I + U gives a
+    matrix of infinities or NaNs, above that ``solve`` raises LinAlgError."""
+    n = u.shape[-1]
+    if n == 1:
+        return 1j * (1.0 - u) / (1.0 + u)
+    if n > 2:
+        eye = np.eye(n)
+        return 1j * np.linalg.solve(eye + u, eye - u)
+    u00, u01, u10, u11 = u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1]
+    det = u00 * u11 - u01 * u10
+    g = 1j / (1.0 + u00 + u11 + det)
+    h = np.empty_like(u)
+    h[:, 0, 0] = g * (1.0 - det - u00 + u11)
+    h[:, 0, 1] = -2.0 * g * u01
+    h[:, 1, 0] = -2.0 * g * u10
+    h[:, 1, 1] = g * (1.0 - det + u00 - u11)
+    return h
 
 
 def _cayley_tan_half(u: np.ndarray, real: bool) -> np.ndarray:
@@ -319,14 +395,19 @@ def _cayley_tan_half(u: np.ndarray, real: bool) -> np.ndarray:
 
     The Cayley transform H = i (I + U)^-1 (I - U) is Hermitian (real
     symmetric when U is symmetric; ``real`` keeps its real part) with
-    eigenvalues tan(theta/2), so one ``eigvalsh`` sorts them.  Near
+    eigenvalues tan(theta/2), so one ``_eigvalsh`` sorts them.  Near
     theta = pi the solve loses about lam^2 eps, so a row with any
-    |lam| > _CAYLEY_MAX is redone with ``eigvals``.
+    |lam| > _CAYLEY_MAX, or any lam that is not finite because I + U is
+    singular, is redone with ``eigvals``; at order >= 3 a singular I + U
+    makes ``solve`` fail, and the whole stack is redone.
     """
-    eye = np.eye(u.shape[-1])
-    h = 1j * np.linalg.solve(eye + u, eye - u)
-    lam = np.linalg.eigvalsh(h.real if real else h)
-    far = np.any(np.abs(lam) > _CAYLEY_MAX, axis=1)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = _cayley(u)
+            lam = _eigvalsh(h.real if real else h)
+    except np.linalg.LinAlgError:
+        lam = np.full(u.shape[:2], np.inf)
+    far = ~np.all(np.abs(lam) <= _CAYLEY_MAX, axis=1)
     if far.any():
         lam[far] = np.sort(np.tan(0.5 * np.angle(np.linalg.eigvals(u[far]))), axis=1)
     return lam
@@ -337,7 +418,7 @@ def _circular_tan_half(rng: np.random.Generator, m: int, kind: str, n: int) -> n
     Haar unitaries U (CUE) or of the symmetric U^T U (COE)."""
     u = _haar_unitary(rng, m, n)
     if kind == "COE":
-        u = np.swapaxes(u, 1, 2) @ u
+        u = _transpose_times(u)
     return _cayley_tan_half(u, real=kind == "COE")
 
 
@@ -398,8 +479,23 @@ def _bidiagonal(diag: np.ndarray, off: np.ndarray, upper: bool) -> np.ndarray:
     return b
 
 
-def _squared_singular_values(b: np.ndarray) -> np.ndarray:
-    return np.sort(np.linalg.svd(b, compute_uv=False) ** 2, axis=1)
+def _squared_singular_values(diag: np.ndarray, off: np.ndarray, upper: bool) -> np.ndarray:
+    """Ascending squared singular values of the bidiagonal matrices with
+    (m, n) diagonals and (m, n-1) off-diagonals, above the diagonal if
+    ``upper``.  At n = 2 they come from F = |B|_F^2 and |det B| = |d1 d2|:
+    s_max^2 = (F + sqrt((F - 2|det|)(F + 2|det|)))/2 with
+    F -+ 2|det| = (|d1| -+ |d2|)^2 + e^2, and s_min^2 = det^2/s_max^2;
+    above that from ``svd`` of the dense matrix."""
+    n = diag.shape[1]
+    if n == 1:
+        return diag * diag
+    if n > 2:
+        return np.sort(np.linalg.svd(_bidiagonal(diag, off, upper), compute_uv=False) ** 2, axis=1)
+    d1, d2, e2 = np.abs(diag[:, 0]), np.abs(diag[:, 1]), off[:, 0] ** 2
+    det = d1 * d2
+    big = 0.5 * (d1 * d1 + d2 * d2 + e2 + np.sqrt(((d1 - d2) ** 2 + e2) * ((d1 + d2) ** 2 + e2)))
+    small = np.divide(det * det, big, out=np.zeros_like(big), where=big > 0.0)
+    return np.stack([np.minimum(small, big), big], axis=1)
 
 
 def sample_beta_laguerre(
@@ -426,7 +522,7 @@ def sample_beta_laguerre(
     def block(rng: np.random.Generator, m: int):
         diag = np.sqrt(rng.chisquare(diag_df, (m, n)))
         off = np.sqrt(rng.chisquare(off_df, (m, n - 1)))
-        return _squared_singular_values(_bidiagonal(diag, off, upper=False)), {}
+        return _squared_singular_values(diag, off, upper=False), {}
 
     parts = _run_blocks(block, count, seed, workers)
     return _merge(parts, seed, f"BetaLaguerre(beta={beta:g}, n={n}, p={p:g})")
@@ -464,7 +560,7 @@ def sample_beta_jacobi(
         diag = c[:, ::-1].copy()
         diag[:, 1:] *= sp[:, ::-1]
         off = -s[:, :0:-1] * cp[:, ::-1]
-        return np.minimum(_squared_singular_values(_bidiagonal(diag, off, upper=True)), 1.0), {}
+        return np.minimum(_squared_singular_values(diag, off, upper=True), 1.0), {}
 
     parts = _run_blocks(block, count, seed, workers)
     return _merge(parts, seed, f"BetaJacobi(beta={beta:g}, n={n}, A={A:g}, B={B:g})")

@@ -28,6 +28,7 @@ from rmtdec.densities import (
     _settle,
 )
 from rmtdec.errors import BadParameter, InterlacingViolated, OutOfSupport
+from rmtdec.numerics import ordered_tensor
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
 
 GAUSS = gauss_weight()
@@ -317,6 +318,34 @@ class TestNormalize:
         val = normalize(f, 2, (-np.inf, np.inf))
         assert val == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-6)
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobi_selberg(self, n: int, a: float, beta: int) -> None:
+        # Selberg on (-1, 1): prod (1 - x^2)^s |Vdm|^(2g) over the cube is
+        # 2^(n(2s + 1) + g n(n - 1)) S_n(s + 1, s + 1, g); the ordered region
+        # is 1/n! of it.  s = a for w1, 2a + 1 for w2; g = beta/2
+        w = jacobi_weight(a)
+        s, g = (a if beta == 1 else 2.0 * a + 1.0), 0.5 * beta
+        log_s = sum(
+            2.0 * math.lgamma(s + 1.0 + j * g) + math.lgamma(1.0 + (j + 1) * g)
+            - math.lgamma(2.0 * s + 2.0 + (n + j - 1) * g) - math.lgamma(1.0 + g)
+            for j in range(n)
+        )
+        log_2 = (n * (2.0 * s + 1.0) + g * n * (n - 1)) * math.log(2.0)
+        want = math.exp(log_s + log_2 - math.lgamma(n + 1.0))
+        got = normalize(lambda x: log_p_beta_batch(w, beta, x), n, (-1.0, 1.0), tol=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("beta,n,box", [(2, 1, (-10.0, 10.0)), (1, 4, (-4.0, 4.0))])
+    def test_peaked_density_on_wide_box(self, beta: int, n: int, box: tuple[float, float]) -> None:
+        # the sine chart puts the middle of the box's nodes pi/2 farther apart
+        # than x does, so these settle only on the last rung of their ladder;
+        # the reference is the rule in x at the order where it settles
+        f = lambda x: log_p_beta_batch(GAUSS, beta, x)
+        want = ordered_tensor(f, box, [n], {1: 80, 4: 32}[n])
+        assert normalize(f, n, box) == pytest.approx(want, rel=1e-9)
+
     def test_n_out_of_range(self) -> None:
         with pytest.raises(BadParameter):
             normalize(lambda x: np.zeros(x.shape[0]), 5, (0.0, 1.0))
@@ -369,7 +398,7 @@ class TestPlacementMasses:
     def test_sum_matches_normalize(self, family: str, n: int, cuts: list[float]) -> None:
         # the placements of n points over any segment grid tile the ordered
         # region; the Jacobi masses are taken in t with x = sin t, the
-        # normalization in x, on a box where the density is analytic in x
+        # normalization in t with x = c + h sin t on the box itself
         w = FAMILIES[family]
         lo, hi = (-2.5, 3.0) if family == "gauss" else (-0.9, 0.95)
         edges = [lo, *sorted(lo + c * (hi - lo) for c in cuts), hi]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,15 @@ from rmtdec.samplers import (
     stereographic,
     stereographic_inverse,
 )
-from rmtdec.samplers import _cayley_tan_half, _haar_unitary
+from rmtdec.samplers import (
+    _block_rng,
+    _block_sizes,
+    _cayley_tan_half,
+    _circular_tan_half,
+    _eigvalsh,
+    _haar_unitary,
+    _squared_singular_values,
+)
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
 
 GAUSS = gauss_weight()
@@ -211,6 +220,18 @@ class TestHaarCircular:
         np.testing.assert_allclose(got, np.sort(np.angle(np.linalg.eigvals(u)), axis=1), atol=1e-12)
         np.testing.assert_allclose(got, theta, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("diag", [(-1.0, 1.0), (-1.0, 1.0, 1.0)])
+    def test_cayley_singular(self, real: bool, diag: tuple[float, ...]) -> None:
+        # I + U is exactly singular: the row goes through eigvals, at order 2
+        # because its closed form is not finite, at order 3 because solve fails
+        u = np.stack([np.diag(np.array(diag, dtype=complex)), np.eye(len(diag))])
+        got = stereographic(_cayley_tan_half(u, real))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[0], np.sort(np.angle(diag)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], 0.0, rtol=0, atol=1e-12)
+
     def test_order3_sector_densities(self) -> None:
         # size 3: one nontrivial angle; no-forced-+1 sector ~ 2cos^2(t/2),
         # forced-+1 sector ~ 2sin^2(t/2) (classical group angle measures)
@@ -237,6 +258,176 @@ class TestHaarCircular:
     def test_bad_kind(self) -> None:
         with pytest.raises(BadParameter):
             sample_haar_circular("OE", 2, 10, seed=0)
+
+
+# -- closed forms at order <= 2 against the LAPACK route -------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _lapack_haar(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Haar unitaries from qr, each column turned by the phase of R's diagonal."""
+    z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    q, r = np.linalg.qr(z)
+    d = np.einsum("bii->bi", r)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _lapack_tan_half(rng: np.random.Generator, m: int, kind: str, n: int) -> np.ndarray:
+    """COE/CUE tan(theta/2) by qr, matmul, solve and eigvalsh, with the
+    sampler's eigvals fallback for |tan(theta/2)| > 100."""
+    u = _lapack_haar(rng, m, n)
+    if kind == "COE":
+        u = np.swapaxes(u, 1, 2) @ u
+    eye = np.eye(n)
+    h = 1j * np.linalg.solve(eye + u, eye - u)
+    lam = np.linalg.eigvalsh(h.real if kind == "COE" else h)
+    far = np.any(np.abs(lam) > 100.0, axis=1)
+    lam[far] = np.sort(np.tan(0.5 * np.angle(np.linalg.eigvals(u[far]))), axis=1)
+    return lam
+
+
+def _lapack_angles(rng: np.random.Generator, m: int, kind: str, n: int) -> np.ndarray:
+    return stereographic(_lapack_tan_half(rng, m, kind, n))
+
+
+def _lapack_gaussian(rng: np.random.Generator, m: int, beta: int, n: int) -> np.ndarray:
+    if beta == 1:
+        a = rng.standard_normal((m, n, n))
+        return np.linalg.eigvalsh((a + np.swapaxes(a, 1, 2)) / 2.0)
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return np.linalg.eigvalsh((a + np.conj(np.swapaxes(a, 1, 2))) / (2.0 * math.sqrt(2.0)))
+
+
+def _lapack_chue_gauss(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """chUE Gauss (mu = 0) by svd of the dense lower beta-Laguerre bidiagonal."""
+    k = np.arange(n)
+    diag = np.sqrt(rng.chisquare(1.0 + 2.0 * (n - 1 - k), (m, n)))
+    off = np.sqrt(rng.chisquare(2.0 * (n - k[1:]), (m, n - 1)))
+    b = np.zeros((m, n, n))
+    b[:, k, k] = diag
+    b[:, k[1:], k[:-1]] = off
+    return np.sqrt(0.5 * np.sort(np.linalg.svd(b, compute_uv=False) ** 2, axis=1))
+
+
+def _by_blocks(fn, count: int, seed: int) -> np.ndarray:
+    """fn(rng, size) over the samplers' block partition and generators."""
+    return np.vstack([fn(_block_rng(seed, i), m) for i, m in enumerate(_block_sizes(count))])
+
+
+class TestSmallOrderKernels:
+    """The order 1 and 2 closed forms against numpy.linalg on 10^5 matrices."""
+
+    COUNT = 100_000
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_eigvalsh(self, n: int, hermitian: bool) -> None:
+        rng = np.random.default_rng(51 + n)
+        scale = np.exp(rng.uniform(-3.0, 3.0, (self.COUNT, 1, 1)))
+        a = rng.standard_normal((self.COUNT, n, n)) * scale
+        if hermitian:
+            a = a + 1j * rng.standard_normal(a.shape)
+        h = a + np.conj(np.swapaxes(a, 1, 2))
+        want = np.linalg.eigvalsh(h)
+        norm = np.max(np.abs(want), axis=1, keepdims=True)
+        got = _eigvalsh(h)
+        assert np.all(got[:, 1:] >= got[:, :-1])
+        assert np.max(np.abs(got - want) / norm) <= 8.0 * EPS
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_haar_unitary(self, n: int) -> None:
+        # the exact complement keeps U unitary to rounding (1.1e-15 here,
+        # LAPACK's Q 1.4e-15); one Gram-Schmidt pass for the second column
+        # gives 6.3e-13 on the same draws and would fail
+        u = _haar_unitary(np.random.default_rng(61 + n), self.COUNT, n)
+        gram = np.conj(np.swapaxes(u, 1, 2)) @ u
+        assert np.max(np.abs(gram - np.eye(n))) <= 4e-15
+        want = _lapack_haar(np.random.default_rng(61 + n), self.COUNT, n)
+        assert np.max(np.abs(u - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["COE", "CUE"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_circular_angles(self, kind: str, n: int) -> None:
+        got = stereographic(_circular_tan_half(np.random.default_rng(71 + n), self.COUNT, kind, n))
+        want = _lapack_angles(np.random.default_rng(71 + n), self.COUNT, kind, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_squared_singular_values(self, n: int, upper: bool) -> None:
+        # beta-Laguerre (chUE Gauss, mu = 0) and beta-Jacobi-like diagonals
+        rng = np.random.default_rng(81 + n)
+        if upper:
+            diag = np.sqrt(rng.beta(1.5, 1.0, (self.COUNT, n)))
+            off = -np.sqrt(rng.beta(1.0, 2.5, (self.COUNT, n - 1)))
+        else:
+            diag = np.sqrt(rng.chisquare(np.arange(2 * n - 1, 0, -2), (self.COUNT, n)))
+            off = np.sqrt(rng.chisquare(2.0, (self.COUNT, n - 1)))
+        b = np.zeros((self.COUNT, n, n))
+        k = np.arange(n)
+        b[:, k, k] = diag
+        if upper:
+            b[:, k[:-1], k[1:]] = off
+        else:
+            b[:, k[1:], k[:-1]] = off
+        want = np.sort(np.linalg.svd(b, compute_uv=False) ** 2, axis=1)
+        got = _squared_singular_values(diag, off, upper)
+        assert np.all(got[:, 1:] >= got[:, :-1])
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        # the product of the two is det^2, to rounding
+        det2 = np.prod(diag, axis=1) ** 2
+        assert np.max(np.abs(np.prod(got, axis=1) / det2 - 1.0)) <= 4.0 * EPS
+
+    def test_squared_singular_values_at_zero(self) -> None:
+        got = _squared_singular_values(np.zeros((2, 2)), np.array([[0.0], [1.0]]), True)
+        np.testing.assert_array_equal(got, [[0.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "spec,reference",
+        [
+            (EnsembleSpec("COE", 3), lambda rng, m: _lapack_angles(rng, m, "COE", 3)),
+            (EnsembleSpec("CUE", 3), lambda rng, m: _lapack_angles(rng, m, "CUE", 3)),
+            (EnsembleSpec("OE", 3, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 1, 3)),
+            (EnsembleSpec("UE", 3, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 2, 3)),
+            (EnsembleSpec("chUE", 3, GAUSS), lambda rng, m: _lapack_chue_gauss(rng, m, 3)),
+        ],
+        ids=["COE", "CUE", "OE", "UE", "chUE"],
+    )
+    def test_order_three_keeps_lapack(self, spec: EnsembleSpec, reference) -> None:
+        # above order 2 every route is the LAPACK one, bit for bit
+        got = sample_ensemble(spec, 2001, seed=93).spectra
+        np.testing.assert_array_equal(got, _by_blocks(reference, 2001, 93))
+
+
+class TestExactLawsAtOrderTwo:
+    """KS of the n = 2 spacing against its closed-form CDF, 10^5 draws."""
+
+    @staticmethod
+    def _circular_distance(theta: np.ndarray) -> np.ndarray:
+        phi = theta[:, 1] - theta[:, 0]
+        return np.minimum(phi, 2.0 * math.pi - phi)
+
+    def test_goe(self) -> None:
+        d = np.diff(sample_gaussian_matrix(1, 2, 100_000, seed=101).spectra, axis=1).ravel()
+        assert scipy.stats.kstest(d, lambda s: -np.expm1(-s * s / 4.0)).pvalue > 0.001
+
+    def test_gue(self) -> None:
+        d = np.diff(sample_gaussian_matrix(2, 2, 100_000, seed=102).spectra, axis=1).ravel()
+
+        def cdf(s: np.ndarray) -> np.ndarray:  # chi with 3 degrees of freedom
+            tail = math.sqrt(2.0 / math.pi) * s * np.exp(-s * s / 2.0)
+            return scipy.special.erf(s / math.sqrt(2.0)) - tail
+
+        assert scipy.stats.kstest(d, cdf).pvalue > 0.001
+
+    def test_coe(self) -> None:
+        delta = self._circular_distance(sample_haar_circular("COE", 2, 100_000, seed=103).spectra)
+        assert scipy.stats.kstest(delta, lambda t: 1.0 - np.cos(t / 2.0)).pvalue > 0.001
+
+    def test_cue(self) -> None:
+        delta = self._circular_distance(sample_haar_circular("CUE", 2, 100_000, seed=104).spectra)
+        assert scipy.stats.kstest(delta, lambda t: (t - np.sin(t)) / math.pi).pvalue > 0.001
 
 
 class TestStereographic:
@@ -697,6 +888,8 @@ class TestSerialization:
         fmt=st.sampled_from(["csv", "jsonl"]),
     )
     @example(spectra=np.zeros((0, 3)), seed=1, fmt="jsonl")
+    @example(spectra=np.array([[np.inf, np.inf]]), seed=1, fmt="csv")
+    @pytest.mark.filterwarnings("error")
     def test_round_trip_property(self, tmp_path_factory, spectra, seed: int, fmt: str) -> None:
         # a batch without rows keeps its width: the CSV column header and
         # the JSONL "width" key both record it
