@@ -7,7 +7,9 @@ eigenvalues of the Gram matrix of the first n orthonormal polynomials over J
 (or the Fourier Gram for circular ensembles).  For beta = 1 at odd n the
 generating function is a bordered (m+1) x (m+1) determinant, evaluated
 either from its direct entries or after Gaudin diagonalization of the
-restricted Gram block; both modes must agree.  A brute-force ordered
+restricted Gram block; both modes must agree.  Its entries are closed forms
+in the recurrence coefficients of w2 = phi w1^2 and one Gram matrix over
+(-s, s), from the antiderivative recurrence of w1.  A brute-force ordered
 quadrature covers n <= 4, and gap_mc counts samples for everything else.
 
 The superposition checkers (eq24, eq24cp, eq831p) share one helper,
@@ -28,7 +30,7 @@ import numpy as np
 
 from .densities import _log_vdm_rows, _placement_masses, _settle, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
-from .numerics import integrate, sym_eigen
+from .numerics import sym_eigen
 from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
 from .samplers import (
     EnsembleSpec,
@@ -259,42 +261,19 @@ def gap_cue_exact(n: int, theta: float) -> GapPolynomial:
 
 @dataclass(frozen=True)
 class _OddParts:
-    """s-dependent ingredients of the bordered determinant."""
+    """s-dependent ingredients of the bordered determinant.  p_k are the
+    orthonormal polynomials of w2 = phi w1^2 and R_k the even polynomials of
+    ``_odd_parts``, with int_x^omega w1 p_{2k-1} = R_k(x) companion(x)."""
 
     m: int
     theta: float
     th1s: float
     comp_s: float
     p_s: np.ndarray  # p_{2k-1}(s)
-    T0: np.ndarray  # int_0^omega w1 p_{2k-1}
-    Ts: np.ndarray  # int_s^omega w1 p_{2k-1}
-    U: np.ndarray  # 2 int_0^omega theta1 w1 p_{2k-1}
-    V: np.ndarray  # int_{-s}^s w1(x) int_x^omega w1 p_{2k-1}
+    Ts: np.ndarray  # int_s^omega w1 p_{2k-1} = R_k(s) companion(s)
+    U: np.ndarray  # 2 int_0^omega theta1 w1 p_{2k-1} = int w2 R_k
+    V: np.ndarray  # int_{-s}^s w1(x) int_x^omega w1 p_{2k-1} = int_{-s}^s w2 R_k
     G: np.ndarray  # 2 int_0^s w2 p_{2j-1} p_{2k-1}
-
-
-def _w1_integral(
-    w1: AdmissibleWeight, f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: float, hi: float
-) -> np.ndarray:
-    """int_lo^hi f(x, w1(x)) dx for a vector integrand f returning (k, npts).
-
-    On the finite Jacobi support the integral is taken in t with x = sin t,
-    where w1(x) dx = cos(t)^(2a+1) dt, as in ``densities._support_tensor``:
-    the (1 - x^2)^a endpoint singularity, on which ``integrate`` stalls for
-    a < 0, becomes the power cos(t)^(2a+1), which ``integrate`` resolves by
-    bisection.  Nodes within about 1e-8 of t = pi/2, where sin t rounds to
-    1, are moved to the largest float below 1 so that f stays on the
-    support.
-    """
-    if math.isinf(w1.omega):
-        return integrate(lambda x: f(x, w1.w1(x)), (lo, hi), tol=1e-12)
-    p = 2.0 * w1.a + 1.0
-    below_one = np.nextafter(1.0, 0.0)
-
-    def in_t(t: np.ndarray) -> np.ndarray:
-        return f(np.clip(np.sin(t), -below_one, below_one), np.cos(t) ** p)
-
-    return integrate(in_t, (math.asin(lo), math.asin(hi)), tol=1e-12)
 
 
 def _odd_block(
@@ -315,10 +294,15 @@ def _odd_block(
 def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s).
 
-    One vector integrand, the m odd-degree polynomials times w1 and times
-    theta1 w1, is integrated over (0, s) and over (s, omega), giving A and
-    B; T0, Ts, U and V are sums of their parts.  Every component meets the
-    1e-12 tolerance against its own scale.
+    (phi w1)' = -x w1 / alpha_1 gives -(R companion)' = w1 L R for
+    L = x / alpha_1 - phi d/dx, so R_k with L R_k = p_{2k-1} integrates w1
+    p_{2k-1} in closed form, and by parts (theta1' = w1) the theta1 terms
+    become int w2 R_k.  L is skew-adjoint in w2's inner product and raises
+    the degree by one: L p_j = l_{j+1} p_{j+1} - l_j p_{j-1}, with
+    l_j = (1/alpha_1 - (j-1) tau) recur_b[j] from the leading coefficients.
+    Hence R_k = sum_i K[k, i] p_{2i} with K[k, k-1] = 1 / l_{2k-1} and
+    K[k, i] = K[k, i+1] l_{2i+2} / l_{2i+1}, and int_J w2 p_{2i} =
+    recur_b[0] G[2i, 0] for the one Gram matrix G over J = (-s, s).
     """
     m, sys, odd_idx = _odd_block(w1, n, s)
     theta = w1.theta
@@ -326,23 +310,21 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     comp_s = float(w1.companion(s))
     if m == 0:
         z = np.zeros(0)
-        return _OddParts(0, theta, th1s, comp_s, z, z, z, z, z, np.zeros((0, 0)))
+        return _OddParts(0, theta, th1s, comp_s, z, z, z, z, np.zeros((0, 0)))
 
-    p_s = sys.evaluate(np.array([s]), odd_idx)[:, 0]
-
-    def odd(x: np.ndarray, wx: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # wx underflows to 0 at the far nodes
-            rows = sys.evaluate(x, odd_idx, np.log(wx))  # row k: wx p_{2k-1}(x), k = 1..m
-        return np.concatenate([rows, theta1(w1, x) * rows])
-
-    A = _w1_integral(w1, odd, 0.0, s)
-    B = _w1_integral(w1, odd, s, w1.omega)
-    Ts = B[:m]
-    T0 = A[:m] + Ts
-    U = 2.0 * (A[m:] + B[m:])
-    V = 2.0 * (th1s * Ts + A[m:])
-    G = gram(sys, (-s, s), odd_idx)
-    return _OddParts(m, theta, th1s, comp_s, p_s, T0, Ts, U, V, G)
+    even_idx = list(range(0, 2 * m, 2))
+    j = np.arange(2 * m)
+    # 1/alpha_1 = 2a + 1 - tau for all three families (a = 0 for Gauss)
+    ell = (2.0 * (w1.a or 0.0) + 1.0 - j * w1.tau) * sys.recur_b[: 2 * m]
+    ladder = np.cumprod(np.concatenate([[1.0], ell[2::2] / ell[1:-1:2]]))
+    K = np.tril(np.outer(ladder / ell[1::2], 1.0 / ladder))
+    b0 = sys.recur_b[0]
+    G = gram(sys, (-s, s))
+    x = np.array([s])
+    Ts = K @ sys.evaluate(x, even_idx, w1.log_companion(x))[:, 0]
+    p_s = sys.evaluate(x, odd_idx)[:, 0]
+    U, V = b0 * K[:, 0], b0 * (K @ G[even_idx, 0])
+    return _OddParts(m, theta, th1s, comp_s, p_s, Ts, U, V, G[np.ix_(odd_idx, odd_idx)])
 
 
 def _det_direct(parts: _OddParts, xi: np.ndarray) -> np.ndarray:

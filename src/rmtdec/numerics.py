@@ -4,8 +4,7 @@ Quadrature on finite and infinite intervals, the ordered tensor rule behind
 every small-n multiple integral, and symmetric eigendecomposition.
 Everything here is a pure function on immutable inputs; integrands are
 expected to be vectorized (accept an ndarray of abscissae and return an
-ndarray of values, or for ``integrate`` a (k, npts) array of k integrands on
-shared panels).
+ndarray of values of the same shape).
 """
 
 from __future__ import annotations
@@ -77,10 +76,9 @@ def _panel_values(
     f: Callable[[np.ndarray], np.ndarray],
     ends: Sequence[tuple[float, float]],
     transform: bool,
-) -> tuple[list[tuple[list[float], list[float]]], bool]:
-    """For each panel (a, b) in ``ends``, high-order estimates of the integral
-    of f over it and their errors against the embedded low-order rule, one
-    per component; and whether f returned (k, npts) rather than (npts,).
+) -> list[tuple[float, float]]:
+    """For each panel (a, b) in ``ends``, the high-order estimate of the
+    integral of f over it and its error against the embedded low-order rule.
 
     All panels' nodes go to f in one call.  When ``transform`` is set, the
     ends are tan-substitution coordinates and the Jacobian is applied here.
@@ -93,38 +91,33 @@ def _panel_values(
     mid, half = 0.5 * (ab[:, 0] + ab[:, 1]), 0.5 * (ab[:, 1] - ab[:, 0])
     u = (mid[:, None] + half[:, None] * x).ravel()
     vals = np.asarray(f(np.tan(u) if transform else u), dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[-1] != u.size:
-        raise BadParameter(f"integrand returned shape {vals.shape}, not (npts,) or (k, npts)")
+    if vals.shape != u.shape:
+        raise BadParameter(f"integrand returned shape {vals.shape}, not {u.shape}")
     if transform:
         vals = vals / np.cos(u) ** 2
-    rows = vals.reshape(-1, len(ab), x.size)
+    rows = vals.reshape(len(ab), x.size)
     out = []
     for p, (a, b) in enumerate(ends):
-        hi = [half[p] * float(np.dot(wh, r[p, :16])) for r in rows]
-        lo = [half[p] * float(np.dot(wl, r[p, 16:])) for r in rows]
+        hi = half[p] * float(np.dot(wh, rows[p, :16]))
+        lo = half[p] * float(np.dot(wl, rows[p, 16:]))
         # the weights are positive, so a non-finite value makes its sum non-finite
-        if not all(map(math.isfinite, hi + lo)):
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonConvergence(f"integrand is not finite on panel ({a}, {b})")
-        out.append((hi, [abs(h - l) for h, l in zip(hi, lo)]))
-    return out, vals.ndim == 2
+        out.append((hi, abs(hi - lo)))
+    return out
 
 
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     tol: float = 1e-10,
-) -> float | np.ndarray:
+) -> float:
     """Adaptive integral of a vectorized integrand over ``interval``.
 
-    ``f`` maps npts abscissae to npts values, or to a (k, npts) array of k
-    integrands sharing the abscissae; the result is then a float, or an
-    array of the k integrals.  Infinite endpoints are mapped through
-    x = tan(u).  Panels are bisected until every component's summed error
-    estimate (high- minus embedded low-order Gauss-Legendre value per panel)
-    meets the relative tolerance against that component's own scale; each
-    step bisects the panel with the largest error in the component furthest
-    above its tolerance, so a (1, npts) integrand follows exactly the panels
-    of its scalar form.
+    ``f`` maps npts abscissae to npts values.  Infinite endpoints are mapped
+    through x = tan(u).  Panels are bisected, the one with the largest error
+    estimate (high- minus embedded low-order Gauss-Legendre value) first,
+    until the summed estimate meets the relative tolerance.
 
     Raises NonConvergence if a panel would need more than MAX_DEPTH splits or
     the integrand is not finite on one, InvalidInterval when lo >= hi or
@@ -143,29 +136,25 @@ def integrate(
     else:
         a, b = float(lo), float(hi)
 
-    # panel: (a, b, values, errors, depth), one value and error per component
+    # panel: (a, b, value, error, depth)
     edges = np.linspace(a, b, 9)
     ends = list(zip(edges[:-1], edges[1:]))
-    sweep, vector = _panel_values(f, ends, transform)
-    panels = [(pa, pb, val, err, 0) for (pa, pb), (val, err) in zip(ends, sweep)]
-    comps = range(len(panels[0][2]))
+    panels = [(pa, pb, *ve, 0) for (pa, pb), ve in zip(ends, _panel_values(f, ends, transform))]
 
     for _ in range(200_000):
-        total = [math.fsum(p[2][c] for p in panels) for c in comps]
-        err_total = [math.fsum(p[3][c] for p in panels) for c in comps]
-        abs_total = [math.fsum(abs(p[2][c]) for p in panels) for c in comps]
-        scale = [max(abs(t), 1e-3 * at, 1e-300) for t, at in zip(total, abs_total)]
-        if all(e <= tol * sc for e, sc in zip(err_total, scale)):
-            return np.array(total) if vector else total[0]
-        c = max(comps, key=lambda c: err_total[c] / scale[c])
-        worst = max(range(len(panels)), key=lambda i: panels[i][3][c])
+        total = math.fsum(p[2] for p in panels)
+        err_total = math.fsum(p[3] for p in panels)
+        abs_total = math.fsum(abs(p[2]) for p in panels)
+        if err_total <= tol * max(abs(total), 1e-3 * abs_total, 1e-300):
+            return total
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
         pa, pb, _, _, depth = panels[worst]
         if depth >= MAX_DEPTH:
             raise NonConvergence(
-                f"integrate: error {err_total[c]:.3e} above tol at max depth over {interval}"
+                f"integrate: error {err_total:.3e} above tol at max depth over {interval}"
             )
         mid = 0.5 * (pa + pb)
-        left, right = _panel_values(f, [(pa, mid), (mid, pb)], transform)[0]
+        left, right = _panel_values(f, [(pa, mid), (mid, pb)], transform)
         panels[worst] = (pa, mid, *left, depth + 1)
         panels.append((mid, pb, *right, depth + 1))
     raise NonConvergence(f"integrate: panel budget exhausted over {interval}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, gammainc
+from scipy.special import beta as beta_fn, betainc, gammainc
 
 from .errors import BadParameter, OrderExceeded, OutOfSupport
 from .numerics import integrate
@@ -88,13 +88,11 @@ class AdmissibleWeight:
 
     @property
     def theta(self) -> float:
-        """Half-mass (1/2) int w1 in closed Gamma form."""
+        """Half-mass (1/2) int w1: sqrt(pi/2) for Gauss, B(1/2, a + 1) / 2 for
+        Jacobi and B(1/2, a + 1/2) / 2 for Cauchy."""
         if self.family == "gauss":
             return math.sqrt(math.pi / 2.0)
-        a = float(self.a)
-        if self.family == "jacobi":
-            return math.sqrt(math.pi) * math.gamma(a + 1.0) / (2.0 * math.gamma(a + 1.5))
-        return math.sqrt(math.pi) * math.gamma(a + 0.5) / (2.0 * math.gamma(a + 1.0))
+        return 0.5 * _beta_half(self.a + (1.0 if self.family == "jacobi" else 0.5))
 
     @property
     def tau(self) -> float:
@@ -247,6 +245,19 @@ def big_A(w: AdmissibleWeight, n: int, nu: int) -> float:
 # -- partial mass ----------------------------------------------------------------
 
 
+def _beta_half(b: float) -> float:
+    """B(1/2, b).  scipy's beta loses about 2e-12 relative for b in the
+    hundreds, so from b = 20 on it is sqrt(pi / b) exp(-l(b)), where
+    l(b) = log(Gamma(b + 1/2) / (Gamma(b) sqrt(b))) has the Stirling series
+    sum_k (2^-k - 2) B_{k+1} / (k (k+1) b^k) over odd k (DLMF 5.11.8); its
+    first omitted term is below 4e-15 at b = 20."""
+    if b < 20.0:
+        return float(beta_fn(0.5, b))
+    r = 1.0 / (b * b)
+    series = (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * 17.0 / 14336.0))) / b
+    return math.sqrt(math.pi / b) * math.exp(-series)
+
+
 def theta1(w: AdmissibleWeight, x: float | np.ndarray) -> float | np.ndarray:
     """int_0^x w1 in closed form, odd in x: sign(x) * theta * P, where P is a
     regularized incomplete function of x^2,
@@ -325,10 +336,16 @@ def from_table1(family: str, n: int, a_table1: float | None = None) -> Admissibl
 
 
 def theta_by_quadrature(w: AdmissibleWeight, tol: float = 1e-12) -> float:
-    """Half-mass by adaptive quadrature; cross-check for the closed form."""
-    if w.family == "jacobi":
-        # x = sin(t) removes the endpoint singularity for a in [-1/2, 0)
-        return integrate(
-            lambda t: np.cos(t) ** (2.0 * w.a + 1.0), (0.0, math.pi / 2.0), tol
-        )
-    return integrate(w.w1, (0.0, w.omega), tol)
+    """Half-mass by adaptive quadrature; cross-check for the closed form.
+
+    For Jacobi a >= -1/2, x = sin t leaves the integrand cos(t)^(2a+1),
+    bounded on (0, pi/2).  Below -1/2 that power is singular, and
+    v = (1 - x)^(a+1) leaves (2 - v^(1/(a+1)))^a / (a + 1) on (0, 1)
+    instead, bounded since 1/(a+1) > 2.
+    """
+    if w.family != "jacobi":
+        return integrate(w.w1, (0.0, w.omega), tol)
+    a = w.a
+    if a >= -0.5:
+        return integrate(lambda t: np.cos(t) ** (2.0 * a + 1.0), (0.0, math.pi / 2.0), tol)
+    return integrate(lambda v: (2.0 - v ** (1.0 / (a + 1.0))) ** a / (a + 1.0), (0.0, 1.0), tol)

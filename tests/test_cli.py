@@ -119,6 +119,20 @@ class TestGapCommand:
         assert len(d["coeffs"]) == 32
         assert sum(d["coeffs"]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "a,s", [("-0.75", "0.5"), ("180", "0.1")], ids=["a=-0.75", "a=180"]
+    )
+    def test_oe_odd_exact_jacobi_extremes(self, capsys, a: str, s: str) -> None:
+        # (1 - x^2)^a singular at the support ends, and Gamma(a + 1) past the
+        # float range: both are closed forms in the engine
+        code, text = run(
+            capsys, "gap", "--kind", "oe", "--family", "jacobi", "--a", a, "--n", "3", "--s", s
+        )
+        assert code == 0
+        c = np.array(json.loads(text)["coeffs"])
+        assert c.size == 4 and np.min(c) >= 0.0
+        assert c.sum() == pytest.approx(1.0, abs=1e-14)
+
     def test_oe_even_falls_back_to_mc(self, capsys) -> None:
         code, text = run(
             capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "4",

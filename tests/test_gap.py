@@ -532,6 +532,11 @@ class TestCheckThmGap:
             ("jacobi", 0.5, 31, 0.5),
             ("jacobi", 0.5, 39, 0.5),
             ("cauchy", 20.0, 21, 0.6),
+            ("jacobi", -0.9, 21, 0.5),
+            ("jacobi", -0.75, 31, 0.5),
+            ("jacobi", -0.25, 39, 0.5),
+            ("gauss", None, 101, 1.0),
+            ("cauchy", 30.0, 41, 0.6),
         ],
     )
     def test_large_odd_n_exact_vs_exact(
@@ -545,6 +550,20 @@ class TestCheckThmGap:
         c = gap_oe_odd_exact(make_weight(family, a), n, s).coeffs
         assert np.min(c) >= -1e-14
         assert abs(c.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "family,a,n,s",
+        [("gauss", None, 401, 1.0), ("jacobi", 0.5, 401, 0.3), ("jacobi", -0.9, 201, 0.5)],
+    )
+    def test_whole_vector_against_chue(
+        self, family: str, a: float | None, n: int, s: float
+    ) -> None:
+        # E(2k) + E(2k+1) of n = 2m + 1 beta = 1 points on (-s, s) is the
+        # chiral beta = 2 gap E(k) of m points on (0, s), for every k at once
+        w = make_weight(family, a)
+        c = gap_oe_odd_exact(w, n, s).coeffs
+        chiral = gap_chue_exact(w, 1, n // 2, s).coeffs
+        assert np.max(np.abs(c[0::2] + c[1::2] - chiral)) <= 1e-12
 
 
 class TestCheckB1Structure:
@@ -581,8 +600,8 @@ class TestCheckB1Structure:
 
 
 class TestOddPartsIntegrals:
-    """The vector integrals of ``_odd_parts`` against one scalar integral per
-    odd-degree polynomial, taken here in x (Gauss, Cauchy) or in t with
+    """The closed forms of ``_odd_parts`` against one adaptive scalar integral
+    per odd-degree polynomial, taken here in x (Gauss, Cauchy) or in t with
     x = sin t (Jacobi)."""
 
     @pytest.mark.parametrize(
@@ -615,7 +634,6 @@ class TestOddPartsIntegrals:
             u = 2.0 * w1_integral(lambda x: theta1(w, x) * pk(x), 0.0, w.omega)
             inner = w1_integral(lambda x: pk(x) * (th1s - theta1(w, x)), 0.0, s)
             for got, want in (
-                (parts.T0[r], t0),
                 (parts.Ts[r], ts),
                 (parts.U[r], u),
                 (parts.V[r], 2.0 * th1s * t0 - 2.0 * inner),

@@ -76,48 +76,8 @@ class TestIntegrate:
 
 
 class TestVectorIntegrate:
-    """Integrands returning (k, npts): k integrals over shared panels."""
-
-    @staticmethod
-    def _stack(*fs):
-        return lambda x: np.stack([f(x) for f in fs])
-
-    @pytest.mark.parametrize(
-        "interval,fs",
-        [
-            ((0.0, 2.0), (lambda x: x, np.sin, lambda x: np.abs(x) ** 0.3)),
-            (
-                (-np.inf, np.inf),
-                (
-                    lambda x: np.exp(-(x**2)),
-                    lambda x: x**2 * np.exp(-(x**2)),
-                    lambda x: np.cos(3 * x) * np.exp(-(x**2)),
-                ),
-            ),
-            ((0.0, np.inf), (lambda x: 1.0 / (1.0 + x**2), lambda x: np.exp(-x))),
-            ((-np.inf, 0.5), (lambda x: np.exp(x), lambda x: 1e-6 * np.exp(2 * x))),
-        ],
-    )
-    def test_components_match_scalar_calls(self, interval, fs) -> None:
-        got = integrate(self._stack(*fs), interval, tol=1e-12)
-        assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
-        for value, f in zip(got, fs):
-            assert value == pytest.approx(integrate(f, interval, tol=1e-12), rel=1e-13, abs=0)
-
-    def test_each_component_meets_its_own_scale(self) -> None:
-        # a cusp 1e12 times smaller than its neighbour is still resolved to
-        # the relative tolerance, not to the neighbour's absolute error
-        cusp = lambda x: 1e-12 * np.sqrt(np.abs(x - 1.0 / 3.0))
-        got = integrate(self._stack(np.exp, cusp), (0.0, 1.0), tol=1e-12)
-        assert got[0] == pytest.approx(math.e - 1.0, rel=1e-13, abs=0)
-        want = 1e-12 * 2.0 / 3.0 * ((1.0 / 3.0) ** 1.5 + (2.0 / 3.0) ** 1.5)
-        assert got[1] == pytest.approx(want, rel=1e-11, abs=0)
-
-    def test_single_row_follows_scalar_panels_exactly(self) -> None:
-        f = lambda x: np.abs(x - 0.3) ** 0.7 * np.exp(-x)
-        vec = integrate(lambda x: f(x)[None, :], (0.0, np.inf), tol=1e-11)
-        assert vec.shape == (1,)
-        assert vec[0] == integrate(f, (0.0, np.inf), tol=1e-11)
+    """Integrand shapes: f must map npts abscissae to npts values; any other
+    shape, a (k, npts) stack of k integrands included, is rejected."""
 
     def test_scalar_call_returns_float(self) -> None:
         val = integrate(np.cos, (0.0, 1.0))
@@ -130,6 +90,7 @@ class TestVectorIntegrate:
             lambda x: np.ones(x.size + 1),
             lambda x: np.ones((2, 3, x.size)),
             lambda x: np.ones((x.size, 2)),
+            lambda x: np.ones((2, x.size)),
         ],
     )
     def test_bad_shapes_rejected(self, f) -> None:
@@ -139,16 +100,11 @@ class TestVectorIntegrate:
             integrate(f, (0.0, np.inf))
 
     def test_interval_errors_before_any_call(self) -> None:
-        f = self._stack(np.sin, np.cos)
+        f = lambda x: np.stack([np.sin(x), np.cos(x)])
         with pytest.raises(InvalidInterval):
             integrate(f, (1.0, 1.0))
         with pytest.raises(InvalidInterval):
             integrate(f, (0.0, 1.0), tol=-1.0)
-
-    def test_nonconvergent_component_raises(self) -> None:
-        f = self._stack(np.cos, lambda x: 1.0 / np.abs(x + 1e-320))
-        with pytest.raises(NonConvergence):
-            integrate(f, (0.0, 1.0), tol=1e-10)
 
 
 class TestTensorGridCache:

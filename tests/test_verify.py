@@ -315,7 +315,8 @@ class TestQOdd:
 
 class TestRecurrenceReport:
     @pytest.mark.parametrize(
-        "family,a", [("gauss", None), ("jacobi", 0.5), ("cauchy", 2.0)]
+        "family,a",
+        [("gauss", None), ("jacobi", 0.5), ("cauchy", 2.0), ("jacobi", -0.99), ("jacobi", -0.75)],
     )
     def test_families_pass(self, family: str, a: float | None) -> None:
         rep = verify_recurrence(family, a)

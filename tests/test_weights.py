@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -159,11 +160,26 @@ class TestTheta:
             cauchy_weight(0.75),
             cauchy_weight(2.0),
             cauchy_weight(3.5),
+            jacobi_weight(-0.99),
+            jacobi_weight(-0.75),
         ],
         ids=lambda w: f"{w.family}-{w.a}",
     )
     def test_quadrature_agrees(self, w) -> None:
         assert theta_by_quadrature(w) == pytest.approx(w.theta, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["jacobi", "cauchy"])
+    def test_beta_form_against_mpmath(self, family: str) -> None:
+        # theta = B(1/2, a + 1) / 2 (Jacobi) or B(1/2, a + 1/2) / 2 (Cauchy);
+        # Gamma(a + 1) alone overflows a float past a = 170
+        lo = -0.99 if family == "jacobi" else -0.49
+        shift = 1.0 if family == "jacobi" else 0.5
+        grid = [*np.linspace(lo, 30.0, 61), *np.linspace(30.0, 1000.0, 98), 169.5, 170.5, 171.0]
+        with mp.workdps(30):
+            for a in grid:
+                want = mp.beta(0.5, mp.mpf(float(a)) + shift) / 2
+                got = make_weight(family, float(a)).theta
+                assert abs(got - want) <= 1e-12 * want, a
 
 
 class TestTheta1:
