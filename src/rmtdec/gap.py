@@ -327,19 +327,28 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     return _OddParts(m, theta, th1s, comp_s, p_s, Ts, U, V, G[np.ix_(odd_idx, odd_idx)])
 
 
+# xi values per determinant stack in ``_det_direct``: memory is one
+# (_XI_BLOCK, m + 1, m + 1) complex stack and its temporaries
+_XI_BLOCK = 8
+
+
 def _det_direct(parts: _OddParts, xi: np.ndarray) -> np.ndarray:
-    """The bordered determinant at each complex xi, from one (N, m+1, m+1) stack."""
+    """The bordered determinant at each complex xi, by LAPACK on
+    (_XI_BLOCK, m+1, m+1) stacks."""
     m = parts.m
-    x = np.asarray(xi, dtype=complex)[:, None, None]
-    z = 2.0 * x - x * x
-    Y = np.empty((x.shape[0], m + 1, m + 1), dtype=complex)
-    Y[:, :1, :m] = parts.U - z * parts.V + 2.0 * x * (1.0 - x) * parts.th1s * parts.Ts
-    Y[:, :1, m:] = parts.theta - x * parts.th1s
-    Y[:, 1:, :m] = (
-        2.0 * x * parts.comp_s * np.outer(parts.p_s, parts.Ts) - np.eye(m) + z * parts.G
-    )
-    Y[:, 1:, m:] = x * parts.comp_s * parts.p_s[:, None]
-    return np.linalg.det(Y)
+    xi = np.asarray(xi, dtype=complex)
+    out = np.empty(xi.shape, dtype=complex)
+    outer, eye = np.outer(parts.p_s, parts.Ts), np.eye(m)
+    for start in range(0, xi.size, _XI_BLOCK):
+        x = xi[start : start + _XI_BLOCK, None, None]
+        z = 2.0 * x - x * x
+        Y = np.empty((x.shape[0], m + 1, m + 1), dtype=complex)
+        Y[:, :1, :m] = parts.U - z * parts.V + 2.0 * x * (1.0 - x) * parts.th1s * parts.Ts
+        Y[:, :1, m:] = parts.theta - x * parts.th1s
+        Y[:, 1:, :m] = 2.0 * x * parts.comp_s * outer - eye + z * parts.G
+        Y[:, 1:, m:] = x * parts.comp_s * parts.p_s[:, None]
+        out[start : start + x.shape[0]] = np.linalg.det(Y)
+    return out
 
 
 @dataclass(frozen=True)
@@ -390,16 +399,26 @@ def _gaudin_from_gram(G: np.ndarray) -> GaudinData:
 
 
 def _det_gaudin(gp: _GaudinParts, xi: np.ndarray) -> np.ndarray:
-    """The Gaudin-rotated bordered determinant at each complex xi, as one stack."""
-    m = gp.m
-    x = np.asarray(xi, dtype=complex)[:, None, None]
+    """The Gaudin-rotated bordered determinant at each complex xi.
+
+    Its matrix is an arrowhead: row 0 is (a, b) with a = Uq - 2 theta Tsq -
+    z (Vq - 2 th1s Tsq) and b = theta - x th1s, and row i + 1 holds d_i =
+    z nu_i - 1 on the diagonal and c_i = x comp_s q_i in the last column.
+    So det = (-1)^m (b prod_k d_k - sum_i a_i c_i prod_{k != i} d_k), with
+    the products over k != i from prefix and suffix products and no
+    division, as d_i vanishes where z nu_i = 1: O(m) per xi.
+    """
+    x = np.asarray(xi, dtype=complex)[:, None]
     z = 2.0 * x - x * x
-    Y = np.empty((x.shape[0], m + 1, m + 1), dtype=complex)
-    Y[:, :1, :m] = gp.Uq - 2.0 * gp.theta * gp.Tsq - z * (gp.Vq - 2.0 * gp.th1s * gp.Tsq)
-    Y[:, :1, m:] = gp.theta - x * gp.th1s
-    Y[:, 1:, :m] = z * np.diag(gp.nus) - np.eye(m)
-    Y[:, 1:, m:] = x * gp.comp_s * gp.q_s[:, None]
-    return np.linalg.det(Y)
+    a = gp.Uq - 2.0 * gp.theta * gp.Tsq - z * (gp.Vq - 2.0 * gp.th1s * gp.Tsq)
+    b = gp.theta - x[:, 0] * gp.th1s
+    c = x * gp.comp_s * gp.q_s
+    d = z * gp.nus - 1.0
+    ones = np.ones_like(x)
+    before = np.cumprod(np.concatenate([ones, d], axis=1), axis=1)  # prod_{k < i} d_k
+    after = np.cumprod(np.concatenate([ones, d[:, ::-1]], axis=1), axis=1)[:, ::-1]  # k >= i
+    rest = np.sum(a * c * before[:, :-1] * after[:, 1:], axis=1)
+    return (-1.0) ** gp.m * (b * before[:, -1] - rest)
 
 
 def _extract_coeffs(

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Quadrature on finite and infinite intervals, the ordered tensor rule behind
-every small-n multiple integral, and symmetric eigendecomposition.
+Quadrature on finite and infinite intervals, the finite-box ordered tensor
+rule behind every small-n integral, and symmetric eigendecomposition.
 Everything here is a pure function on immutable inputs; integrands are
 expected to be vectorized (accept an ndarray of abscissae and return an
 ndarray of values of the same shape).
@@ -205,29 +205,21 @@ def ordered_tensor(
 
     The region holds ``counts[i]`` ascending points in segment
     (edges[i], edges[i+1]); ``log_density`` receives a (batch, sum(counts))
-    array of ascending rows in x-space and must be row-wise, each row's value
+    array of ascending rows and must be row-wise, each row's value
     independent of the others, since the grid is evaluated in blocks of
     _BLOCK_ROWS rows.  Within a segment (a, b) the points come from the
     iterated map u_j = u_{j-1} + (b - u_{j-1}) t_j on t in (0,1)^c, whose
-    Jacobian is prod (b - u_{j-1}).  An infinite outer edge sends every edge
-    through u = atan(x), with the sec^2 Jacobian applied here.  Memory is
-    8 bytes per grid node plus one block's temporaries.  Raises
-    InvalidInterval unless the edges ascend strictly and there is one count
-    per segment.
+    Jacobian is prod (b - u_{j-1}).  Memory is 8 bytes per grid node plus
+    one block's temporaries.  Raises InvalidInterval unless the edges are
+    finite (``densities._support_tensor`` charts a line) and ascend
+    strictly and there is one count per segment.
     """
-    x_edges = np.asarray(edges, dtype=float)
-    if x_edges.ndim != 1 or x_edges.size != len(counts) + 1:
+    bounds = np.asarray(edges, dtype=float)
+    if bounds.ndim != 1 or bounds.size != len(counts) + 1:
         raise InvalidInterval("need one count per segment between the edges")
-    if not np.all(np.diff(x_edges) > 0) or sum(counts) < 1 or min(counts) < 0:
-        raise InvalidInterval(f"edges {list(edges)} must ascend strictly around points")
-    transform = not np.all(np.isfinite(x_edges))
-    if transform:
-        bounds = [
-            math.atan(e) if np.isfinite(e) else math.copysign(0.5 * math.pi, e)
-            for e in x_edges
-        ]
-    else:
-        bounds = [float(e) for e in x_edges]
+    ascend = np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0)
+    if not ascend or sum(counts) < 1 or min(counts) < 0:
+        raise InvalidInterval(f"edges {list(edges)} must be finite and ascend around points")
 
     dim = sum(counts)
     logvals = np.empty(order**dim)
@@ -244,13 +236,8 @@ def ordered_tensor(
                 logjac += np.log(span)
                 prev = u[:, col]
                 col += 1
-        if transform:
-            xs = np.tan(u)
-            logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
-        else:
-            xs = u
         stop = start + tmat.shape[0]
-        logvals[start:stop] = np.asarray(log_density(xs), dtype=float) + logjac + logwt
+        logvals[start:stop] = np.asarray(log_density(u), dtype=float) + logjac + logwt
         start = stop
 
     peak = float(np.max(logvals))

@@ -26,6 +26,7 @@ __all__ = [
     "ClassicalWeight",
     "OrthoSystem",
     "build",
+    "chart",
     "gram",
 ]
 
@@ -239,50 +240,62 @@ def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2.0 ** (e + 1.0) / (e + 1.0) * vecs[0] ** 2
 
 
-def _gram_rule(w: ClassicalWeight, lo: float, hi: float, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and plain weights for int_lo^hi p_j p_k w, j, k <= top.
-
-    Each shape is integrated in a chart v where its functions oscillate
-    evenly: x itself for Hermite, y = sqrt(x) for Laguerre, x = lo + (hi -
-    lo) sin^2(v / 2) for Jacobi, x = tan(v) for Romanovski, x = tan(v)^2
-    for beta-prime.  Hermite and Laguerre ranges end _MARGIN past the
-    turning point of degree top.  The v range gets equal Gauss-Legendre
-    panels, as many as its width times the oscillation frequency needs.
-    Where J reaches an end of the support, the integrand of the top pair is
-    s^e times a smooth function of s = |x - end| (finite end) or s = 1/|x|
-    (infinite end); lower pairs add integer powers of s.  That end panel is
-    Gauss-Jacobi in s for the power e, with the power divided out of its
-    weights as recomputed from the float node x, so it cancels exactly
-    against the weight evaluated there.
-    """
+def chart(w: ClassicalWeight, top: int) -> tuple:
+    """The one chart table: for each shape a v where its functions up to
+    degree ``top`` oscillate evenly (x for Hermite, sqrt(x) for Laguerre,
+    lo + (hi - lo) sin^2(v / 2) for Jacobi, tan(v) for Romanovski, tan(v)^2
+    for beta-prime).  Returns to_v of a float, to_x, dx/dv as a function of
+    x, the v span (Hermite and Laguerre end _MARGIN past the turning point
+    of degree top), the frequency in v and w's powers at its lower and
+    upper end (None: no Gauss-Jacobi panel)."""
     (slo, shi), a, b = w.support, w.a, w.b
+    clip = math.inf
     if w.shape in ("hermite", "laguerre"):
         sq = w.shape == "laguerre"
         turn = math.sqrt(4.0 * top + 2.0 * b + 2.0 if sq else 2.0 * top + 1.0)
-        vlo = max(math.sqrt(lo) if sq else lo, -turn - _MARGIN)
-        vhi = min(math.sqrt(hi) if sq else hi, turn + _MARGIN)
+        to_v, clip = (math.sqrt if sq else float), turn + _MARGIN
         to_x, jac = (np.square, lambda x: 2.0 * np.sqrt(x)) if sq else ((lambda v: v), np.ones_like)
         freq, powers = 2.0 * turn, (b if sq else None, None)
     elif w.shape == "jacobi":
         width = shi - slo
-        vlo, vhi = (2.0 * math.asin(math.sqrt((v - slo) / width)) for v in (lo, hi))
-        to_x = lambda v: slo + width * np.sin(0.5 * v) ** 2
+        to_v = lambda x: 2.0 * math.asin(math.sqrt((x - slo) / width))
+        # the rounded width can carry a node at v = pi a hair past shi
+        to_x = lambda v: np.minimum(slo + width * np.sin(0.5 * v) ** 2, shi)
         jac = lambda x: np.sqrt((x - slo) * (shi - x))
         freq, powers = 2.0 * top + abs(a) + abs(b) + 2.0, (b, a)
     else:
         sq = w.shape == "betaprime"
-        vlo, vhi = (math.atan(math.sqrt(v) if sq else v) for v in (lo, hi))
+        to_v = (lambda x: math.atan(math.sqrt(x))) if sq else math.atan
         to_x = (lambda v: np.tan(v) ** 2) if sq else np.tan
         jac = (lambda x: 2.0 * np.sqrt(x) * (1.0 + x)) if sq else (lambda x: 1.0 + x * x)
         n = 4.0 * top + 2.0 * b + 2.0 if sq else 2.0 * top + 1.0
         tail = a - b - 2.0 * top - 2.0 if sq else 2.0 * (a - top - 1.0)
         freq, powers = 2.0 * math.sqrt(2.0 * a * n) + 2.0 * n, (b if sq else tail, tail)
+    return to_v, to_x, jac, (max(to_v(slo), -clip), min(to_v(shi), clip)), freq, powers
+
+
+def _gram_rule(w: ClassicalWeight, lo: float, hi: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and plain weights for int_lo^hi p_j p_k w, j, k <= top.
+
+    J is taken in the ``chart`` of w's shape, clipped to its span (empty
+    past it), in equal Gauss-Legendre panels, as many as its width times the
+    frequency needs.  Where J reaches an end of the support, the integrand
+    of the top pair is s^e times a smooth function of s = |x - end| (finite
+    end) or s = 1/|x| (infinite end); lower pairs add integer powers of s.
+    That end panel is Gauss-Jacobi in s for the power e, with the power
+    divided out of its weights as recomputed from the float node x, so it
+    cancels exactly against the weight evaluated there.
+    """
+    to_v, to_x, jac, (vmin, vmax), freq, powers = chart(w, top)
+    vlo, vhi = (min(max(to_v(v), vmin), vmax) for v in (lo, hi))
+    if not vlo < vhi:
+        return np.zeros(0), np.zeros(0)
     panels = max(48, math.ceil((vhi - vlo) * freq / 4.0))
     edges = np.linspace(vlo, vhi, panels + 1)
     keep = np.ones((panels, _ORDER), dtype=bool)
     nodes, weights = [], []
     for side, e in enumerate(powers):
-        end = (slo, shi)[side]
+        end = w.support[side]
         if e is None or (lo, hi)[side] != end:
             continue
         keep[-side] = False

@@ -191,8 +191,11 @@ class SampleBatch:
     def to_jsonl(self, path) -> None:
         """Write a header object {"diagnostics", "seed", "spec", "width"},
         then one {"values": [...]} object per spectrum.  Each block of
-        _IO_ROWS rows comes from one ``json.dumps`` of its ``tolist()``, cut
-        at the "], [" between rows (float text never holds a bracket)."""
+        _IO_ROWS rows is one %r format operation over its flattened
+        ``tolist()``, as in ``to_csv``; %r spells a float as ``json.dumps``
+        does.  A block holding nan or +-inf, which JSON spells NaN and
+        Infinity, is one ``json.dumps`` of its ``tolist()``, cut at the
+        "], [" between rows (float text never holds a bracket)."""
         head = json.dumps(
             {
                 "spec": self.label,
@@ -204,7 +207,11 @@ class SampleBatch:
         )
         with Path(path).open("w") as fh:
             fh.write(head + "\n")
+            row = '{"values": [' + ", ".join(["%r"] * self.width) + "]}\n"
             for block in self._blocks():
+                if np.isfinite(block).all():
+                    fh.write(row * len(block) % tuple(block.ravel().tolist()))
+                    continue
                 rows = json.dumps(block.tolist())[1:-1]
                 fh.write('{"values": ' + rows.replace("], [", ']}\n{"values": [') + "}\n")
 

@@ -455,7 +455,7 @@ def verify_dixon_anderson(
                 break
         edges = [0.0] * mu + list(s[::-1]) + [w.omega]
         lhs = _settle(
-            lambda order: _support_tensor(w, log_g, edges, [1] * mhat, order),
+            lambda order: _support_tensor(w.w2, log_g, edges, [1] * mhat, order),
             _ORDER_LADDER[mhat],
             tol / 20.0,
         )
@@ -510,7 +510,7 @@ def _cell_probs(w1: AdmissibleWeight, n: int, edges: np.ndarray) -> np.ndarray:
     logq = lambda rows: log_q_odd_batch(w1, rows, n)
     ladder = _ORDER_LADDER[mhat]
     support = [0.0, w1.omega]
-    z = _settle(lambda order: _support_tensor(w1, logq, support, [mhat], order), ladder, 1e-7)
+    z = _settle(lambda order: _support_tensor(w1.w2, logq, support, [mhat], order), ladder, 1e-7)
     grid = np.unique(edges)
     # a point in segment i of the merged grid lies in the cell that holds grid[i]
     label = lambda segs: _cell_index(edges, grid[list(segs)])

@@ -591,6 +591,18 @@ class TestArgparsePlumbing:
     def test_help_exits_zero(self, capsys) -> None:
         assert cli.main(["--help"]) == 0
 
+    def test_python_dash_m(self) -> None:
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "rmtdec", "gap", "--kind", "cue", "--n", "3", "--theta", "1.2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        coeffs = json.loads(done.stdout)["coeffs"]
+        assert len(coeffs) == 4 and min(coeffs) >= 0.0
+        assert sum(coeffs) == pytest.approx(1.0, abs=1e-12)
+
     def test_no_command_is_config_error(self, capsys) -> None:
         assert cli.main([]) == 2
 

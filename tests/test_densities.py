@@ -26,6 +26,7 @@ from rmtdec.densities import (
     normalize,
     _placement_masses,
     _settle,
+    _support_tensor,
 )
 from rmtdec.errors import BadParameter, InterlacingViolated, OutOfSupport
 from rmtdec.numerics import ordered_tensor
@@ -339,7 +340,7 @@ class TestNormalize:
 
     @pytest.mark.parametrize("beta,n,box", [(2, 1, (-10.0, 10.0)), (1, 4, (-4.0, 4.0))])
     def test_peaked_density_on_wide_box(self, beta: int, n: int, box: tuple[float, float]) -> None:
-        # the sine chart puts the middle of the box's nodes pi/2 farther apart
+        # the Jacobi chart puts the middle of the box's nodes pi/2 farther apart
         # than x does, so these settle only on the last rung of their ladder;
         # the reference is the rule in x at the order where it settles
         f = lambda x: log_p_beta_batch(GAUSS, beta, x)
@@ -397,8 +398,8 @@ class TestPlacementMasses:
     )
     def test_sum_matches_normalize(self, family: str, n: int, cuts: list[float]) -> None:
         # the placements of n points over any segment grid tile the ordered
-        # region; the Jacobi masses are taken in t with x = sin t, the
-        # normalization in t with x = c + h sin t on the box itself
+        # region; the masses are taken in the chart of the weight, the
+        # normalization in the Jacobi chart of the box itself
         w = FAMILIES[family]
         lo, hi = (-2.5, 3.0) if family == "gauss" else (-0.9, 0.95)
         edges = [lo, *sorted(lo + c * (hi - lo) for c in cuts), hi]
@@ -412,6 +413,28 @@ class TestPlacementMasses:
         )
         want = normalize(logd, n, (lo, hi), tol=1e-12)
         assert masses.sum() == pytest.approx(want, rel=1e-10)
+
+
+class TestGaussChart:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_line_mass_is_mehta(self, n: int) -> None:
+        # Mehta's integral of prod e^{-x^2/2} |Vdm| over R^n is (2 pi)^(n/2)
+        # prod_j Gamma(1 + j/2) / Gamma(3/2), 1/n! of it ordered; the line is
+        # cut at 0 and every placement taken on the clipped Hermite chart
+        want = (2.0 * math.pi) ** (n / 2.0) / math.factorial(n) * math.prod(
+            math.gamma(1.0 + j / 2.0) / math.gamma(1.5) for j in range(1, n + 1)
+        )
+        f = lambda x: log_p_beta_batch(GAUSS, 1, x)
+        got = _placement_masses(GAUSS, f, [-np.inf, 0.0, np.inf], n, lambda s: 0, 1, 28)[0]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_segment_past_the_clip_holds_no_mass(self) -> None:
+        f = lambda x: log_p_beta_batch(GAUSS, 1, x)
+        edges = [-np.inf, 20.0, 30.0, np.inf]
+        assert _support_tensor(GAUSS.w2, f, edges, [1, 1, 0], 12) == 0.0
+        # the emptied segments are dropped, the rest is the clipped line
+        whole = _support_tensor(GAUSS.w2, f, [-np.inf, np.inf], [2], 12)
+        assert _support_tensor(GAUSS.w2, f, edges, [2, 0, 0], 12) == whole
 
 
 def test_pair_products_and_determinants_live_in_densities() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,13 +323,46 @@ class TestGapOeOdd:
             g = gap_oe_odd_exact(w, n, s, mode="gaudin")
             assert_allclose(d.coeffs, g.coeffs, rtol=0, atol=1e-12, err_msg=f"n = {n}")
 
+    def test_n401_memory_and_mode_agreement(self) -> None:
+        # direct mode walks xi in blocks of _XI_BLOCK, Gaudin mode takes the
+        # arrowhead in O(m) per xi; one stack over all 403 xi traced 741 MiB
+        w = gauss_weight()
+        coeffs = {}
+        for mode in ("direct", "gaudin"):
+            tracemalloc.start()
+            try:
+                coeffs[mode] = gap_oe_odd_exact(w, 401, 1.0, mode=mode).coeffs
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64e6, (mode, peak)
+        assert_allclose(coeffs["direct"], coeffs["gaudin"], rtol=0, atol=1e-12)
+
+    def test_gaudin_arrowhead_matches_lapack(self) -> None:
+        # nu = 1/2 makes d = z nu - 1 vanish at z = 2, i.e. at xi = 1 -+ i
+        rng = np.random.default_rng(3)
+        m = 5
+        gp = gap._GaudinParts(m, 1.3, 0.4, 0.7, np.array([0.1, 0.5, 0.5, 0.8, 0.99]),
+                              *rng.normal(size=(4, m)))
+        xi = np.concatenate([[0.0, 1.0 - 1j, 1.0 + 1j], rng.normal(size=6) + 1j * rng.normal(size=6)])
+        want = []
+        for x in xi:
+            z = 2.0 * x - x * x
+            Y = np.zeros((m + 1, m + 1), dtype=complex)
+            Y[0, :m] = gp.Uq - 2.0 * gp.theta * gp.Tsq - z * (gp.Vq - 2.0 * gp.th1s * gp.Tsq)
+            Y[0, m] = gp.theta - x * gp.th1s
+            Y[1:, :m] = z * np.diag(gp.nus) - np.eye(m)
+            Y[1:, m] = x * gp.comp_s * gp.q_s
+            want.append(np.linalg.det(Y))
+        assert_allclose(gap._det_gaudin(gp, xi), want, rtol=1e-13, atol=1e-13)
+
     def test_n3_matches_bruteforce(self) -> None:
         w = gauss_weight()
-        s = 1.0
-        p = gap_oe_odd_exact(w, 3, s)
-        for k in range(4):
-            b = gap_oe_bruteforce(w, 3, (-s, s), k)
-            assert b == pytest.approx(p.prob(k), abs=1e-6)
+        for s in (0.2, 1.0, 2.5):
+            p = gap_oe_odd_exact(w, 3, s)
+            for k in range(4):
+                b = gap_oe_bruteforce(w, 3, (-s, s), k)
+                assert b == pytest.approx(p.prob(k), abs=1e-6)
 
     @pytest.mark.parametrize("a,brute_tol,atol", [(-0.5, 1e-6, 1e-9), (-0.25, 1e-4, 2e-5)])
     def test_negative_jacobi_exponent_matches_bruteforce(
@@ -448,18 +482,31 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "w,n,s,want",
         [
-            (gauss_weight(), 3, 0.75, [0.17330697134126474, 0.59773569688209,
-                                       0.21896342609096636, 0.009993905685678844]),
-            (cauchy_weight(4.0), 3, 0.75, [0.0009152155242733233, 0.0741327778470623,
+            (gauss_weight(), 3, 0.75, [0.17330697134672743, 0.5977356968934305,
+                                       0.2189634260767163, 0.00999390568312575]),
+            (cauchy_weight(4.0), 3, 0.75, [0.0009152155242733238, 0.07413277784706232,
                                            0.47106467757349163, 0.45388732905517276]),
-            (jacobi_weight(0.5), 2, 0.5, [0.20703125, 0.5825037944942959, 0.2104649555057039]),
+            (jacobi_weight(0.5), 2, 0.5, [0.2070312500000002, 0.5825037944942959,
+                                          0.21046495550570377]),
         ],
         ids=["gauss", "cauchy4", "jacobi0.5"],
     )
     def test_values_are_pinned(self, w, n: int, s: float, want: list[float]) -> None:
-        # bit for bit: the order ladder, the composition summation order and
-        # the settling test are part of what the brute force computes
+        # bit for bit: the chart, the order ladder, the composition summation
+        # order and the settling test are part of what the brute force computes
         assert [gap_oe_bruteforce(w, n, (-s, s), k) for k in range(n + 1)] == want
+
+    @pytest.mark.parametrize("n,J", [(3, (-math.inf, 0.3)), (4, (-0.4, 1.1))])
+    def test_gauss_on_the_clipped_chart_settles(self, n: int, J: tuple[float, float]) -> None:
+        # under x = tan u, e^{-x^2/2} is not analytic at u = +-pi/2 and
+        # neither ladder settled; on the clipped Hermite range both do
+        vals = [gap_oe_bruteforce(gauss_weight(), n, J, k) for k in range(n + 1)]
+        assert min(vals) >= 0.0
+        assert sum(vals) == pytest.approx(1.0, abs=1e-12)
+
+    def test_interval_past_the_clip_holds_no_point(self) -> None:
+        vals = [gap_oe_bruteforce(gauss_weight(), 2, (12.0, 15.0), k) for k in range(3)]
+        assert vals == [1.0, 0.0, 0.0]
 
     def test_order_cap(self) -> None:
         with pytest.raises(BadParameter):

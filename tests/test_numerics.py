@@ -21,7 +21,7 @@ from rmtdec.numerics import (
     ordered_tensor,
     sym_eigen,
 )
-from rmtdec.orthopoly import ClassicalWeight, _gram_rule
+from rmtdec.orthopoly import ClassicalWeight, _gram_rule, chart
 from rmtdec.weights import gauss_weight, jacobi_weight
 
 
@@ -110,7 +110,8 @@ class TestVectorIntegrate:
 class TestTensorGridCache:
     def test_repeated_calls_identical(self) -> None:
         f = lambda x: -0.5 * np.sum(x**2, axis=1) + np.log1p(x[:, 0] ** 2)
-        vals = [ordered_tensor(f, [-1.0, 0.3, np.inf], [2, 1], 12) for _ in range(3)]
+        f, edges = _tan_chart(f, [-1.0, 0.3, np.inf])
+        vals = [ordered_tensor(f, edges, [2, 1], 12) for _ in range(3)]
         assert vals[0] == vals[1] == vals[2]
 
     def test_cached_grid_is_shared_and_read_only(self) -> None:
@@ -158,15 +159,7 @@ def _whole_grid(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _whole_grid_tensor(log_density, edges, counts, order: int) -> float:
     """``ordered_tensor`` with the whole grid evaluated in one call."""
-    x_edges = np.asarray(edges, dtype=float)
-    transform = not np.all(np.isfinite(x_edges))
-    if transform:
-        bounds = [
-            math.atan(e) if np.isfinite(e) else math.copysign(0.5 * math.pi, e)
-            for e in x_edges
-        ]
-    else:
-        bounds = [float(e) for e in x_edges]
+    bounds = [float(e) for e in edges]
     tmat, logwt = _whole_grid(order, sum(counts))
     u = np.empty_like(tmat)
     logjac = np.zeros(tmat.shape[0])
@@ -179,16 +172,20 @@ def _whole_grid_tensor(log_density, edges, counts, order: int) -> float:
             logjac += np.log(span)
             prev = u[:, col]
             col += 1
-    if transform:
-        xs = np.tan(u)
-        logjac += -2.0 * np.sum(np.log(np.cos(u)), axis=1)
-    else:
-        xs = u
-    logvals = np.asarray(log_density(xs), dtype=float) + logjac + logwt
+    logvals = np.asarray(log_density(u), dtype=float) + logjac + logwt
     peak = float(np.max(logvals))
     if not np.isfinite(peak):
         return 0.0
     return float(np.exp(peak) * np.sum(np.exp(logvals - peak)))
+
+
+def _tan_chart(log_density, edges):
+    """``log_density`` and ``edges`` carried into the tan chart x = tan(v) of
+    ``orthopoly.chart``, with the log Jacobian log(1 + x^2) added, so that an
+    infinite edge becomes the finite +-pi/2."""
+    to_v, to_x, jac = chart(ClassicalWeight("romanovski"), 0)[:3]
+    log_density_v = lambda v: log_density(to_x(v)) + np.sum(np.log(jac(to_x(v))), axis=1)
+    return log_density_v, [to_v(e) for e in edges]
 
 
 def _beta1_gauss(x: np.ndarray) -> np.ndarray:
@@ -213,19 +210,26 @@ class TestBlockedTensor:
         ],
     )
     def test_matches_whole_grid_bit_for_bit(self, edges, counts, order: int) -> None:
-        got = ordered_tensor(_beta1_gauss, edges, counts, order)
-        assert got == _whole_grid_tensor(_beta1_gauss, edges, counts, order)
+        f = _beta1_gauss
+        if not np.all(np.isfinite(edges)):
+            f, edges = _tan_chart(f, edges)
+        got = ordered_tensor(f, edges, counts, order)
+        assert got == _whole_grid_tensor(f, edges, counts, order)
 
     @pytest.mark.parametrize(
         "edges,counts,order",
         [([-1.0, 0.3, 1.0], [2, 1], 26), ([-1.0, -0.2, 0.3, 1.0], [1, 2, 1], 12)],
     )
     def test_jacobi_sin_map_bit_for_bit(self, edges, counts, order: int) -> None:
+        # the Jacobi chart x = -1 + 2 sin^2(v / 2), dx/dv = sqrt((1 + x)(1 - x))
         w = jacobi_weight(0.5)
         log_density = lambda x: densities.log_p_beta_batch(w, 1, x)
-        got = densities._support_tensor(w, log_density, edges, counts, order)
-        log_density_t = lambda t: log_density(np.sin(t)) + np.sum(np.log(np.cos(t)), axis=1)
-        assert got == _whole_grid_tensor(log_density_t, np.arcsin(edges), counts, order)
+        got = densities._support_tensor(w.w2, log_density, edges, counts, order)
+        to_x = lambda v: -1.0 + 2.0 * np.sin(0.5 * v) ** 2
+        jac = lambda x: np.sqrt((x + 1.0) * (1.0 - x))
+        log_density_v = lambda v: log_density(to_x(v)) + np.sum(np.log(jac(to_x(v))), axis=1)
+        v_edges = [2.0 * math.asin(math.sqrt((e + 1.0) / 2.0)) for e in edges]
+        assert got == _whole_grid_tensor(log_density_v, v_edges, counts, order)
 
     def test_memory_is_one_array_per_node(self) -> None:
         # 234,256 rows: the whole-grid rule traced 37 MB here, a dozen
@@ -260,8 +264,8 @@ class TestOrderedTensor:
         assert val == pytest.approx(0.5, rel=1e-13)
 
     def test_gauss_full_line(self) -> None:
-        f = lambda x: -0.5 * np.sum(x**2, axis=1)
-        val = ordered_tensor(f, [-np.inf, np.inf], [1], 80)
+        f, edges = _tan_chart(lambda x: -0.5 * np.sum(x**2, axis=1), [-np.inf, np.inf])
+        val = ordered_tensor(f, edges, [1], 80)
         assert val == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -273,6 +277,7 @@ class TestOrderedTensor:
             ([0.0, 1.0], [1, 1]),
             ([0.0, 1.0, 2.0], [2]),
             ([0.0, 1.0], [0]),
+            ([0.0, np.inf], [1]),
         ],
     )
     def test_bad_edges_or_counts(self, edges: list, counts: list) -> None:

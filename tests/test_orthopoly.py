@@ -227,6 +227,11 @@ class TestGram:
         np.testing.assert_allclose(gram(sys, (0.5, 0.5)), np.zeros((4, 4)))
         np.testing.assert_allclose(gram(sys, (0.7, 0.2)), np.zeros((4, 4)))
 
+    def test_interval_past_the_clip_is_zero(self) -> None:
+        # the Hermite chart ends 7 past the turning point sqrt(2 * 3 + 1)
+        sys = build(HERMITE, 3)
+        assert np.array_equal(gram(sys, (20.0, np.inf)), np.zeros((4, 4)))
+
     def test_subinterval_against_direct_quadrature(self) -> None:
         sys = build(HERMITE, 4)
         g = gram(sys, (-1.0, 1.0), [1, 3])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -858,6 +859,25 @@ class TestSerialization:
         getattr(self._golden_batch(), f"to_{fmt}")(path)
         want = self.GOLDEN_CSV if fmt == "csv" else self.GOLDEN_JSONL
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "nan-inf"])
+    def test_jsonl_bytes_match_json_dumps(self, tmp_path, monkeypatch, special: bool) -> None:
+        # a finite block is one %r format, a block with nan or +-inf one
+        # json.dumps; either way each row reads as json.dumps writes it
+        monkeypatch.setattr(samplers, "_IO_ROWS", 16)
+        rng = np.random.default_rng(5)
+        spectra = rng.normal(size=(50, 5)) * 10.0 ** rng.integers(-300, 300, size=(50, 5))
+        if special:
+            spectra[3, :2] = -np.inf, np.inf
+            spectra[40, 4] = np.nan
+        batch = SampleBatch(spectra=np.sort(spectra, axis=1), seed=2, label="x",
+                            diagnostics={"route": "gaussian"})
+        path = tmp_path / "b.jsonl"
+        batch.to_jsonl(path)
+        head = {"spec": "x", "seed": 2, "diagnostics": {"route": "gaussian"}, "width": 5}
+        want = [json.dumps(head, sort_keys=True)]
+        want += [json.dumps({"values": r}) for r in batch.spectra.tolist()]
+        assert path.read_text() == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("ending", ["crlf", "no-final-newline"])

@@ -302,7 +302,7 @@ class TestQOdd:
     @pytest.mark.parametrize("a", [-0.5, 0.5, 1.0])
     def test_jacobi_endpoint_exponents(self, a: float, n: int) -> None:
         # (1 - x^2)^a at x = 1: normalization, bins and cells are integrated
-        # in t with x = sin t
+        # in the Jacobi chart x = -1 + 2 sin^2(v / 2)
         rep = verify_q_odd("jacobi", n, 20000, seed=15, a=a)
         assert rep.passed, rep.to_json()
         kinds = {s.name: s for s in rep.subtests}
