@@ -6,8 +6,9 @@ odd-location marginals.  Every pairwise product prod_{i<j} |x_j^p - x_i^p|
 is the row-wise kernel ``_log_vdm_rows`` on (batch, n) arrays, which the
 Metropolis pair weights in ``gap`` and the interlacing integrand in
 ``verify`` share; the odd-location determinant lives only in
-``log_q_odd_batch``.  The scalar forms validate their input and then
-evaluate one row through the batch form or the kernel.
+``log_q_odd_batch``.  The scalar forms take a plain array, check order and
+sign where the density depends on them (the q forms), and evaluate one row
+through the batch form or the kernel.
 
 Every small-n multiple integral is the ordered tensor rule of ``numerics``,
 escalated by ``_settle`` along an order ladder: the normalization constants
@@ -23,7 +24,6 @@ use for the weight's w2 (``_support_tensor``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -40,8 +40,6 @@ from .orthopoly import ClassicalWeight, chart
 from .weights import AdmissibleWeight, theta1
 
 __all__ = [
-    "OrderedSpectrum",
-    "SingularSpectrum",
     "log_p_beta",
     "log_p_chiral",
     "log_q_xy",
@@ -54,49 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderedSpectrum:
-    """Ascending eigenvalue configuration."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if vals.ndim != 1:
-            raise BadParameter("spectrum must be one-dimensional")
-        if np.any(np.diff(vals) < 0):
-            raise BadParameter("spectrum must be ascending")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Ascending nonnegative singular-value configuration."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if vals.ndim != 1:
-            raise BadParameter("spectrum must be one-dimensional")
-        if np.any(np.diff(vals) < 0):
-            raise BadParameter("singular values must be ascending")
-        if vals.size and vals[0] < 0:
-            raise BadParameter("singular values must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def _vals(spec) -> np.ndarray:
-    if isinstance(spec, (OrderedSpectrum, SingularSpectrum)):
-        return spec.values
     return np.atleast_1d(np.asarray(spec, dtype=float))
 
 

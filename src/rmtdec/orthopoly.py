@@ -100,6 +100,20 @@ class ClassicalWeight:
                 "romanovski": top < 2.0 * a, "betaprime": b > -1.0 and top + b < a}[self.shape]
 
 
+def _beta_half(b: float) -> float:
+    """B(1/2, b).  scipy's beta is off by 9e-14 relative at b = 200.5 and by
+    1.5e-12 at b = 2001.5, so from b = 20 on it is sqrt(pi / b) exp(-l(b)),
+    where l(b) = log(Gamma(b + 1/2) / (Gamma(b) sqrt(b))) has the series
+    sum_k (2^-k - 2) B_{k+1} / (k (k+1) b^k) over odd k <= 11 (DLMF 5.11.8);
+    its first omitted term is below 2e-19 at b = 20."""
+    if b < 20.0:
+        return float(beta_fn(0.5, b))
+    r = 1.0 / (b * b)
+    series = -1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * (
+        17.0 / 14336.0 + r * (-31.0 / 18432.0 + r * 691.0 / 180224.0))))
+    return math.sqrt(math.pi / b) * math.exp(-series / b)
+
+
 def _jacobi_recurrence(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """alpha_0..alpha_{degree-1} and beta_1..beta_degree of the monic Jacobi
     polynomials for (1 - t)^a (1 + t)^b on (-1, 1).  alpha_0 and beta_1 use
@@ -126,7 +140,7 @@ def _monic_recurrence(w: ClassicalWeight, degree: int) -> tuple[np.ndarray, np.n
         return 2.0 * k + b - 1.0, k * (k + b), float(gamma(b + 1.0))
     if w.shape == "romanovski":
         beta = k * (2.0 * a - k) / ((2.0 * a - 2.0 * k) ** 2 - 1.0)
-        return np.zeros(degree), beta, float(beta_fn(0.5, a - 0.5))
+        return np.zeros(degree), beta, _beta_half(a - 0.5)
     if w.shape == "jacobi":
         lo, hi = w.support
         mass = np.exp((a + b + 1.0) * math.log(hi - lo) + betaln(a + 1.0, b + 1.0))
@@ -134,8 +148,13 @@ def _monic_recurrence(w: ClassicalWeight, degree: int) -> tuple[np.ndarray, np.n
     else:
         # the moments of x^b (1 + x)^(-a) are proportional to those of the
         # Jacobi weight (0 - x)^b (x + 1)^(-a) on (-1, 0), continued in a
-        lo, hi = -1.0, 0.0
-        mass = beta_fn(b + 1.0, a - b - 1.0)
+        lo, hi, y = -1.0, 0.0, a - b - 1.0
+        if b == -0.5:
+            mass = _beta_half(y)
+        elif b == 0.5 and y >= 20.0:  # B(3/2, y) = B(1/2, y) / (2y + 1)
+            mass = _beta_half(y) / (2.0 * y + 1.0)
+        else:
+            mass = beta_fn(b + 1.0, y)
         alpha, beta = _jacobi_recurrence(b, -a, degree)
     half = 0.5 * (hi - lo)
     return 0.5 * (lo + hi) + half * alpha, half * half * beta, float(mass)

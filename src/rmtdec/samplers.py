@@ -13,7 +13,9 @@ per-matrix LAPACK call; from order 3 on the steps are LAPACK's.  Only the
 rare COE/CUE row with an angle near pi, or with I + U singular, calls a
 non-symmetric eigensolver.  A generic random-walk Metropolis
 sampler covers the rest (OE and UE with a Cauchy weight off the circular
-exponents) and serves as an independent cross-check on request.  All
+exponents) and serves as an independent cross-check on request.  One
+function, ``_exact_draw``, names each spec's exact route and returns its
+draw; ``sample_ensemble`` records the route in ``diagnostics["route"]``.  All
 samplers are deterministic given the seed, an integer in [0, 2**64) (any
 other raises BadParameter): work is split into a fixed number of logical
 blocks, each with its own generator derived from (seed, block index), so
@@ -753,32 +755,52 @@ def stereographic_inverse(theta):
 # -- ensemble dispatch -------------------------------------------------------------
 
 
-def _near_int(v: float) -> int | None:
-    r = round(v)
-    return int(r) if abs(v - r) < 1e-12 else None
+def _exact_draw(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]] | None:
+    """The one exact-route decision: the route of ``spec`` and its
+    draw(count, seed, workers), or None where only Metropolis applies (OE/UE
+    Cauchy whose exponent 2a + 1 differs from n).  Each draw looks its
+    sampler up as a module global when it runs, so a rebinding is seen.
 
+    chUE maps to u = x^2 with density prod u^(mu - 1/2) w2(sqrt u) Vdm(u)^2:
+    Gauss is beta-Laguerre at u = lam/2, Jacobi is beta-Jacobi at u = lam,
+    and Cauchy is beta-Jacobi after v = u/(1 + u).  OE/UE Jacobi is
+    beta-Jacobi at x = 2 lam - 1, and OE/UE Cauchy with 2a + 1 = n is the
+    tangent-half-angle pullback of COE/CUE of order n.
+    """
+    kind, n, w, mu = spec.kind, spec.n, spec.weight, spec.mu
+    beta = 1 if kind == "OE" else 2
+    to_x = None  # the map from a beta model's values to the spec's, where one is needed
+    if kind in _CIRCULAR:
+        route = "haar" if kind in ("COE", "CUE") else "beta-jacobi"
+        model = lambda *run: sample_haar_circular(kind, n, *run)
+    elif kind != "chUE" and w.family == "gauss":
+        route, model = "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
+    elif kind != "chUE" and w.family == "cauchy":
+        if not abs(2.0 * w.a + 1.0 - n) < 1e-12:
+            return None
+        circular = "COE" if kind == "OE" else "CUE"
+        tan_half = lambda rng, m: (_circular_tan_half(rng, m, circular, n), {})
+        route, model = "pullback", lambda count, seed, workers: _merge(
+            _run_blocks(tan_half, count, seed, workers), seed, ""
+        )
+    elif w.family == "gauss":
+        route, to_x = "beta-laguerre", lambda lam: np.sqrt(0.5 * lam)
+        model = lambda *run: sample_beta_laguerre(2, n, mu - 0.5, *run)
+    else:
+        if kind != "chUE":
+            A = B = 2.0 * w.a + 1.0
+            to_x = lambda lam: 2.0 * lam - 1.0
+        elif w.family == "jacobi":
+            A, B, to_x = mu - 0.5, 2.0 * w.a + 1.0, np.sqrt
+        else:
+            A, B = mu - 0.5, 2.0 * w.a - mu - 2.0 * n + 1.5
+            to_x = lambda lam: np.sqrt(lam / (1.0 - lam))
+        route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, A, B, *run)
 
-def _pullback_kind(spec: EnsembleSpec) -> str | None:
-    """COE/CUE when this OE/UE Cauchy spec is the tangent-half-angle image
-    of the circular ensemble of its own order (2a + 1 = n), else None."""
-    if spec.kind in ("OE", "UE") and _near_int(2.0 * spec.weight.a + 1.0) == spec.n:
-        return "COE" if spec.kind == "OE" else "CUE"
-    return None
+    def draw(count: int, seed: int, workers: int) -> SampleBatch:
+        return SampleBatch(to_x(model(count, seed, workers).spectra), seed)
 
-
-def _exact_route(spec: EnsembleSpec) -> str | None:
-    """Name of the exact sampler for this spec, None where only Metropolis
-    applies (OE/UE Cauchy at an exponent with no circular pullback)."""
-    if spec.kind in ("COE", "CUE"):
-        return "haar"
-    if spec.kind in _CIRCULAR:
-        return "beta-jacobi"
-    family = spec.weight.family
-    if family == "gauss":
-        return "gaussian" if spec.kind in ("OE", "UE") else "beta-laguerre"
-    if family == "jacobi" or spec.kind == "chUE":
-        return "beta-jacobi"
-    return "pullback" if _pullback_kind(spec) is not None else None
+    return route, (model if to_x is None else draw)
 
 
 def has_exact_route(spec: EnsembleSpec) -> bool:
@@ -787,47 +809,7 @@ def has_exact_route(spec: EnsembleSpec) -> bool:
     Every spec has one except OE/UE with a Cauchy weight whose exponent
     2a + 1 differs from n; those sample by Metropolis only.
     """
-    return _exact_route(spec) is not None
-
-
-def _sample_beta_model(spec: EnsembleSpec, count: int, seed: int, workers: int) -> np.ndarray:
-    """Spectra from the beta-Laguerre / beta-Jacobi model of the spec's law.
-
-    chUE maps to u = x^2 with density prod u^(mu - 1/2) w2(sqrt u) Vdm(u)^2:
-    Gauss is beta-Laguerre at u = lam/2, Jacobi is beta-Jacobi at u = lam,
-    and Cauchy is beta-Jacobi after v = u/(1 + u).  OE/UE Jacobi is
-    beta-Jacobi at x = 2 lam - 1.
-    """
-    n, w, mu = spec.n, spec.weight, spec.mu
-    if spec.kind == "chUE":
-        if w.family == "gauss":
-            lam = sample_beta_laguerre(2, n, mu - 0.5, count, seed, workers).spectra
-            return np.sqrt(0.5 * lam)
-        if w.family == "jacobi":
-            b = 2.0 * w.a + 1.0
-            lam = sample_beta_jacobi(2, n, mu - 0.5, b, count, seed, workers).spectra
-            return np.sqrt(lam)
-        b = 2.0 * w.a - mu - 2.0 * n + 1.5
-        lam = sample_beta_jacobi(2, n, mu - 0.5, b, count, seed, workers).spectra
-        return np.sqrt(lam / (1.0 - lam))
-    beta = 1 if spec.kind == "OE" else 2
-    ab = 2.0 * w.a + 1.0
-    return 2.0 * sample_beta_jacobi(beta, n, ab, ab, count, seed, workers).spectra - 1.0
-
-
-def _sample_exact(
-    spec: EnsembleSpec, route: str, count: int, seed: int, workers: int
-) -> SampleBatch:
-    if spec.kind in _CIRCULAR:
-        return sample_haar_circular(spec.kind, spec.n, count, seed, workers)
-    if route == "gaussian":
-        beta = 1 if spec.kind == "OE" else 2
-        return sample_gaussian_matrix(beta, spec.n, count, seed, workers)
-    if route == "pullback":
-        kind = _pullback_kind(spec)
-        tan_half = lambda rng, m: (_circular_tan_half(rng, m, kind, spec.n), {})
-        return _merge(_run_blocks(tan_half, count, seed, workers), seed, "")
-    return SampleBatch(spectra=_sample_beta_model(spec, count, seed, workers), seed=seed)
+    return _exact_draw(spec) is not None
 
 
 def _mcmc_density(spec: EnsembleSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -883,11 +865,12 @@ def sample_ensemble(
     runs Metropolis ("metropolis") on the matching log density; those
     batches also record the acceptance rate and effective sample size.
     """
-    route = _exact_route(spec)
-    if spec.method == "exact" and route is None:
+    exact = _exact_draw(spec)
+    if spec.method == "exact" and exact is None:
         raise BadParameter(f"no exact route for {spec.describe()}")
-    if spec.method != "mcmc" and route is not None:
-        batch = _sample_exact(spec, route, count, seed, workers)
+    if spec.method != "mcmc" and exact is not None:
+        route, draw = exact
+        batch = draw(count, seed, workers)
     else:
         route = "metropolis"
         p = params if params is not None else McmcParams()

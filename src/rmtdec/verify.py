@@ -5,7 +5,9 @@ Kolmogorov-Smirnov test, a battery builder (KS per order statistic, KS on
 pooled points, chi-square on counting statistics in quantile bins), and one
 entry point per matrix-ensemble identity: the even-decimation relation, the
 two superposition relations, the circular-ensemble relations, the
-interlacing integral, and the odd-location marginal density.
+interlacing integral, and the odd-location marginal density.  The
+batteries fold, decimate and superpose sampled batches row by row through
+``rmtdec.decimation``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import special
 
+from .decimation import decimate, singular_values, superpose
 from .densities import (
     _ORDER_LADDER,
     _log_vdm_rows,
@@ -261,19 +264,6 @@ def _substreams(seed: int, count: int) -> list[int]:
     return [int(v) for v in state]
 
 
-def _folded(spectra: np.ndarray) -> np.ndarray:
-    return np.sort(np.abs(spectra), axis=1)
-
-
-def _even_cols(sv: np.ndarray) -> np.ndarray:
-    """Even-location columns (2nd, 4th, ... largest) of ascending rows."""
-    return sv[:, sv.shape[1] % 2 :: 2]
-
-
-def _odd_cols(sv: np.ndarray) -> np.ndarray:
-    return sv[:, 1 - sv.shape[1] % 2 :: 2]
-
-
 # -- identity batteries -------------------------------------------------------------
 
 
@@ -300,7 +290,7 @@ def verify_thm1(
     m = n // 2
     s1, s2 = _substreams(seed, 2)
     oe = sample_ensemble(EnsembleSpec("OE", n, w1), count, s1, workers=workers)
-    even = _even_cols(_folded(oe.spectra))
+    even = decimate(singular_values(oe.spectra)).even
     ch = sample_ensemble(EnsembleSpec("chUE", m, w1, mu=mu), count, s2, workers=workers)
     tests = two_sample_battery(even, ch.spectra)
     params = {"family": w1.family, "a": w1.a, "n": n, "count": count, "seed": seed}
@@ -328,32 +318,20 @@ def verify_cor1(
     m = n // 2
     mhat = (n + 1) // 2
     seeds = _substreams(seed, 5)
-    ue = sample_ensemble(EnsembleSpec("UE", n, w1), count, seeds[0], workers=workers)
-    lhs = _folded(ue.spectra)
+    draw = lambda spec, s: sample_ensemble(spec, count, s, workers=workers).spectra
+    lhs = singular_values(draw(EnsembleSpec("UE", n, w1), seeds[0]))
     tests: list[tuple[str, str, float, float]] = []
     if variant in ("super", "both"):
-        oe_n = sample_ensemble(EnsembleSpec("OE", n, w1), count, seeds[1], workers=workers)
-        oe_n1 = sample_ensemble(EnsembleSpec("OE", n + 1, w1), count, seeds[2], workers=workers)
-        rhs = np.sort(
-            np.concatenate(
-                [_even_cols(_folded(oe_n.spectra)), _even_cols(_folded(oe_n1.spectra))], axis=1
-            ),
-            axis=1,
-        )
-        tests += two_sample_battery(lhs, rhs, prefix="super_")
-    if variant in ("chiral", "both"):
-        parts = [
-            sample_ensemble(
-                EnsembleSpec("chUE", mhat, w1, mu=0), count, seeds[3], workers=workers
-            ).spectra
+        evens = [
+            decimate(singular_values(draw(EnsembleSpec("OE", k, w1), s))).even
+            for k, s in ((n, seeds[1]), (n + 1, seeds[2]))
         ]
+        tests += two_sample_battery(lhs, superpose(*evens), prefix="super_")
+    if variant in ("chiral", "both"):
+        parts = [draw(EnsembleSpec("chUE", mhat, w1, mu=0), seeds[3])]
         if m >= 1:
-            parts.append(
-                sample_ensemble(
-                    EnsembleSpec("chUE", m, w1, mu=1), count, seeds[4], workers=workers
-                ).spectra
-            )
-        rhs = np.sort(np.concatenate(parts, axis=1), axis=1)
+            parts.append(draw(EnsembleSpec("chUE", m, w1, mu=1), seeds[4]))
+        rhs = superpose(*parts)
         tests += two_sample_battery(lhs, rhs, prefix="chiral_")
     params = {
         "family": w1.family,
@@ -380,16 +358,14 @@ def verify_thmCE(n: int, count: int, seed: int, workers: int = 1) -> Verificatio
     even_kind = "Oplus" if nu > 0 else "Ominus"
     odd_kind = "Ominus" if nu > 0 else "Oplus"
 
-    coe = _folded(sample_ensemble(EnsembleSpec("COE", n), count, seeds[0], workers=workers).spectra)
-    o_even = sample_ensemble(EnsembleSpec(even_kind, n), count, seeds[1], workers=workers)
-    o_odd = sample_ensemble(EnsembleSpec(odd_kind, n), count, seeds[2], workers=workers)
-    tests = two_sample_battery(_even_cols(coe), o_even.spectra, prefix="even_")
-    tests += two_sample_battery(_odd_cols(coe), o_odd.spectra, prefix="odd_")
+    draw = lambda kind, s: sample_ensemble(EnsembleSpec(kind, n), count, s, workers=workers).spectra
+    coe = decimate(singular_values(draw("COE", seeds[0])))
+    tests = two_sample_battery(coe.even, draw(even_kind, seeds[1]), prefix="even_")
+    tests += two_sample_battery(coe.odd, draw(odd_kind, seeds[2]), prefix="odd_")
 
-    cue = _folded(sample_ensemble(EnsembleSpec("CUE", n), count, seeds[3], workers=workers).spectra)
-    coe_a = _folded(sample_ensemble(EnsembleSpec("COE", n), count, seeds[4], workers=workers).spectra)
-    coe_b = _folded(sample_ensemble(EnsembleSpec("COE", n), count, seeds[5], workers=workers).spectra)
-    union = np.sort(np.concatenate([_even_cols(coe_a), _odd_cols(coe_b)], axis=1), axis=1)
+    cue = singular_values(draw("CUE", seeds[3]))
+    coe_a, coe_b = (decimate(singular_values(draw("COE", s))) for s in seeds[4:])
+    union = superpose(coe_a.even, coe_b.odd)
     tests += two_sample_battery(cue, union, prefix="union_")
 
     params = {"n": n, "count": count, "seed": seed, "nu": nu}
@@ -538,7 +514,7 @@ def verify_q_odd(
     w1 = make_weight(family, a)
     bins = 16 if n == 2 else 8
     batch = sample_ensemble(EnsembleSpec("OE", n, w1), count, seed, workers=workers)
-    odd = _odd_cols(_folded(batch.spectra))
+    odd = decimate(singular_values(batch.spectra)).odd
 
     edges = np.quantile(odd, np.linspace(0.0, 1.0, bins + 1), axis=0).T
     edges[:, 0], edges[:, -1] = 0.0, w1.omega

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, gammainc
+from scipy.special import betainc, gammainc
 
 from .errors import BadParameter, OrderExceeded, OutOfSupport
 from .numerics import integrate
-from .orthopoly import ClassicalWeight
+from .orthopoly import ClassicalWeight, _beta_half
 
 __all__ = [
     "AdmissibleWeight",
@@ -243,19 +243,6 @@ def big_A(w: AdmissibleWeight, n: int, nu: int) -> float:
 
 
 # -- partial mass ----------------------------------------------------------------
-
-
-def _beta_half(b: float) -> float:
-    """B(1/2, b).  scipy's beta loses about 2e-12 relative for b in the
-    hundreds, so from b = 20 on it is sqrt(pi / b) exp(-l(b)), where
-    l(b) = log(Gamma(b + 1/2) / (Gamma(b) sqrt(b))) has the Stirling series
-    sum_k (2^-k - 2) B_{k+1} / (k (k+1) b^k) over odd k (DLMF 5.11.8); its
-    first omitted term is below 4e-15 at b = 20."""
-    if b < 20.0:
-        return float(beta_fn(0.5, b))
-    r = 1.0 / (b * b)
-    series = (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * 17.0 / 14336.0))) / b
-    return math.sqrt(math.pi / b) * math.exp(-series)
 
 
 def theta1(w: AdmissibleWeight, x: float | np.ndarray) -> float | np.ndarray:

@@ -8,33 +8,32 @@ import pytest
 
 import rmtdec
 from rmtdec.decimation import DecimationResult, decimate, singular_values, superpose
-from rmtdec.densities import OrderedSpectrum, SingularSpectrum
 
 
 class TestSingularValues:
     def test_mixed_signs(self) -> None:
-        sv = singular_values(OrderedSpectrum([-2.0, -1.0, 3.0]))
-        np.testing.assert_array_equal(sv.values, [1.0, 2.0, 3.0])
+        sv = singular_values([-2.0, -1.0, 3.0])
+        np.testing.assert_array_equal(sv, [1.0, 2.0, 3.0])
 
     def test_single_zero(self) -> None:
-        np.testing.assert_array_equal(singular_values([0.0]).values, [0.0])
+        np.testing.assert_array_equal(singular_values([0.0]), [0.0])
 
     def test_tie_preserved(self) -> None:
         sv = singular_values([-1.0, 1.0])
-        np.testing.assert_array_equal(sv.values, [1.0, 1.0])
+        np.testing.assert_array_equal(sv, [1.0, 1.0])
 
 
 class TestDecimate:
     """Even set = 2nd, 4th, ... largest = ascending indices n-1, n-3, ..."""
 
     def test_n4(self) -> None:
-        r = decimate(SingularSpectrum([1.0, 2.0, 3.0, 4.0]))
+        r = decimate(np.array([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_array_equal(r.even, [1.0, 3.0])
         np.testing.assert_array_equal(r.odd, [2.0, 4.0])
         assert r.mu == 0
 
     def test_n3(self) -> None:
-        r = decimate(SingularSpectrum([1.0, 2.0, 3.0]))
+        r = decimate(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(r.even, [2.0])
         np.testing.assert_array_equal(r.odd, [1.0, 3.0])
         assert r.mu == 1
@@ -60,6 +59,21 @@ class TestDecimate:
             assert r.odd.size == (n + 1) // 2
             merged = superpose(r.even, r.odd)
             np.testing.assert_array_equal(merged, sv)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_one_dimensional_calls(self, n: int) -> None:
+        rows = np.random.default_rng(n).normal(size=(7, n))
+        sv = singular_values(rows)
+        r = decimate(sv)
+        assert r.even.shape == (7, n // 2) and r.odd.shape == (7, (n + 1) // 2)
+        assert r.mu == n % 2
+        for i, row in enumerate(rows):
+            one = decimate(singular_values(row))
+            np.testing.assert_array_equal(r.even[i], one.even)
+            np.testing.assert_array_equal(r.odd[i], one.odd)
+        np.testing.assert_array_equal(superpose(r.even, r.odd), sv)
+        # superpose takes any number of runs, row by row
+        np.testing.assert_array_equal(superpose(r.even, r.odd[:, :0], r.odd), sv)
 
     def test_even_is_second_largest_family(self) -> None:
         sv = np.array([0.5, 1.5, 2.5, 3.5, 4.5])

@@ -13,8 +13,6 @@ from scipy.special import erf
 import rmtdec
 from rmtdec.densities import (
     _ORDER_LADDER,
-    OrderedSpectrum,
-    SingularSpectrum,
     log_chiral_batch,
     log_p_beta,
     log_p_beta_batch,
@@ -35,30 +33,16 @@ from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
 GAUSS = gauss_weight()
 
 
-class TestSpectrumTypes:
-    def test_ordered_accepts_ties(self) -> None:
-        spec = OrderedSpectrum([1.0, 1.0, 2.0])
-        assert spec.n == 3
-
-    def test_ordered_rejects_descending(self) -> None:
-        with pytest.raises(BadParameter):
-            OrderedSpectrum([2.0, 1.0])
-
-    def test_singular_rejects_negative(self) -> None:
-        with pytest.raises(BadParameter):
-            SingularSpectrum([-0.5, 1.0])
-
-
 class TestLogPBeta:
     def test_single_gauss_at_zero(self) -> None:
-        assert log_p_beta(GAUSS, 1, OrderedSpectrum([0.0])) == 0.0
+        assert log_p_beta(GAUSS, 1, [0.0]) == 0.0
 
     def test_jacobi_beta2_pair(self) -> None:
-        val = log_p_beta(jacobi_weight(0.0), 2, OrderedSpectrum([-0.5, 0.5]))
+        val = log_p_beta(jacobi_weight(0.0), 2, [-0.5, 0.5])
         assert val == pytest.approx(2.0 * math.log(0.75), rel=1e-13)
 
     def test_coincident_points(self) -> None:
-        assert log_p_beta(GAUSS, 1, OrderedSpectrum([0.3, 0.3])) == -np.inf
+        assert log_p_beta(GAUSS, 1, [0.3, 0.3]) == -np.inf
 
     def test_out_of_support(self) -> None:
         with pytest.raises(OutOfSupport):
@@ -70,7 +54,7 @@ class TestLogPBeta:
         for j in range(3):
             for k in range(j + 1, 3):
                 want += math.log(abs(vals[k] - vals[j]))
-        assert log_p_beta(GAUSS, 1, OrderedSpectrum(vals)) == pytest.approx(want)
+        assert log_p_beta(GAUSS, 1, vals) == pytest.approx(want)
 
     def test_batch_matches_scalar(self) -> None:
         # against a per-row pair loop, independent of the shared kernel
@@ -132,7 +116,7 @@ class TestLogQxy:
 
     def test_pair_gauss(self) -> None:
         want = -0.5 + math.log(2.0) - 2.0
-        assert log_q_xy(GAUSS, SingularSpectrum([1.0, 2.0])) == pytest.approx(want)
+        assert log_q_xy(GAUSS, [1.0, 2.0]) == pytest.approx(want)
 
     def test_unsorted_rejected(self) -> None:
         with pytest.raises(InterlacingViolated):
@@ -187,6 +171,11 @@ class TestLogQEven:
                 b = log_p_chiral(chiral_w, s)
                 assert a == pytest.approx(b, abs=1e-14)
 
+    @pytest.mark.parametrize("vals", [[0.8, 0.3], [-0.2, 0.5]])
+    def test_descending_or_negative_rejected(self, vals: list[float]) -> None:
+        with pytest.raises(BadParameter):
+            log_q_even(GAUSS, vals, 0)
+
 
 class TestLogQOdd:
     def test_n1_is_w1(self) -> None:
@@ -217,6 +206,11 @@ class TestLogQOdd:
     def test_wrong_length(self) -> None:
         with pytest.raises(BadParameter):
             log_q_odd(GAUSS, [0.5], 3)
+
+    @pytest.mark.parametrize("vals", [[0.8, 0.3], [-0.2, 0.5]])
+    def test_descending_or_negative_rejected(self, vals: list[float]) -> None:
+        with pytest.raises(BadParameter):
+            log_q_odd(GAUSS, vals, 3)
 
 
 class TestMarginalization:

@@ -268,6 +268,20 @@ class TestOrderedTensor:
         val = ordered_tensor(f, edges, [1], 80)
         assert val == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
 
+    def test_nan_at_one_node_raises(self) -> None:
+        # one bad node must not read as zero mass
+        def f(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(x.shape[0])
+            out[x.shape[0] // 2] = np.nan
+            return out
+
+        with pytest.raises(NonConvergence):
+            ordered_tensor(f, [0.0, 1.0], [2], 6)
+
+    def test_minus_inf_everywhere_is_zero(self) -> None:
+        f = lambda x: np.full(x.shape[0], -np.inf)
+        assert ordered_tensor(f, [0.0, 1.0, 2.0], [1, 1], 6) == 0.0
+
     @pytest.mark.parametrize(
         "edges,counts",
         [

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from rmtdec.errors import BadParameter, MomentDivergence, OutOfSupport
 from rmtdec.numerics import integrate
-from rmtdec.orthopoly import ClassicalWeight, _gram_rule, build, gram
+from rmtdec.orthopoly import ClassicalWeight, _gram_rule, _monic_recurrence, build, gram
+from rmtdec.weights import cauchy_weight, jacobi_weight
 
 HERMITE = ClassicalWeight("hermite")
 LEGENDRE = ClassicalWeight("jacobi", 0.0, 0.0)
@@ -196,6 +198,27 @@ class TestClassicalWeight:
         )
 
 
+class TestBetaHalfMasses:
+    """The Romanovski and beta-prime masses and theta take B(1/2, b) from
+    one Stirling series from b = 20 on, where scipy's beta is off by up to
+    1.5e-12."""
+
+    @pytest.mark.parametrize("b", [20.0, 21.0, 25.0, 200.5, 2001.5])
+    def test_against_mpmath(self, b: float) -> None:
+        with mpmath.workdps(40):
+            half, three_halves = float(mpmath.beta(0.5, b)), float(mpmath.beta(1.5, b))
+        mass = lambda *w: _monic_recurrence(ClassicalWeight(*w), 0)[2]
+        got = {
+            "romanovski": (mass("romanovski", b + 0.5), half),
+            "betaprime mu=0": (mass("betaprime", b + 0.5, -0.5), half),
+            "betaprime mu=1": (mass("betaprime", b + 1.5, 0.5), three_halves),
+            "jacobi theta": (2.0 * jacobi_weight(b - 1.0).theta, half),
+            "cauchy theta": (2.0 * cauchy_weight(b - 0.5).theta, half),
+        }
+        for name, (value, want) in got.items():
+            assert abs(value / want - 1.0) <= 1e-15, name
+
+
 class TestGram:
     def test_full_support_is_identity(self) -> None:
         sys = build(HERMITE, 6)
@@ -221,6 +244,12 @@ class TestGram:
         # a fixed rule or a plain sqrt(w) underflows
         g = gram(build(w, degree), w.support)
         assert np.abs(g - np.eye(degree + 1)).max() < 1e-12
+
+    def test_romanovski_mass_keeps_the_identity(self) -> None:
+        # B(1/2, 200.5) from scipy put the whole Gram 9.2e-14 off the identity
+        w = ClassicalWeight("romanovski", 201.0)
+        g = gram(build(w, 40), w.support)
+        assert np.abs(g - np.eye(41)).max() < 5e-15
 
     def test_empty_interval_is_zero(self) -> None:
         sys = build(LEGENDRE, 3)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -560,6 +561,27 @@ class TestEnsembleSpecValidation:
         EnsembleSpec("chUE", 2, weight=cauchy_weight(1.0), mu=0)
 
 
+# the six routes of the README's route table
+ROUTES = {"gaussian", "haar", "pullback", "beta-laguerre", "beta-jacobi", "metropolis"}
+
+
+def _route_grid() -> list[EnsembleSpec]:
+    """Every kind at n = 1..5: the circular kinds, and OE/UE/chUE (each mu)
+    under Gauss, Jacobi +-1/2 and Cauchy 1, 1.5, 2, 4 where normalizable."""
+    weights = [GAUSS, jacobi_weight(0.5), jacobi_weight(-0.5)]
+    weights += [cauchy_weight(a) for a in (1.0, 1.5, 2.0, 4.0)]
+    specs = [EnsembleSpec(k, n) for k in ("COE", "CUE", "Oplus", "Ominus") for n in range(1, 6)]
+    for kind in ("OE", "UE", "chUE"):
+        for w in weights:
+            for n in range(1, 6):
+                for mu in (0, 1) if kind == "chUE" else (0,):
+                    try:
+                        specs.append(EnsembleSpec(kind, n, w, mu=mu))
+                    except BadParameter:  # a Cauchy tail too heavy for n
+                        pass
+    return specs
+
+
 class TestExactRouting:
     def test_route_table(self) -> None:
         assert has_exact_route(EnsembleSpec("OE", 3, weight=GAUSS))
@@ -576,6 +598,21 @@ class TestExactRouting:
         assert has_exact_route(EnsembleSpec("chUE", 1, weight=w, mu=1))
         assert has_exact_route(EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1))
         assert has_exact_route(EnsembleSpec("chUE", 2, weight=GAUSS, mu=0))
+
+    @pytest.mark.parametrize("spec", _route_grid(), ids=EnsembleSpec.describe)
+    def test_route_grid(self, spec: EnsembleSpec) -> None:
+        # "auto" runs Metropolis exactly where no exact route exists, and
+        # there "exact" refuses; elsewhere "exact" takes the same route
+        params = McmcParams(burn_in=20, chains=8)
+        route = sample_ensemble(spec, 8, seed=67, params=params).diagnostics["route"]
+        assert route in ROUTES
+        assert (route == "metropolis") == (not has_exact_route(spec))
+        exact = replace(spec, method="exact")
+        if route == "metropolis":
+            with pytest.raises(BadParameter):
+                sample_ensemble(exact, 8, seed=67)
+        else:
+            assert sample_ensemble(exact, 8, seed=67).diagnostics["route"] == route
 
     def test_gauss_oe_routes_to_matrices(self) -> None:
         spec = EnsembleSpec("OE", 2, weight=GAUSS)
