@@ -4,11 +4,11 @@ Covers the beta = 1, 2 eigenvalue densities, the chiral positive-eigenvalue
 density, the factorized singular-value density q(x; y), and its even- and
 odd-location marginals.  Every pairwise product prod_{i<j} |x_j^p - x_i^p|
 is the row-wise kernel ``_log_vdm_rows`` on (batch, n) arrays, which the
-Metropolis pair weights in ``gap`` and the interlacing integrand in
-``verify`` share; the odd-location determinant lives only in
-``log_q_odd_batch``.  The scalar forms take a plain array, check order and
-sign where the density depends on them (the q forms), and evaluate one row
-through the batch form or the kernel.
+batch forms and the interlacing integrand in ``verify`` share; the
+odd-location determinant lives only in ``log_q_odd_batch``.  The scalar
+forms take a plain array, check order and sign where the density depends
+on them (the q forms), and evaluate one row through the batch form or the
+kernel.
 
 Every small-n multiple integral is the ordered tensor rule of ``numerics``,
 escalated by ``_settle`` along an order ladder: the normalization constants

@@ -17,6 +17,8 @@ The superposition checkers (eq24, eq24cp, eq831p) share one helper,
 in-J counts i, j of two independent beta = 1 runs and a count label L from
 ``_COUNT_LABELS``.  With M = [L(i, j) = k] the helper returns
 rhs = pA . M pB and the delta-method variance of that plug-in estimate.
+The beta = 1 runs of eq24/eq24cp are laws of ``samplers.sample_law``, whose
+one table picks their sampler and records its route.
 """
 
 from __future__ import annotations
@@ -24,25 +26,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .densities import _log_vdm_rows, _placement_masses, _settle, log_p_beta_batch
+from .densities import _placement_masses, _settle, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import sym_eigen
 from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
-from .samplers import (
-    EnsembleSpec,
-    McmcParams,
-    sample_beta_jacobi,
-    sample_beta_laguerre,
-    sample_ensemble,
-    sample_gaussian_matrix,
-    sample_mcmc,
-)
+from .samplers import EnsembleSpec, sample_ensemble, sample_law
 from .verify import VerificationReport, _substreams, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
+
+if TYPE_CHECKING:
+    from .samplers import McmcParams
 
 __all__ = [
     "GapPolynomial",
@@ -665,20 +662,18 @@ def check_B1_structure(
 
 @dataclass(frozen=True)
 class WeightPair:
-    """A beta = 1 base weight and the classical beta = 2 weight its
+    """A beta = 1 base weight w1 and the classical beta = 2 weight its
     superposition decimates to, on the support of ``w2``.
 
-    ``exact`` draws sorted beta = 1 rows, (n, count, seed, workers) -> array,
-    from a matrix model of the base weight; None leaves Metropolis on
-    ``log_w1`` as the only sampler.  ``exponents`` holds the family's
-    parameters that the weights use, for the report.
+    ``w1sq`` is w1^2 as a classical weight, so a beta = 1 run of size n is
+    the law (1, n, w1sq) of ``samplers.sample_law``: density
+    prod w1 |Vdm|.  ``exponents`` holds the family's parameters that the
+    weights use, for the report.
     """
 
     name: str
-    log_w1: Callable[[np.ndarray], np.ndarray]
     w2: ClassicalWeight
-    heavy_tail: bool = False
-    exact: Callable[[int, int, int, int], np.ndarray] | None = None
+    w1sq: ClassicalWeight
     exponents: Mapping[str, float] = field(default_factory=dict, hash=False)
 
     @property
@@ -686,128 +681,38 @@ class WeightPair:
         return self.w2.support
 
 
-def _laguerre_rows(p: float) -> Callable[[int, int, int, int], np.ndarray]:
-    """beta = 1 rows with weight x^p e^(-x/2) on (0, inf)."""
-    return lambda n, count, seed, workers: sample_beta_laguerre(
-        1, n, p, count, seed, workers
-    ).spectra
-
-
-def _jacobi_rows(A: float, B: float, lo: float) -> Callable[[int, int, int, int], np.ndarray]:
-    """beta = 1 rows on (lo, 1), lo = 0 or -1, with weight
-    (x - lo)^((A-1)/2) (1 - x)^((B-1)/2) up to a constant."""
-    return lambda n, count, seed, workers: lo + (1.0 - lo) * sample_beta_jacobi(
-        1, n, A, B, count, seed, workers
-    ).spectra
-
-
 def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
     """Same-size superposition rows: Laguerre and shifted Jacobi."""
     if family == "laguerre":
-
-        def lw1(x: np.ndarray) -> np.ndarray:
-            return np.where(x > 0.0, -0.5 * x, -np.inf)
-
-        return WeightPair(
-            "laguerre", lw1, ClassicalWeight("laguerre"), exact=_laguerre_rows(0.0)
-        )
+        return WeightPair("laguerre", ClassicalWeight("laguerre"), ClassicalWeight("laguerre"))
     if family == "jacobi":
         if a <= -1.0:
             raise BadParameter("need a > -1")
-
-        def jw1(x: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = 0.5 * (a - 1.0) * np.log1p(-x)
-            return np.where((x > 0.0) & (x < 1.0), v, -np.inf)
-
-        return WeightPair(
-            "jacobi", jw1, ClassicalWeight("jacobi", a, 0.0, (0.0, 1.0)),
-            exact=_jacobi_rows(1.0, a, 0.0), exponents={"a": a},
-        )
+        w1sq = ClassicalWeight("jacobi", a - 1.0, 0.0, (0.0, 1.0))
+        return WeightPair("jacobi", ClassicalWeight("jacobi", a, 0.0, (0.0, 1.0)), w1sq, {"a": a})
     raise BadParameter(f"no same-size superposition row for {family!r}")
 
 
 def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> WeightPair:
     """Adjacent-size superposition rows: Gauss, Laguerre, Jacobi, Cauchy."""
     if family == "gauss":
-        return WeightPair(
-            "gauss",
-            lambda x: -0.5 * x * x,
-            ClassicalWeight("hermite"),
-            exact=lambda n, count, seed, workers: sample_gaussian_matrix(
-                1, n, count, seed, workers
-            ).spectra,
-        )
+        return WeightPair("gauss", ClassicalWeight("hermite"), ClassicalWeight("hermite"))
     if family == "laguerre":
         if a <= -1.0:
             raise BadParameter("need a > -1")
-
-        def lw1(x: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = 0.5 * (a - 1.0) * np.log(x) - 0.5 * x
-            return np.where(x > 0.0, v, -np.inf)
-
-        return WeightPair(
-            "laguerre",
-            lw1,
-            ClassicalWeight("laguerre", b=a),
-            exact=_laguerre_rows(0.5 * (a - 1.0)),
-            exponents={"a": a},
-        )
+        w1sq = ClassicalWeight("laguerre", b=a - 1.0)
+        return WeightPair("laguerre", ClassicalWeight("laguerre", b=a), w1sq, {"a": a})
     if family == "jacobi":
         if a <= -1.0 or b <= -1.0:
             raise BadParameter("need a, b > -1")
-
-        def jw1(x: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = 0.5 * (a - 1.0) * np.log1p(x) + 0.5 * (b - 1.0) * np.log1p(-x)
-            return np.where((x > -1.0) & (x < 1.0), v, -np.inf)
-
-        return WeightPair(
-            "jacobi",
-            jw1,
-            ClassicalWeight("jacobi", b, a),
-            exact=_jacobi_rows(a, b, -1.0),
-            exponents={"a": a, "b": b},
-        )
+        w1sq = ClassicalWeight("jacobi", b - 1.0, a - 1.0)
+        return WeightPair("jacobi", ClassicalWeight("jacobi", b, a), w1sq, {"a": a, "b": b})
     if family == "cauchy":
         if a <= 0.0:
             raise BadParameter("need a > 0 so the size-(n+1) batch stays normalizable")
-        ex = 0.5 * (n + a + 1.0)
-        return WeightPair(
-            "cauchy",
-            lambda x: -ex * np.log1p(x * x),
-            ClassicalWeight("romanovski", n + a),
-            heavy_tail=True,
-            exponents={"a": a},
-        )
+        w1sq = ClassicalWeight("romanovski", n + a + 1.0)
+        return WeightPair("cauchy", ClassicalWeight("romanovski", n + a), w1sq, {"a": a})
     raise BadParameter(f"no adjacent-size superposition row for {family!r}")
-
-
-def _pair_log_density(pair: WeightPair, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.sum(pair.log_w1(x), axis=1) + _log_vdm_rows(x)
-
-
-def _pair_init(pair: WeightPair) -> Callable:
-    lo, hi = pair.support
-    if math.isinf(lo) and math.isinf(hi):
-        return lambda rng, c, n: rng.standard_normal((c, n))
-    if math.isinf(hi):
-        return lambda rng, c, n: lo + np.abs(rng.standard_normal((c, n))) + 0.05
-    span = hi - lo
-    return lambda rng, c, n: rng.uniform(lo + 0.05 * span, hi - 0.05 * span, (c, n))
-
-
-def _pair_batch(pair: WeightPair, n: int, count: int, seed: int, workers: int) -> np.ndarray:
-    """One beta = 1 run for a table weight, from its matrix model where it
-    has one and by Metropolis otherwise; returns sorted rows."""
-    if pair.exact is not None:
-        return pair.exact(n, count, seed, workers)
-    params = McmcParams(heavy_tail=pair.heavy_tail)
-    batch = sample_mcmc(
-        _pair_log_density(pair, n), n, count, seed, params=params, init=_pair_init(pair), workers=workers
-    )
-    return batch.spectra
 
 
 def _count_probs(spectra: np.ndarray, J: tuple[float, float]) -> np.ndarray:
@@ -858,8 +763,8 @@ def _check_pair_convolution(
     """Subtests of the exact UE gap on each boundary-anchored interval against
     the label convolution of two independent beta = 1 runs of sizes n and n_b."""
     seed_a, seed_b = _substreams(seed, 2)
-    runA = _pair_batch(pair, n, count, seed_a, workers)
-    runB = _pair_batch(pair, n_b, count, seed_b, workers)
+    runA = sample_law(1, n, pair.w1sq, count, seed_a, workers).spectra
+    runB = sample_law(1, n_b, pair.w1sq, count, seed_b, workers).spectra
     checks = []
     for si in svals:
         J = (pair.support[0], si) if side == "left" else (si, pair.support[1])

@@ -212,8 +212,9 @@ def ordered_tensor(
     Jacobian is prod (b - u_{j-1}).  Memory is 8 bytes per grid node plus
     one block's temporaries.  Raises InvalidInterval unless the edges are
     finite (``densities._support_tensor`` charts a line) and ascend
-    strictly and there is one count per segment.  A nan at any node raises
-    NonConvergence; a density that is -inf at every node integrates to 0.
+    strictly and there is one count per segment.  A nan or +inf at any node
+    raises NonConvergence; a density that is -inf at every node integrates
+    to 0.
     """
     bounds = np.asarray(edges, dtype=float)
     if bounds.ndim != 1 or bounds.size != len(counts) + 1:
@@ -242,9 +243,9 @@ def ordered_tensor(
         start = stop
 
     peak = float(np.max(logvals))  # nan if any node is nan
-    if math.isnan(peak):
-        raise NonConvergence("log density is nan at a tensor node")
-    if not np.isfinite(peak):
+    if math.isnan(peak) or peak == math.inf:
+        raise NonConvergence(f"log density is {peak} at a tensor node")
+    if peak == -math.inf:
         return 0.0
     logvals -= peak
     return float(np.exp(peak) * np.sum(np.exp(logvals, out=logvals)))

@@ -13,13 +13,21 @@ per-matrix LAPACK call; from order 3 on the steps are LAPACK's.  Only the
 rare COE/CUE row with an angle near pi, or with I + U singular, calls a
 non-symmetric eigensolver.  A generic random-walk Metropolis
 sampler covers the rest (OE and UE with a Cauchy weight off the circular
-exponents) and serves as an independent cross-check on request.  One
-function, ``_exact_draw``, names each spec's exact route and returns its
-draw; ``sample_ensemble`` records the route in ``diagnostics["route"]``.  All
-samplers are deterministic given the seed, an integer in [0, 2**64) (any
-other raises BadParameter): work is split into a fixed number of logical
-blocks, each with its own generator derived from (seed, block index), so
-the output does not depend on the worker count.
+exponents) and serves as an independent cross-check on request.
+
+A law (beta, n, w) is n points with density prod w(x_i)^(beta/2)
+|Vdm(x)|^beta for a classical weight w of ``orthopoly``, so its beta = 2
+law is the one ``gram`` integrates.  One table, ``_law_draw``, keyed by
+the shape of w, maps a law to its exact sampler.  ``_exact_draw`` maps each
+``EnsembleSpec`` to a law (the circular kinds aside) and ``sample_law``
+draws a law directly, as the eq24/eq24cp pair rows do; both
+``sample_ensemble`` and ``sample_law`` record the route in
+``diagnostics["route"]``.
+
+All samplers are deterministic given the seed, an integer in [0, 2**64)
+(any other raises BadParameter): work is split into a fixed number of
+logical blocks, each with its own generator derived from (seed, block
+index), so the output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import numpy as np
 
 from .densities import log_chiral_batch, log_p_beta_batch
 from .errors import BadParameter, PoleAtPi, StuckChain
+from .orthopoly import ClassicalWeight
 from .weights import AdmissibleWeight
 
 __all__ = [
@@ -47,6 +56,7 @@ __all__ = [
     "sample_beta_laguerre",
     "sample_beta_jacobi",
     "sample_mcmc",
+    "sample_law",
     "sample_ensemble",
     "has_exact_route",
     "stereographic",
@@ -755,52 +765,97 @@ def stereographic_inverse(theta):
 # -- ensemble dispatch -------------------------------------------------------------
 
 
-def _exact_draw(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]] | None:
-    """The one exact-route decision: the route of ``spec`` and its
-    draw(count, seed, workers), or None where only Metropolis applies (OE/UE
-    Cauchy whose exponent 2a + 1 differs from n).  Each draw looks its
-    sampler up as a module global when it runs, so a rebinding is seen.
+def _law_draw(
+    beta: int, n: int, w: ClassicalWeight
+) -> tuple[str, Callable[..., SampleBatch]] | None:
+    """The one table from a law to an exact sampler, keyed by ``w.shape``.
 
-    chUE maps to u = x^2 with density prod u^(mu - 1/2) w2(sqrt u) Vdm(u)^2:
-    Gauss is beta-Laguerre at u = lam/2, Jacobi is beta-Jacobi at u = lam,
-    and Cauchy is beta-Jacobi after v = u/(1 + u).  OE/UE Jacobi is
-    beta-Jacobi at x = 2 lam - 1, and OE/UE Cauchy with 2a + 1 = n is the
-    tangent-half-angle pullback of COE/CUE of order n.
+    The law (beta, n, w) is n points with density
+    prod w(x_i)^(beta/2) |Vdm(x)|^beta, beta 1 or 2.  Returns its route and
+    draw(count, seed, workers), or None for Romanovski off the circular
+    exponent n - 1 + 2/beta.  Each draw looks its sampler up as a module
+    global when it runs, so a rebinding is seen.
+
+        hermite     Gaussian matrices
+        laguerre    beta-Laguerre, p = b beta/2, x = lam/beta
+        jacobi      beta-Jacobi, A = b + 2/beta - 1, B = a + 2/beta - 1,
+                    x = lo + (hi - lo) lam
+        betaprime   beta-Jacobi, A as for jacobi, B = a - b - 2n + 1 - 2/beta,
+                    x = lam/(1 - lam)
+        romanovski  at a = n - 1 + 2/beta, tan(theta/2) of COE (beta 1) or
+                    CUE (beta 2) of order n
     """
-    kind, n, w, mu = spec.kind, spec.n, spec.weight, spec.mu
-    beta = 1 if kind == "OE" else 2
-    to_x = None  # the map from a beta model's values to the spec's, where one is needed
-    if kind in _CIRCULAR:
-        route = "haar" if kind in ("COE", "CUE") else "beta-jacobi"
-        model = lambda *run: sample_haar_circular(kind, n, *run)
-    elif kind != "chUE" and w.family == "gauss":
-        route, model = "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
-    elif kind != "chUE" and w.family == "cauchy":
-        if not abs(2.0 * w.a + 1.0 - n) < 1e-12:
+    e = 2 // beta - 1  # 2/beta - 1 as an exact integer, so A = b at beta = 2
+    (lo, hi), a, b = w.support, w.a, w.b
+    if w.shape == "hermite":
+        return "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
+    if w.shape == "romanovski":
+        if not abs(a - n - e) < 1e-12:
             return None
-        circular = "COE" if kind == "OE" else "CUE"
+        circular = "COE" if beta == 1 else "CUE"
         tan_half = lambda rng, m: (_circular_tan_half(rng, m, circular, n), {})
-        route, model = "pullback", lambda count, seed, workers: _merge(
+        return "pullback", lambda count, seed, workers: _merge(
             _run_blocks(tan_half, count, seed, workers), seed, ""
         )
-    elif w.family == "gauss":
-        route, to_x = "beta-laguerre", lambda lam: np.sqrt(0.5 * lam)
-        model = lambda *run: sample_beta_laguerre(2, n, mu - 0.5, *run)
+    if w.shape == "laguerre":
+        route, to_x = "beta-laguerre", lambda lam: lam / beta
+        model = lambda *run: sample_beta_laguerre(beta, n, b * beta / 2, *run)
     else:
-        if kind != "chUE":
-            A = B = 2.0 * w.a + 1.0
-            to_x = lambda lam: 2.0 * lam - 1.0
-        elif w.family == "jacobi":
-            A, B, to_x = mu - 0.5, 2.0 * w.a + 1.0, np.sqrt
+        if w.shape == "jacobi":
+            B, to_x = a + e, lambda lam: lo + (hi - lo) * lam
         else:
-            A, B = mu - 0.5, 2.0 * w.a - mu - 2.0 * n + 1.5
-            to_x = lambda lam: np.sqrt(lam / (1.0 - lam))
-        route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, A, B, *run)
+            B, to_x = a - b - 2 * n - e, lambda lam: lam / (1.0 - lam)
+        route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, b + e, B, *run)
 
     def draw(count: int, seed: int, workers: int) -> SampleBatch:
         return SampleBatch(to_x(model(count, seed, workers).spectra), seed)
 
-    return route, (model if to_x is None else draw)
+    return route, draw
+
+
+def _exact_draw(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]] | None:
+    """The exact route of ``spec`` and its draw(count, seed, workers), or
+    None where only Metropolis applies.  The circular kinds draw Haar
+    matrices; every other spec is a law of ``_law_draw``: OE is
+    (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a) and
+    Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
+    (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u.
+    """
+    kind, n, w = spec.kind, spec.n, spec.weight
+    if kind in _CIRCULAR:
+        route = "haar" if kind in ("COE", "CUE") else "beta-jacobi"
+        return route, lambda *run: sample_haar_circular(kind, n, *run)
+    if kind == "OE":
+        c = 2.0 * (w.a or 0.0)
+        w1sq = {"gauss": ("hermite",), "jacobi": ("jacobi", c, c), "cauchy": ("romanovski", c + 2)}
+        return _law_draw(1, n, ClassicalWeight(*w1sq[w.family]))
+    if kind == "UE":
+        return _law_draw(2, n, w.w2)
+    route, draw = _law_draw(2, n, w.w2.squared_argument(spec.mu))
+    return route, lambda count, seed, workers: SampleBatch(
+        np.sqrt(draw(count, seed, workers).spectra), seed
+    )
+
+
+def sample_law(
+    beta: int, n: int, w: ClassicalWeight, count: int, seed: int, workers: int = 1
+) -> SampleBatch:
+    """n points with density prod w(x_i)^(beta/2) |Vdm(x)|^beta, beta 1 or
+    2, from the table of ``_law_draw``; ``diagnostics["route"]`` names the
+    route.  A Romanovski law off the circular exponent runs the Metropolis
+    branch of ``sample_ensemble`` for the OE (beta 1) or UE (beta 2) Cauchy
+    spec of the same density, Cauchy a = (w.a - 2/beta)/2.
+    """
+    if beta not in (1, 2):
+        raise BadParameter(f"beta must be 1 or 2, got {beta}")
+    exact = _law_draw(beta, n, w)
+    if exact is None:
+        cauchy = AdmissibleWeight("cauchy", (w.a - 2 // beta) / 2)
+        spec = EnsembleSpec("OE" if beta == 1 else "UE", n, cauchy)
+        return sample_ensemble(spec, count, seed, workers)
+    route, draw = exact
+    label = f"Law(beta={beta}, n={n}, {w.shape}(a={w.a:g}, b={w.b:g}))"
+    return replace(draw(count, seed, workers), label=label, diagnostics={"route": route})
 
 
 def has_exact_route(spec: EnsembleSpec) -> bool:

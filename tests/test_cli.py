@@ -343,8 +343,9 @@ class TestVerifyCommand:
         def no_metropolis(*args, **kwargs):
             raise AssertionError("Metropolis was called")
 
+        # gap draws through samplers and holds no Metropolis entry of its own
+        assert not hasattr(gap, "sample_mcmc")
         monkeypatch.setattr(samplers, "sample_mcmc", no_metropolis)
-        monkeypatch.setattr(gap, "sample_mcmc", no_metropolis)
         jobs = cli._jobs(cli.RunConfig("verify", identity="all", quick=True, workers=1))
         for token, config in jobs:
             rep = cli._run_identity(token, config)

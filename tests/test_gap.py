@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import scipy.stats
 from scipy import special
 
-from rmtdec import gap
+from rmtdec import gap, samplers
 from rmtdec.errors import BadParameter, MomentDivergence, NonConvergence
 from rmtdec.gap import (
     GapEstimate,
@@ -37,7 +37,7 @@ from rmtdec.gap import (
 )
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import ClassicalWeight, build, gram
-from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_mcmc
+from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_law, sample_mcmc
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, make_weight, theta1
 
 
@@ -698,14 +698,45 @@ EXACT_PAIRS = [
 EXACT_PAIR_IDS = ["24-laguerre", "24-jacobi", "24cp-gauss", "24cp-laguerre", "24cp-jacobi"]
 
 
+def _pair_law_log_density(pair):
+    """log of prod w1 |Vdm| for the beta = 1 law of ``pair``, built from its
+    w1^2 and -inf off the support."""
+    w = pair.w1sq
+    lo, hi = w.support
+
+    def log_density(x: np.ndarray) -> np.ndarray:
+        out = np.full(x.shape[0], -np.inf)
+        inside = np.all((x > lo) & (x < hi), axis=1)
+        y = x[inside]
+        i, j = np.triu_indices(x.shape[1], 1)
+        out[inside] = 0.5 * np.sum(w.log(y), axis=1) + np.sum(np.log(np.abs(y[:, j] - y[:, i])), axis=1)
+        return out
+
+    return log_density
+
+
+def _pair_law_init(pair):
+    """Start points inside the support of ``pair``."""
+    lo, hi = pair.support
+    if math.isinf(lo) and math.isinf(hi):
+        return lambda rng, c, n: rng.standard_normal((c, n))
+    if math.isinf(hi):
+        return lambda rng, c, n: lo + np.abs(rng.standard_normal((c, n))) + 0.05
+    span = hi - lo
+    return lambda rng, c, n: rng.uniform(lo + 0.05 * span, hi - 0.05 * span, (c, n))
+
+
 class TestWeightPairs:
     def test_pair_for_24_families(self) -> None:
         lag = pair_for_24("laguerre")
         assert lag.support == (0.0, math.inf)
         assert lag.w2(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0))
-        assert lag.log_w1(np.array([-1.0]))[0] == -math.inf
+        # w1 = e^(-x/2) on (0, inf)
+        assert lag.w1sq == ClassicalWeight("laguerre")
         jac = pair_for_24("jacobi", a=1.0)
         assert jac.support == (0.0, 1.0)
+        # w1 = (1 - x)^((a - 1)/2) on (0, 1)
+        assert pair_for_24("jacobi", a=2.5).w1sq == ClassicalWeight("jacobi", 1.5, 0.0, (0.0, 1.0))
         with pytest.raises(BadParameter):
             pair_for_24("gauss")
 
@@ -713,7 +744,12 @@ class TestWeightPairs:
         g = pair_for_24cp("gauss", 2)
         assert g.w2(np.array([0.5]))[0] == pytest.approx(math.exp(-0.25))
         c = pair_for_24cp("cauchy", 2, a=1.0)
-        assert c.heavy_tail
+        # w1 = (1 + x^2)^(-(n + a + 1)/2)
+        assert c.w1sq == ClassicalWeight("romanovski", 4.0)
+        assert g.w1sq == ClassicalWeight("hermite")
+        assert pair_for_24cp("laguerre", 2, a=1.5).w1sq == ClassicalWeight("laguerre", b=0.5)
+        # w1 = (1 + x)^((a - 1)/2) (1 - x)^((b - 1)/2)
+        assert pair_for_24cp("jacobi", 2, a=1.0, b=2.0).w1sq == ClassicalWeight("jacobi", 1.0, 0.0)
         # the report records the exponents each family's weights use
         assert c.exponents == {"a": 1.0}
         assert g.exponents == {} and pair_for_24("laguerre").exponents == {}
@@ -739,17 +775,30 @@ class TestWeightPairs:
         # (1 + x)^a (1 - x)^b: b is the exponent at the upper end
         assert pair_for_24cp("jacobi", 2, a=1.0, b=2.0).w2 == ClassicalWeight("jacobi", 2.0, 1.0)
         assert pair_for_24cp("cauchy", 2, a=1.0).w2 == ClassicalWeight("romanovski", 3.0)
+        for pair in [*EXACT_PAIRS, pair_for_24cp("cauchy", 2, a=1.0)]:
+            assert pair.w1sq.support == pair.support
 
-    def test_only_cauchy_pair_uses_metropolis(self) -> None:
-        assert pair_for_24cp("cauchy", 2, a=1.0).exact is None
-        assert all(pair.exact is not None for pair in EXACT_PAIRS)
+    def test_only_cauchy_pair_uses_metropolis(self, monkeypatch) -> None:
+        # both runs of every pair row, as _check_pair_convolution draws them
+        routes = {"24-laguerre": "beta-laguerre", "24-jacobi": "beta-jacobi",
+                  "24cp-gauss": "gaussian", "24cp-laguerre": "beta-laguerre",
+                  "24cp-jacobi": "beta-jacobi"}
+        # short chains: only the route is checked here
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
+        for pair, name in zip(EXACT_PAIRS, EXACT_PAIR_IDS):
+            for size in (2, 3):
+                assert sample_law(1, size, pair.w1sq, 8, 3).diagnostics["route"] == routes[name]
+        # Cauchy: (1 + x^2)^(-(n + a + 1)/2) is the COE pullback at size
+        # n + 1 exactly when a = 1, and Metropolis otherwise
+        for a, n, size, route in [(1.0, 2, 3, "pullback"), (1.0, 3, 4, "pullback"),
+                                  (1.0, 2, 2, "metropolis"), (0.5, 2, 3, "metropolis")]:
+            w = pair_for_24cp("cauchy", n, a=a).w1sq
+            assert sample_law(1, size, w, 8, 3).diagnostics["route"] == route
 
     @pytest.mark.parametrize("pair", EXACT_PAIRS, ids=EXACT_PAIR_IDS)
     def test_pair_rows_on_support_and_worker_independent(self, pair) -> None:
-        from rmtdec.gap import _pair_batch
-
-        a = _pair_batch(pair, 3, 1001, 41, workers=1)
-        b = _pair_batch(pair, 3, 1001, 41, workers=4)
+        a = sample_law(1, 3, pair.w1sq, 1001, 41, workers=1).spectra
+        b = sample_law(1, 3, pair.w1sq, 1001, 41, workers=4).spectra
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1001, 3)
         assert np.all(np.diff(a, axis=1) >= 0)
@@ -761,12 +810,10 @@ class TestWeightPairs:
         ids=["24-laguerre", "24cp-jacobi"],
     )
     def test_pair_model_matches_metropolis(self, pair) -> None:
-        from rmtdec.gap import _pair_batch, _pair_init, _pair_log_density
-
         n, count = 2, 20_000
-        exact = _pair_batch(pair, n, count, 43, workers=1)
+        exact = sample_law(1, n, pair.w1sq, count, 43, workers=1).spectra
         walked = sample_mcmc(
-            _pair_log_density(pair, n), n, count, 44, params=McmcParams(), init=_pair_init(pair)
+            _pair_law_log_density(pair), n, count, 44, params=McmcParams(), init=_pair_law_init(pair)
         ).spectra
         for k in range(n):
             p = scipy.stats.ks_2samp(exact[:, k], walked[:, k]).pvalue

@@ -282,6 +282,14 @@ class TestOrderedTensor:
         f = lambda x: np.full(x.shape[0], -np.inf)
         assert ordered_tensor(f, [0.0, 1.0, 2.0], [1, 1], 6) == 0.0
 
+    def test_plus_inf_at_a_node_raises(self) -> None:
+        # a divergent integrand must not read as zero mass either, whether
+        # the other nodes are finite or -inf
+        with pytest.raises(NonConvergence):
+            ordered_tensor(lambda x: np.where(x[:, 0] < 0.5, np.inf, 0.0), [0.0, 1.0], [1], 6)
+        with pytest.raises(NonConvergence):
+            ordered_tensor(lambda x: np.where(x[:, 0] < 0.5, np.inf, -np.inf), [0.0, 1.0], [1], 6)
+
     @pytest.mark.parametrize(
         "edges,counts",
         [

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from rmtdec import gap, samplers
 from rmtdec.densities import log_p_beta_batch, normalize
 from rmtdec.errors import BadParameter, PoleAtPi, StuckChain
+from rmtdec.orthopoly import ClassicalWeight
 from rmtdec.samplers import (
     EnsembleSpec,
     McmcParams,
@@ -26,6 +27,7 @@ from rmtdec.samplers import (
     sample_beta_laguerre,
     sample_gaussian_matrix,
     sample_haar_circular,
+    sample_law,
     sample_mcmc,
     stereographic,
     stereographic_inverse,
@@ -708,6 +710,92 @@ BETA_MODEL_CASES = [
     (EnsembleSpec("UE", 2, weight=jacobi_weight(1.5)), (-0.3, 0.6)),
     (EnsembleSpec("UE", 4, weight=jacobi_weight(0.0)), (-0.5, 0.2)),
 ]
+
+
+class TestLawTable:
+    """Each row of the law table against the direct public sampler call with
+    the exponents of the README's route table, bit for bit.  A law
+    (beta, n, w) has density prod w^(beta/2) |Vdm|^beta."""
+
+    RUN = (40, 13, 2)  # count, seed, workers
+
+    @staticmethod
+    def _law(beta: int, n: int, w: ClassicalWeight) -> np.ndarray:
+        return sample_law(beta, n, w, *TestLawTable.RUN).spectra
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shape_rows(self, beta: int, n: int) -> None:
+        run, e = self.RUN, 2 / beta - 1
+        same = np.testing.assert_array_equal
+        same(self._law(beta, n, ClassicalWeight("hermite")), sample_gaussian_matrix(beta, n, *run).spectra)
+        lam = sample_beta_laguerre(beta, n, 0.7 * beta / 2, *run).spectra
+        same(self._law(beta, n, ClassicalWeight("laguerre", b=0.7)), lam / beta)
+        a, b = 1.3, -0.4
+        lam = sample_beta_jacobi(beta, n, b + e, a + e, *run).spectra
+        same(self._law(beta, n, ClassicalWeight("jacobi", a, b, (-2.0, 3.0))), -2.0 + 5.0 * lam)
+        a, b = 12.0, 0.5
+        lam = sample_beta_jacobi(beta, n, b + e, a - b - 2 * n + 1 - 2 / beta, *run).spectra
+        same(self._law(beta, n, ClassicalWeight("betaprime", a, b)), lam / (1.0 - lam))
+        # Romanovski at the circular exponent n - 1 + 2/beta: the
+        # tangent-half-angle image of COE (beta 1) or CUE (beta 2)
+        x = self._law(beta, n, ClassicalWeight("romanovski", n - 1 + 2 / beta))
+        same(stereographic(x), sample_haar_circular("COE" if beta == 1 else "CUE", n, *run).spectra)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.3, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pair_laws(self, a: float, n: int) -> None:
+        run = self.RUN
+        same = np.testing.assert_array_equal
+        same(self._law(1, n, gap.pair_for_24("laguerre").w1sq), sample_beta_laguerre(1, n, 0.0, *run).spectra)
+        same(self._law(1, n, gap.pair_for_24("jacobi", a).w1sq), sample_beta_jacobi(1, n, 1.0, a, *run).spectra)
+        same(self._law(1, n, gap.pair_for_24cp("gauss", n).w1sq), sample_gaussian_matrix(1, n, *run).spectra)
+        lam = sample_beta_laguerre(1, n, 0.5 * (a - 1.0), *run).spectra
+        same(self._law(1, n, gap.pair_for_24cp("laguerre", n, a=a).w1sq), lam)
+        for b in (-0.5, 0.7, 2.0):
+            lam = sample_beta_jacobi(1, n, a, b, *run).spectra
+            same(self._law(1, n, gap.pair_for_24cp("jacobi", n, a=a, b=b).w1sq), -1.0 + 2.0 * lam)
+
+    def test_cauchy_pair_runs(self, monkeypatch) -> None:
+        # size n + 1 at a = 1 is the COE pullback; elsewhere Metropolis on
+        # the OE Cauchy spec of the same density
+        w = gap.pair_for_24cp("cauchy", 2, a=1.0).w1sq
+        batch = sample_law(1, 3, w, *self.RUN)
+        same = np.testing.assert_array_equal
+        same(batch.spectra, sample_ensemble(EnsembleSpec("OE", 3, cauchy_weight(1.0)), *self.RUN).spectra)
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
+        for n, a, size in [(2, 1.0, 2), (2, 0.3, 3), (3, 0.7, 4)]:
+            w = gap.pair_for_24cp("cauchy", n, a=a).w1sq
+            spec = EnsembleSpec("OE", size, cauchy_weight((n + a + 1.0) / 2 - 1.0))
+            got = sample_law(1, size, w, *self.RUN)
+            want = sample_ensemble(spec, *self.RUN, params=McmcParams(burn_in=20, chains=8))
+            same(got.spectra, want.spectra)
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_specs(self, n: int) -> None:
+        run = self.RUN
+        same = np.testing.assert_array_equal
+        draw = lambda *spec, **kw: sample_ensemble(EnsembleSpec(*spec, **kw), *run).spectra
+        for kind, beta in (("OE", 1), ("UE", 2)):
+            same(draw(kind, n, GAUSS), sample_gaussian_matrix(beta, n, *run).spectra)
+            for a in (-0.5, 0.3):
+                lam = sample_beta_jacobi(beta, n, 2 * a + 1, 2 * a + 1, *run).spectra
+                same(draw(kind, n, jacobi_weight(a)), 2.0 * lam - 1.0)
+            circular = sample_haar_circular("COE" if beta == 1 else "CUE", n, *run).spectra
+            same(stereographic(draw(kind, n, cauchy_weight((n - 1) / 2))), circular)
+        for mu in (0, 1):
+            lam = sample_beta_laguerre(2, n, mu - 0.5, *run).spectra
+            same(draw("chUE", n, GAUSS, mu=mu), np.sqrt(lam / 2))
+            lam = sample_beta_jacobi(2, n, mu - 0.5, 2 * 0.3 + 1, *run).spectra
+            same(draw("chUE", n, jacobi_weight(0.3), mu=mu), np.sqrt(lam))
+            a = 4.0
+            lam = sample_beta_jacobi(2, n, mu - 0.5, 2 * a - mu - 2 * n + 1.5, *run).spectra
+            same(draw("chUE", n, cauchy_weight(a), mu=mu), np.sqrt(lam / (1.0 - lam)))
+
+    def test_beta_outside_one_and_two_refused(self) -> None:
+        with pytest.raises(BadParameter):
+            sample_law(4, 2, ClassicalWeight("laguerre"), 8, 1)
 
 
 class TestBetaModels:

@@ -83,3 +83,26 @@ def test_traced_calls_record_spans_and_restore(spans, tmp_path, capsys) -> None:
     assert report["samplers.to_csv_rows_per_s"][0] > 0
     assert report["weights.theta1_points"][0] > 0
     assert report["samplers.bytes_written"][0] > 0
+
+
+def test_traced_pair_rows(spans, capsys) -> None:
+    # the eq24 and eq24cp rows of the quick suite draw their beta = 1 runs
+    # through samplers.sample_law; the gaussian route's span is the one the
+    # tracer sees under the eq24cp Gauss row
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["verify", "eq24", "--family", "laguerre", "--n", "2", "--k", "0", "1",
+                      "--s", "0.7", "--count", "2000", "--workers", "1"]),
+            cli.main(["verify", "eq24cp", "--family", "gauss", "--n", "2", "--k", "0", "1",
+                      "--s", "0.6", "--count", "2000", "--workers", "1"]),
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    seen = set(tracer.names)
+    assert {"gap.check_identity_24", "gap.check_identity_24cp", "gap.gap_ue_exact"} <= seen
+    assert spans.ROUTE_SPANS["gaussian"] in seen
+    assert tracer.report(1.0, 1.0)["samplers.gaussian_draws_per_s"][0] > 0
