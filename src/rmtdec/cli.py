@@ -417,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", choices=("csv", "json"))
     ps.add_argument(
         "--method",
-        choices=("auto", "exact", "mcmc"),
+        choices=("auto", "exact"),
         help="auto: the exact route where one exists, else Metropolis; "
-        "exact: fail without one; mcmc: Metropolis (weighted kinds only)",
+        "exact: fail without one",
     )
 
     pg = sub.add_parser("gap", help="gap probabilities, exact when available", **quiet)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
 from .samplers import EnsembleSpec, sample_ensemble, sample_law
 from .verify import VerificationReport, _substreams, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
-
-if TYPE_CHECKING:
-    from .samplers import McmcParams
 
 __all__ = [
     "GapPolynomial",
@@ -162,12 +159,11 @@ def gap_mc(
     count: int,
     seed: int,
     workers: int = 1,
-    params: McmcParams | None = None,
 ) -> GapEstimate:
     """Estimate E(k; J) for k = 0..k_max by counting sampled points in J."""
     if not J[0] < J[1]:
         raise BadParameter(f"empty interval {J}")
-    batch = sample_ensemble(spec, count, seed, workers=workers, params=params)
+    batch = sample_ensemble(spec, count, seed, workers=workers)
     inside = (batch.spectra > J[0]) & (batch.spectra < J[1])
     counts = np.sum(inside, axis=1)
     probs = np.bincount(counts, minlength=k_max + 1)[: k_max + 1] / count
@@ -548,11 +544,15 @@ def _z_or_residual(
     rhs: float,
     var: float,
     count: int,
+    exact_lhs: bool = False,
 ) -> tuple[str, str, float, float, float, float]:
-    """z subtest against the sampling error; exact-residual fallback when the
-    estimator is degenerate (both sides pinned at 0 or 1)."""
+    """z subtest against the sampling error.  Where the delta-method ``var``
+    is 0 (a sample pinned at 0 or 1) the variance is p(1 - p)/count at the
+    exact side p, ``rhs`` or, if ``exact_lhs``, ``lhs``; the test falls back
+    to an exact residual only when that p is 0 or 1 too."""
     if var <= 0.0:
-        var = rhs * (1.0 - rhs) / count
+        p = lhs if exact_lhs else rhs
+        var = p * (1.0 - p) / count
     if var <= 0.0:
         return (name, "residual", abs(lhs - rhs), 1e-9, lhs, rhs)
     return (name, "z", abs(lhs - rhs) / math.sqrt(var), _Z_TOL, lhs, rhs)
@@ -773,7 +773,9 @@ def _check_pair_convolution(
         poly = gap_ue_exact(pair.w2, n, J)
         for ki in ks:
             rhs, var = _label_convolution(pA, pB, identity, ki, count)
-            checks.append(_z_or_residual(f"k={ki}_s={si:g}", poly.prob(ki), rhs, var, count))
+            checks.append(
+                _z_or_residual(f"k={ki}_s={si:g}", poly.prob(ki), rhs, var, count, exact_lhs=True)
+            )
     return checks
 
 
@@ -861,7 +863,7 @@ def check_8_31p(
     checks = []
     for ki in ks:
         rhs, var = _label_convolution(pA, pB, "eq831p", ki, count)
-        checks.append(_z_or_residual(f"k={ki}", poly.prob(ki), rhs, var, count))
+        checks.append(_z_or_residual(f"k={ki}", poly.prob(ki), rhs, var, count, exact_lhs=True))
     params = {"n": n, "k": ks, "theta": theta, "count": count, "seed": seed}
     return build_report("eq831p", params, checks=checks)
 

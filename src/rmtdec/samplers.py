@@ -12,16 +12,16 @@ eigenvalues and bidiagonal singular values), so small-n batches pay no
 per-matrix LAPACK call; from order 3 on the steps are LAPACK's.  Only the
 rare COE/CUE row with an angle near pi, or with I + U singular, calls a
 non-symmetric eigensolver.  A generic random-walk Metropolis
-sampler covers the rest (OE and UE with a Cauchy weight off the circular
-exponents) and serves as an independent cross-check on request.
+sampler covers the rest, the Romanovski laws off the circular exponent:
+OE and UE with a Cauchy weight off it, and the eq24cp Cauchy pair runs.
 
 A law (beta, n, w) is n points with density prod w(x_i)^(beta/2)
 |Vdm(x)|^beta for a classical weight w of ``orthopoly``, so its beta = 2
 law is the one ``gram`` integrates.  One table, ``_law_draw``, keyed by
-the shape of w, maps a law to its exact sampler.  ``_exact_draw`` maps each
-``EnsembleSpec`` to a law (the circular kinds aside) and ``sample_law``
-draws a law directly, as the eq24/eq24cp pair rows do; both
-``sample_ensemble`` and ``sample_law`` record the route in
+the shape of w, gives every law exactly one route, Metropolis included.
+``_route`` maps each ``EnsembleSpec`` to a law (the circular kinds aside)
+and ``sample_law`` draws a law directly, as the eq24/eq24cp pair rows do;
+both ``sample_ensemble`` and ``sample_law`` record the route in
 ``diagnostics["route"]``.
 
 All samplers are deterministic given the seed, an integer in [0, 2**64)
@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .densities import log_chiral_batch, log_p_beta_batch
+from .densities import log_p_beta_batch
 from .errors import BadParameter, PoleAtPi, StuckChain
 from .orthopoly import ClassicalWeight
 from .weights import AdmissibleWeight
@@ -82,7 +82,7 @@ class EnsembleSpec:
     values for chUE, the matrix order for COE/CUE, and one less than the
     matrix order for Oplus/Ominus.  ``mu`` selects the chiral weight
     x^(2 mu) w2 and is meaningful only for chUE.  ``method`` is "auto"
-    (exact when available, else Metropolis), "exact", or "mcmc"; see
+    (the spec's one route) or "exact" (refuse the Metropolis route); see
     ``sample_ensemble`` for the routes.
     """
 
@@ -97,16 +97,13 @@ class EnsembleSpec:
             raise BadParameter(f"unknown ensemble kind {self.kind!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise BadParameter("order n must be a positive integer")
-        if self.method not in ("auto", "exact", "mcmc"):
+        if self.method not in ("auto", "exact"):
             raise BadParameter(f"unknown method {self.method!r}")
         if self.kind in _CIRCULAR:
             if self.weight is not None:
                 raise BadParameter("circular kinds carry no weight")
-            if self.method == "mcmc":
-                raise BadParameter("circular kinds sample exactly only")
-        else:
-            if self.weight is None:
-                raise BadParameter(f"{self.kind} requires a weight")
+        elif self.weight is None:
+            raise BadParameter(f"{self.kind} requires a weight")
         if self.kind == "chUE":
             if self.mu not in (0, 1):
                 raise BadParameter("chUE takes mu in {0, 1}")
@@ -765,16 +762,14 @@ def stereographic_inverse(theta):
 # -- ensemble dispatch -------------------------------------------------------------
 
 
-def _law_draw(
-    beta: int, n: int, w: ClassicalWeight
-) -> tuple[str, Callable[..., SampleBatch]] | None:
-    """The one table from a law to an exact sampler, keyed by ``w.shape``.
+def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[..., SampleBatch]]:
+    """The one table from a law to its sampler, keyed by ``w.shape``.
 
     The law (beta, n, w) is n points with density
     prod w(x_i)^(beta/2) |Vdm(x)|^beta, beta 1 or 2.  Returns its route and
-    draw(count, seed, workers), or None for Romanovski off the circular
-    exponent n - 1 + 2/beta.  Each draw looks its sampler up as a module
-    global when it runs, so a rebinding is seen.
+    draw(count, seed, workers).  Each draw looks its sampler (and the
+    Metropolis density and controls) up as a module global when it runs, so
+    a rebinding is seen.
 
         hermite     Gaussian matrices
         laguerre    beta-Laguerre, p = b beta/2, x = lam/beta
@@ -783,19 +778,30 @@ def _law_draw(
         betaprime   beta-Jacobi, A as for jacobi, B = a - b - 2n + 1 - 2/beta,
                     x = lam/(1 - lam)
         romanovski  at a = n - 1 + 2/beta, tan(theta/2) of COE (beta 1) or
-                    CUE (beta 2) of order n
+                    CUE (beta 2) of order n; at any other a, Metropolis on
+                    the Cauchy weight (a - 2/beta)/2 of the same density,
+                    heavy-tailed proposals
+
+    A Romanovski law has finite mass only for n < a + 1 - 1/beta; any other
+    raises BadParameter.
     """
     e = 2 // beta - 1  # 2/beta - 1 as an exact integer, so A = b at beta = 2
     (lo, hi), a, b = w.support, w.a, w.b
     if w.shape == "hermite":
         return "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
     if w.shape == "romanovski":
-        if not abs(a - n - e) < 1e-12:
-            return None
-        circular = "COE" if beta == 1 else "CUE"
-        tan_half = lambda rng, m: (_circular_tan_half(rng, m, circular, n), {})
-        return "pullback", lambda count, seed, workers: _merge(
-            _run_blocks(tan_half, count, seed, workers), seed, ""
+        if not n - 1 + 1 / beta < a:
+            raise BadParameter(f"Romanovski law beta={beta}, n={n}, a={a:g} is not normalizable")
+        if abs(a - n - e) < 1e-12:
+            circular = "COE" if beta == 1 else "CUE"
+            tan_half = lambda rng, m: (_circular_tan_half(rng, m, circular, n), {})
+            return "pullback", lambda count, seed, workers: _merge(
+                _run_blocks(tan_half, count, seed, workers), seed, ""
+            )
+        cauchy = AdmissibleWeight("cauchy", (a - 2 // beta) / 2)
+        log_density = lambda x: log_p_beta_batch(cauchy, beta, x)
+        return "metropolis", lambda count, seed, workers: sample_mcmc(
+            log_density, n, count, seed, replace(McmcParams(), heavy_tail=True), workers=workers
         )
     if w.shape == "laguerre":
         route, to_x = "beta-laguerre", lambda lam: lam / beta
@@ -813,13 +819,13 @@ def _law_draw(
     return route, draw
 
 
-def _exact_draw(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]] | None:
-    """The exact route of ``spec`` and its draw(count, seed, workers), or
-    None where only Metropolis applies.  The circular kinds draw Haar
-    matrices; every other spec is a law of ``_law_draw``: OE is
-    (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a) and
-    Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
-    (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u.
+def _route(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]]:
+    """The route of ``spec`` and its draw(count, seed, workers).  The
+    circular kinds draw Haar matrices; every other spec is a law of
+    ``_law_draw``: OE is (1, n, w1^2), so Gauss is Hermite, Jacobi a is
+    Jacobi (2a, 2a) and Cauchy a is Romanovski 2a + 2; UE is (2, n, w2);
+    chUE is the law (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at
+    x = sqrt u.
     """
     kind, n, w = spec.kind, spec.n, spec.weight
     if kind in _CIRCULAR:
@@ -841,105 +847,41 @@ def sample_law(
     beta: int, n: int, w: ClassicalWeight, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
     """n points with density prod w(x_i)^(beta/2) |Vdm(x)|^beta, beta 1 or
-    2, from the table of ``_law_draw``; ``diagnostics["route"]`` names the
-    route.  A Romanovski law off the circular exponent runs the Metropolis
-    branch of ``sample_ensemble`` for the OE (beta 1) or UE (beta 2) Cauchy
-    spec of the same density, Cauchy a = (w.a - 2/beta)/2.
+    2, by the route of ``_law_draw``; ``diagnostics["route"]`` names the
+    route, and a Metropolis batch also records its acceptance rate and
+    effective sample size.
     """
     if beta not in (1, 2):
         raise BadParameter(f"beta must be 1 or 2, got {beta}")
-    exact = _law_draw(beta, n, w)
-    if exact is None:
-        cauchy = AdmissibleWeight("cauchy", (w.a - 2 // beta) / 2)
-        spec = EnsembleSpec("OE" if beta == 1 else "UE", n, cauchy)
-        return sample_ensemble(spec, count, seed, workers)
-    route, draw = exact
+    route, draw = _law_draw(beta, n, w)
+    batch = draw(count, seed, workers)
     label = f"Law(beta={beta}, n={n}, {w.shape}(a={w.a:g}, b={w.b:g}))"
-    return replace(draw(count, seed, workers), label=label, diagnostics={"route": route})
+    return replace(batch, label=label, diagnostics={"route": route, **batch.diagnostics})
 
 
 def has_exact_route(spec: EnsembleSpec) -> bool:
-    """Whether a matrix-model or pullback sampler exists for this spec.
-
-    Every spec has one except OE/UE with a Cauchy weight whose exponent
-    2a + 1 differs from n; those sample by Metropolis only.
-    """
-    return _exact_draw(spec) is not None
+    """Whether a matrix-model or pullback sampler exists for this spec: for
+    every spec but OE/UE Cauchy with 2a + 1 != n, whose route is Metropolis."""
+    return _route(spec)[0] != "metropolis"
 
 
-def _mcmc_density(spec: EnsembleSpec) -> Callable[[np.ndarray], np.ndarray]:
-    w = spec.weight
-    if spec.kind in ("OE", "UE"):
-        beta = 1 if spec.kind == "OE" else 2
-        return lambda x: log_p_beta_batch(w, beta, x)
-    mu = spec.mu
-
-    def log_weight(v: np.ndarray) -> np.ndarray:
-        out = np.full(v.shape, -np.inf)
-        pos = v > 0.0
-        vv = v[pos]
-        lw = w.log_w2(vv)
-        if mu:
-            lw = lw + 2.0 * np.log(vv)
-        out[pos] = lw
-        return out
-
-    return lambda x: log_chiral_batch(log_weight, x)
-
-
-def _mcmc_init(spec: EnsembleSpec) -> Callable:
-    chiral = spec.kind == "chUE"
-    if spec.weight.family == "jacobi":
-        if chiral:
-            return lambda rng, c, n: rng.uniform(0.05, 0.95, (c, n))
-        return lambda rng, c, n: rng.uniform(-0.8, 0.8, (c, n))
-    if chiral:
-        return lambda rng, c, n: np.abs(rng.standard_normal((c, n))) + 0.05
-    return _default_init
-
-
-def sample_ensemble(
-    spec: EnsembleSpec,
-    count: int,
-    seed: int,
-    workers: int = 1,
-    params: McmcParams | None = None,
-) -> SampleBatch:
-    """Draw a batch from the ensemble, routing per spec.method.
-
-    Exact routes (``diagnostics["route"]`` names the one taken):
+def sample_ensemble(spec: EnsembleSpec, count: int, seed: int, workers: int = 1) -> SampleBatch:
+    """Draw a batch from the ensemble; ``diagnostics["route"]`` names the
+    route taken:
 
     - "gaussian": Gaussian symmetric/Hermitian matrices for Gauss OE/UE;
     - "haar": Haar unitary matrices for COE/CUE;
     - "pullback": tangent-half-angle images of COE/CUE for OE/UE Cauchy
       weights whose exponent 2a + 1 equals n;
     - "beta-laguerre": chUE Gauss;
-    - "beta-jacobi": OE/UE/chUE Jacobi, chUE Cauchy and Oplus/Ominus.
-
-    OE/UE Cauchy at any other exponent, and every spec with method "mcmc",
-    runs Metropolis ("metropolis") on the matching log density; those
-    batches also record the acceptance rate and effective sample size.
+    - "beta-jacobi": OE/UE/chUE Jacobi, chUE Cauchy and Oplus/Ominus;
+    - "metropolis": OE/UE Cauchy at any other exponent, on the matching log
+      density; those batches also record the acceptance rate and effective
+      sample size.  ``method="exact"`` refuses them.
     """
-    exact = _exact_draw(spec)
-    if spec.method == "exact" and exact is None:
+    route, draw = _route(spec)
+    if spec.method == "exact" and route == "metropolis":
         raise BadParameter(f"no exact route for {spec.describe()}")
-    if spec.method != "mcmc" and exact is not None:
-        route, draw = exact
-        batch = draw(count, seed, workers)
-    else:
-        route = "metropolis"
-        p = params if params is not None else McmcParams()
-        if spec.weight.family == "cauchy" and not p.heavy_tail:
-            p = replace(p, heavy_tail=True)
-        batch = sample_mcmc(
-            _mcmc_density(spec),
-            spec.n,
-            count,
-            seed,
-            params=p,
-            init=_mcmc_init(spec),
-            workers=workers,
-        )
-    return replace(
-        batch, label=spec.describe(), diagnostics={"route": route, **batch.diagnostics}
-    )
+    batch = draw(count, seed, workers)
+    label = spec.describe()
+    return replace(batch, label=label, diagnostics={"route": route, **batch.diagnostics})

@@ -87,6 +87,25 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    def test_method_mcmc_is_not_a_choice(self, capsys, tmp_path: Path) -> None:
+        code = cli.main([
+            "sample", "--kind", "oe", "--family", "gauss", "--n", "2", "--count", "5",
+            "--method", "mcmc", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "invalid choice: 'mcmc'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_method_exact_without_exact_route(self, capsys, tmp_path: Path) -> None:
+        # OE Cauchy a = 0.7 at n = 3 is off the circular exponent 2a + 1 = n
+        code = cli.main([
+            "sample", "--kind", "oe", "--family", "cauchy", "--a", "0.7", "--n", "3",
+            "--count", "5", "--method", "exact", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "no exact route" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestGapCommand:
     def test_ue_single_point(self, capsys) -> None:

@@ -871,6 +871,16 @@ class TestCheckIdentity24:
         assert rep.subtests[0].kind == "residual"
         assert rep.passed
 
+    def test_pinned_sample_is_tested_against_exact_variance(self) -> None:
+        # at s = 0.001 every sampled count is 0, so the sampled side is
+        # pinned at 1 while the exact E2(0) is 0.998: the fallback variance
+        # must come from the exact side, not from the pinned estimate
+        rep = check_identity_24(pair_for_24("laguerre"), 2, 0, 0.001, count=200, seed=1, workers=1)
+        sub = rep.subtests[0]
+        assert (sub.lhs, sub.rhs) == (pytest.approx(0.998, abs=1e-3), 1.0)
+        assert sub.kind == "z"
+        assert rep.passed
+
 
 class TestCheckIdentity24cp:
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -896,6 +906,13 @@ class TestCircularChecks:
     def test_8_31p_degenerate_full_circle(self) -> None:
         rep = check_8_31p(2, 2, math.pi, count=2000, seed=3)
         assert rep.subtests[0].kind == "residual"
+        assert rep.passed
+
+    def test_8_31p_pinned_sample_is_tested_against_exact_variance(self) -> None:
+        rep = check_8_31p(2, 0, 0.001, count=200, seed=1)
+        sub = rep.subtests[0]
+        assert sub.rhs == 1.0 and sub.lhs < 1.0
+        assert sub.kind == "z"
         assert rep.passed
 
     def test_8_31p_bad_theta(self) -> None:

@@ -531,8 +531,11 @@ class TestEnsembleSpecValidation:
             EnsembleSpec("CUE", 2, weight=GAUSS)
 
     def test_circular_mcmc(self) -> None:
+        # "mcmc" is no method: Metropolis is the route of a law, not an option
         with pytest.raises(BadParameter):
             EnsembleSpec("COE", 2, method="mcmc")
+        with pytest.raises(BadParameter):
+            EnsembleSpec("OE", 2, weight=GAUSS, method="mcmc")
 
     def test_weight_required(self) -> None:
         with pytest.raises(BadParameter):
@@ -547,7 +550,7 @@ class TestEnsembleSpecValidation:
 
     def test_exact_unavailable(self) -> None:
         spec = EnsembleSpec("OE", 3, weight=cauchy_weight(0.7), method="exact")
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="no exact route"):
             sample_ensemble(spec, 10, seed=0)
 
     def test_cauchy_normalizability(self) -> None:
@@ -602,11 +605,11 @@ class TestExactRouting:
         assert has_exact_route(EnsembleSpec("chUE", 2, weight=GAUSS, mu=0))
 
     @pytest.mark.parametrize("spec", _route_grid(), ids=EnsembleSpec.describe)
-    def test_route_grid(self, spec: EnsembleSpec) -> None:
+    def test_route_grid(self, spec: EnsembleSpec, monkeypatch) -> None:
         # "auto" runs Metropolis exactly where no exact route exists, and
         # there "exact" refuses; elsewhere "exact" takes the same route
-        params = McmcParams(burn_in=20, chains=8)
-        route = sample_ensemble(spec, 8, seed=67, params=params).diagnostics["route"]
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
+        route = sample_ensemble(spec, 8, seed=67).diagnostics["route"]
         assert route in ROUTES
         assert (route == "metropolis") == (not has_exact_route(spec))
         exact = replace(spec, method="exact")
@@ -642,19 +645,28 @@ class TestExactRouting:
         p = scipy.stats.kstest(x, cdf).pvalue
         assert p > 0.001
 
-    def test_jacobi_routes_to_mcmc(self) -> None:
+    def test_jacobi_routes_to_mcmc(self, monkeypatch) -> None:
         # OE Cauchy off the circular exponents is left to Metropolis
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=300))
         spec = EnsembleSpec("OE", 3, weight=cauchy_weight(0.7))
-        batch = sample_ensemble(spec, 300, seed=61, params=McmcParams(burn_in=300))
+        batch = sample_ensemble(spec, 300, seed=61)
         assert batch.diagnostics["route"] == "metropolis"
         assert "acceptance" in batch.diagnostics
         assert np.all(np.isfinite(batch.spectra))
-        # Jacobi reaches Metropolis only on request, and stays on its support
-        spec = EnsembleSpec("OE", 2, weight=jacobi_weight(1.5), method="mcmc")
-        batch = sample_ensemble(spec, 300, seed=61, params=McmcParams(burn_in=300))
-        assert batch.diagnostics["route"] == "metropolis"
+        # Metropolis on the OE Jacobi density stays on its support
+        w = jacobi_weight(1.5)
+        init = lambda rng, c, n: rng.uniform(-0.8, 0.8, (c, n))
+        logd = lambda x: log_p_beta_batch(w, 1, x)
+        batch = sample_mcmc(logd, 2, 300, seed=61, params=McmcParams(burn_in=300), init=init)
         assert "acceptance" in batch.diagnostics
         assert np.all(np.abs(batch.spectra) < 1.0)
+
+    def test_romanovski_law_without_mass_refused(self) -> None:
+        # (1 + x^2)^(-a) at beta = 1 has finite mass only for n < a
+        with pytest.raises(BadParameter):
+            sample_law(1, 3, ClassicalWeight("romanovski", 1.2), 8, 1)
+        with pytest.raises(BadParameter):
+            sample_law(2, 2, ClassicalWeight("romanovski", 1.5), 8, 1)
 
     @pytest.mark.parametrize(
         "spec,route",
@@ -670,16 +682,22 @@ class TestExactRouting:
             (EnsembleSpec("chUE", 1, weight=cauchy_weight(2.0), mu=1), "beta-jacobi"),
             (EnsembleSpec("OE", 3, weight=jacobi_weight(1.0)), "beta-jacobi"),
             (EnsembleSpec("UE", 2, weight=jacobi_weight(0.0)), "beta-jacobi"),
-            (EnsembleSpec("OE", 3, weight=GAUSS, method="mcmc"), "metropolis"),
+            (EnsembleSpec("OE", 3, weight=cauchy_weight(0.7)), "metropolis"),
             (EnsembleSpec("Oplus", 2), "beta-jacobi"),
         ],
     )
-    def test_route_diagnostic(self, spec: EnsembleSpec, route: str) -> None:
-        params = McmcParams(burn_in=50, chains=8)
-        batch = sample_ensemble(spec, 16, seed=63, params=params)
+    def test_route_diagnostic(self, spec: EnsembleSpec, route: str, monkeypatch) -> None:
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=50, chains=8))
+        batch = sample_ensemble(spec, 16, seed=63)
         assert batch.diagnostics["route"] == route
         assert ("acceptance" in batch.diagnostics) == (route == "metropolis")
         assert ("ess" in batch.diagnostics) == (route == "metropolis")
+
+    def test_metropolis_diagnostics(self) -> None:
+        # a chain on the Gauss OE density records its acceptance and ESS
+        logd = lambda x: log_p_beta_batch(GAUSS, 1, x)
+        batch = sample_mcmc(logd, 3, 16, seed=63, params=McmcParams(burn_in=50, chains=8))
+        assert set(batch.diagnostics) == {"acceptance", "ess"}
 
 
 def _count_z(x: np.ndarray, lo: float, hi: float, probs: np.ndarray) -> np.ndarray:
@@ -768,7 +786,7 @@ class TestLawTable:
             w = gap.pair_for_24cp("cauchy", n, a=a).w1sq
             spec = EnsembleSpec("OE", size, cauchy_weight((n + a + 1.0) / 2 - 1.0))
             got = sample_law(1, size, w, *self.RUN)
-            want = sample_ensemble(spec, *self.RUN, params=McmcParams(burn_in=20, chains=8))
+            want = sample_ensemble(spec, *self.RUN)
             same(got.spectra, want.spectra)
             assert got.diagnostics == want.diagnostics
 
@@ -864,7 +882,8 @@ class TestExactVersusMcmc:
     def test_gauss_oe_n2(self) -> None:
         spec = EnsembleSpec("OE", 2, weight=GAUSS)
         exact = sample_ensemble(spec, 100_000, seed=67)
-        walked = sample_ensemble(replace_method(spec, "mcmc"), 100_000, seed=68)
+        logd = lambda x: log_p_beta_batch(GAUSS, 1, x)
+        walked = sample_mcmc(logd, 2, 100_000, seed=68)
         for k in range(2):
             p = scipy.stats.ks_2samp(exact.spectra[:, k], walked.spectra[:, k]).pvalue
             assert p > 0.001, f"order statistic {k}"
@@ -873,17 +892,14 @@ class TestExactVersusMcmc:
         w = cauchy_weight(1.0)  # matches the order-3 circular pullback
         spec = EnsembleSpec("OE", 3, weight=w)
         exact = sample_ensemble(spec, 100_000, seed=71)
-        walked = sample_ensemble(replace_method(spec, "mcmc"), 100_000, seed=72)
+        logd = lambda x: log_p_beta_batch(w, 1, x)
+        walked = sample_mcmc(logd, 3, 100_000, seed=72, params=McmcParams(heavy_tail=True))
         for k in range(3):
             p = scipy.stats.ks_2samp(exact.spectra[:, k], walked.spectra[:, k]).pvalue
             assert p > 0.001, f"order statistic {k}"
         med_exact = np.median(np.max(np.abs(exact.spectra), axis=1))
         med_walked = np.median(np.max(np.abs(walked.spectra), axis=1))
         assert abs(med_exact - med_walked) < 0.05
-
-
-def replace_method(spec: EnsembleSpec, method: str) -> EnsembleSpec:
-    return EnsembleSpec(spec.kind, spec.n, weight=spec.weight, mu=spec.mu, method=method)
 
 
 class TestSerialization:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import rmtdec
-from rmtdec import cli, samplers
-from rmtdec.samplers import EnsembleSpec, SampleBatch
+from rmtdec import cli, gap, samplers
+from rmtdec.samplers import EnsembleSpec, McmcParams, SampleBatch
 from rmtdec.weights import cauchy_weight
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -106,3 +106,21 @@ def test_traced_pair_rows(spans, capsys) -> None:
     assert {"gap.check_identity_24", "gap.check_identity_24cp", "gap.gap_ue_exact"} <= seen
     assert spans.ROUTE_SPANS["gaussian"] in seen
     assert tracer.report(1.0, 1.0)["samplers.gaussian_draws_per_s"][0] > 0
+
+
+def test_traced_metropolis_row(spans, monkeypatch) -> None:
+    # the Romanovski law off the circular exponent is the table's Metropolis
+    # row; it looks sample_mcmc up when it draws, so the tracer sees it
+    monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
+    w = gap.pair_for_24cp("cauchy", 2, a=0.3).w1sq
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        batch = samplers.sample_law(1, 2, w, 16, 3, workers=1)
+    finally:
+        tracer.uninstall()
+    assert batch.diagnostics["route"] == "metropolis"
+    assert "samplers.sample_mcmc" in set(tracer.names)
+    report = tracer.report(1.0, 1.0)
+    assert report["samplers.mcmc_draws_per_s"][0] > 0
+    assert report["samplers.mcmc_density_evals"][0] > 0
