@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def special():
+    """``scipy.special``, imported at the first call: ``import rmtdec``
+    loads no scipy, and a call that needs none of its functions pays
+    nothing for it."""
+    import scipy.special
+
+    return scipy.special
+
+
 @lru_cache(maxsize=64)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)

@@ -17,10 +17,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import beta as beta_fn, betaln, gamma
 
 from .errors import BadParameter, MomentDivergence, OutOfSupport
-from .numerics import composite_gl_rule
+from .numerics import composite_gl_rule, special
 
 __all__ = [
     "ClassicalWeight",
@@ -107,7 +106,7 @@ def _beta_half(b: float) -> float:
     sum_k (2^-k - 2) B_{k+1} / (k (k+1) b^k) over odd k <= 11 (DLMF 5.11.8);
     its first omitted term is below 2e-19 at b = 20."""
     if b < 20.0:
-        return float(beta_fn(0.5, b))
+        return float(special().beta(0.5, b))
     r = 1.0 / (b * b)
     series = -1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * (
         17.0 / 14336.0 + r * (-31.0 / 18432.0 + r * 691.0 / 180224.0))))
@@ -137,13 +136,13 @@ def _monic_recurrence(w: ClassicalWeight, degree: int) -> tuple[np.ndarray, np.n
     if w.shape == "hermite":
         return np.zeros(degree), 0.5 * k, math.sqrt(math.pi)
     if w.shape == "laguerre":
-        return 2.0 * k + b - 1.0, k * (k + b), float(gamma(b + 1.0))
+        return 2.0 * k + b - 1.0, k * (k + b), float(special().gamma(b + 1.0))
     if w.shape == "romanovski":
         beta = k * (2.0 * a - k) / ((2.0 * a - 2.0 * k) ** 2 - 1.0)
         return np.zeros(degree), beta, _beta_half(a - 0.5)
     if w.shape == "jacobi":
         lo, hi = w.support
-        mass = np.exp((a + b + 1.0) * math.log(hi - lo) + betaln(a + 1.0, b + 1.0))
+        mass = np.exp((a + b + 1.0) * math.log(hi - lo) + special().betaln(a + 1.0, b + 1.0))
         alpha, beta = _jacobi_recurrence(a, b, degree)
     else:
         # the moments of x^b (1 + x)^(-a) are proportional to those of the
@@ -154,7 +153,7 @@ def _monic_recurrence(w: ClassicalWeight, degree: int) -> tuple[np.ndarray, np.n
         elif b == 0.5 and y >= 20.0:  # B(3/2, y) = B(1/2, y) / (2y + 1)
             mass = _beta_half(y) / (2.0 * y + 1.0)
         else:
-            mass = beta_fn(b + 1.0, y)
+            mass = special().beta(b + 1.0, y)
         alpha, beta = _jacobi_recurrence(b, -a, degree)
     half = 0.5 * (hi - lo)
     return 0.5 * (lo + hi) + half * alpha, half * half * beta, float(mass)

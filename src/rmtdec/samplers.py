@@ -27,7 +27,10 @@ both ``sample_ensemble`` and ``sample_law`` record the route in
 All samplers are deterministic given the seed, an integer in [0, 2**64)
 (any other raises BadParameter): work is split into a fixed number of
 logical blocks, each with its own generator derived from (seed, block
-index), so the output does not depend on the worker count.
+index), so the output does not depend on the worker count.  An exact
+block draws all its variates first, in one fixed order, then maps them to
+spectra _ROWS rows at a time; every row is transformed alone, so memory
+beyond the variates stays bounded and the bits do not depend on _ROWS.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,8 +75,9 @@ _CIRCULAR = ("COE", "CUE", "Oplus", "Ominus")
 _BLOCKS = 4
 # |tan(theta/2)| beyond which a Cayley row falls back to eigvals
 _CAYLEY_MAX = 100.0
-# rows formatted per write by SampleBatch.to_csv and to_jsonl
-_IO_ROWS = 1 << 14
+# rows per chunk of an exact route's transform and of SampleBatch's writers
+# and readers
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -161,8 +167,8 @@ class SampleBatch:
     def to_csv(self, path) -> None:
         """Write a "# spec=... seed=... diagnostics={...}" line, the column
         header v1..vN, then one row per spectrum.  Values are written with
-        %.17g, so they read back bit-identically; each block of _IO_ROWS
-        rows is one format operation over its flattened ``tolist()``."""
+        %.17g, so they read back bit-identically; each block of _ROWS rows
+        is one format operation over its flattened ``tolist()``."""
         diag = json.dumps(self.diagnostics, sort_keys=True, separators=(",", ":"))
         head = f"# spec={self.label} seed={self.seed} diagnostics={diag}\n"
         columns = ",".join(f"v{i + 1}" for i in range(self.width)) + "\n"
@@ -175,32 +181,31 @@ class SampleBatch:
     @classmethod
     def from_csv(cls, path) -> "SampleBatch":
         """Read ``to_csv`` output; CRLF endings and a missing final newline
-        are accepted.  Every line after the column header is a row; the rows
-        are parsed by one ``np.loadtxt`` call, which rejects ragged rows."""
-        label, seed, diagnostics = "", 0, {}
-        lines = Path(path).read_text().splitlines()
-        at = 0
-        while at < len(lines) and lines[at].startswith("# spec="):
-            head, diag = lines[at][2:].rsplit(" diagnostics=", 1)
-            head, seed_text = head.rsplit(" seed=", 1)
-            label = head[len("spec=") :]
-            seed = int(seed_text)
-            diagnostics = json.loads(diag)
-            at += 1
-        width = len(lines[at].split(",")) if at < len(lines) and lines[at] else 0
-        body = lines[at + 1 :]
-        if body and width:
-            spectra = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        else:
-            spectra = np.empty((len(body), width))
-        if spectra.shape != (len(body), width):  # loadtxt skips blank lines
-            raise BadParameter(f"expected {len(body)} rows of {width} values in {path}")
-        return cls(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
+        are accepted.  Every line after the column header is a row; each
+        block of _ROWS rows is parsed by one ``np.loadtxt`` call."""
+
+        def parse(fh):
+            label, seed, diagnostics = "", 0, {}
+            line = fh.readline()
+            while line.startswith("# spec="):
+                head, diag = line[2:].rsplit(" diagnostics=", 1)
+                head, seed_text = head.rsplit(" seed=", 1)
+                label, seed, diagnostics = head[len("spec=") :], int(seed_text), json.loads(diag)
+                line = fh.readline()
+            columns = line.rstrip("\n")
+            width = len(columns.split(",")) if columns else 0
+            if width:
+                rows = lambda lines: np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            else:
+                rows = lambda lines: np.empty((len(lines), 0))
+            return _read_rows(fh, rows, width), seed, label, diagnostics
+
+        return cls._read(path, parse)
 
     def to_jsonl(self, path) -> None:
         """Write a header object {"diagnostics", "seed", "spec", "width"},
         then one {"values": [...]} object per spectrum.  Each block of
-        _IO_ROWS rows is one %r format operation over its flattened
+        _ROWS rows is one %r format operation over its flattened
         ``tolist()``, as in ``to_csv``; %r spells a float as ``json.dumps``
         does.  A block holding nan or +-inf, which JSON spells NaN and
         Infinity, is one ``json.dumps`` of its ``tolist()``, cut at the
@@ -225,26 +230,57 @@ class SampleBatch:
                 fh.write('{"values": ' + rows.replace("], [", ']}\n{"values": [') + "}\n")
 
     def _blocks(self) -> Iterator[np.ndarray]:
-        """The spectra in consecutive blocks of at most _IO_ROWS rows."""
-        return (self.spectra[i : i + _IO_ROWS] for i in range(0, self.count, _IO_ROWS))
+        """The spectra in consecutive blocks of at most _ROWS rows."""
+        return (self.spectra[i : i + _ROWS] for i in range(0, self.count, _ROWS))
 
     @classmethod
     def from_jsonl(cls, path) -> "SampleBatch":
-        """Read ``to_jsonl`` output with one ``json.loads`` of the joined
-        rows; CRLF endings and a missing final newline are accepted.  The
-        width comes from the header, or in files written without it from
-        the first row (0 for such a file without rows)."""
-        lines = Path(path).read_text().splitlines()
-        head = json.loads(lines[0])
-        rows = json.loads("[" + ",".join(lines[1:]) + "]", object_hook=itemgetter("values"))
-        width = head.get("width", len(rows[0]) if rows else 0)
-        spectra = np.array(rows, dtype=float).reshape(len(rows), width)
-        return cls(
-            spectra=spectra,
-            seed=int(head["seed"]),
-            label=head["spec"],
-            diagnostics=head["diagnostics"],
-        )
+        """Read ``to_jsonl`` output, each block of _ROWS rows with one
+        ``json.loads`` of its joined lines; CRLF endings and a missing final
+        newline are accepted.  The width comes from the header, or in files
+        written without it from the first row (0 for such a file without
+        rows)."""
+
+        def parse(fh):
+            head = json.loads(fh.readline())
+            rows = lambda lines: np.array(
+                json.loads("[" + ",".join(lines) + "]", object_hook=itemgetter("values")),
+                dtype=float,
+            )
+            spectra = _read_rows(fh, rows, head.get("width"))
+            return spectra, int(head["seed"]), head["spec"], head["diagnostics"]
+
+        return cls._read(path, parse)
+
+    @classmethod
+    def _read(cls, path, parse: Callable) -> "SampleBatch":
+        """The batch parse(fh) reads from the open file as (spectra, seed,
+        label, diagnostics).  A file it cannot read raises BadParameter
+        naming the file."""
+        with Path(path).open() as fh:
+            try:
+                spectra, seed, label, diagnostics = parse(fh)
+            except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                raise BadParameter(f"malformed batch file {path}: {exc}") from exc
+        return cls(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
+
+
+def _read_rows(
+    lines: Iterable[str], rows: Callable[[list[str]], np.ndarray], width: int | None
+) -> np.ndarray:
+    """The (count, width) spectra of ``lines``, one row per line, read _ROWS
+    lines at a time by rows(block) and joined by one concatenate; ``width``
+    None takes it from the first row.  A block that is not one row of
+    ``width`` values per line (``loadtxt`` skips blank lines) raises
+    ValueError."""
+    blocks = []
+    while block := list(islice(lines, _ROWS)):
+        values = rows(block)
+        width = values.shape[-1] if width is None else width
+        if values.shape != (len(block), width):
+            raise ValueError(f"expected {len(block)} rows of {width} values, got {values.shape}")
+        blocks.append(values)
+    return np.concatenate(blocks) if blocks else np.empty((0, width or 0))
 
 
 # -- deterministic block scheduling ---------------------------------------------
@@ -296,6 +332,37 @@ def _merge(parts: list, seed: int, label: str) -> SampleBatch:
     return SampleBatch(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
 
 
+def _sample_exact(
+    draw: Callable, transform: Callable[..., np.ndarray], count: int, seed: int, workers: int,
+    label: str,
+) -> SampleBatch:
+    """Independent exact draws: each block draws its variates with
+    draw(rng, m), a tuple of arrays with m rows, and maps them to spectra
+    with ``_chunked(transform, variates)``."""
+    block = lambda rng, m: (_chunked(transform, draw(rng, m)), {})
+    return _merge(_run_blocks(block, count, seed, workers), seed, label)
+
+
+def _chunked(transform: Callable[..., np.ndarray], variates: tuple) -> np.ndarray:
+    """transform(*rows) over consecutive chunks of the variates, joined by
+    one concatenate.  A chunk is _ROWS * max(1, 16 // k) rows, where k is
+    the size of a row's first variate (n^2 for a matrix, n for a
+    bidiagonal): rows of at most 8 numbers, whose closed forms do too
+    little per row to pay numpy's per-call cost, go in bigger chunks.
+    Every exact transform maps each row alone, so its temporaries stay
+    within one chunk and the bits do not depend on the chunking."""
+    m, step = len(variates[0]), _ROWS * max(1, 16 // variates[0][0].size)
+    return np.concatenate(
+        [transform(*(v[i : i + step] for v in variates)) for i in range(0, m, step)]
+    )
+
+
+def _normal_pair(n: int) -> Callable:
+    """draw(rng, m): the real, then the imaginary parts of m complex
+    Gaussian matrices of order n."""
+    return lambda rng, m: (rng.standard_normal((m, n, n)), rng.standard_normal((m, n, n)))
+
+
 # -- exact matrix models ----------------------------------------------------------
 
 
@@ -311,17 +378,17 @@ def sample_gaussian_matrix(
     if n < 1:
         raise BadParameter("n must be positive")
 
-    def block(rng: np.random.Generator, m: int):
-        if beta == 1:
-            a = rng.standard_normal((m, n, n))
-            h = (a + np.swapaxes(a, 1, 2)) / 2.0
-        else:
-            a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-            h = (a + np.conj(np.swapaxes(a, 1, 2))) / (2.0 * math.sqrt(2.0))
-        return _eigvalsh(h), {}
+    label = f"Gaussian(beta={beta}, n={n})"
+    if beta == 1:
+        draw = lambda rng, m: (rng.standard_normal((m, n, n)),)
+        spectra = lambda a: _eigvalsh((a + np.swapaxes(a, 1, 2)) / 2.0)
+        return _sample_exact(draw, spectra, count, seed, workers, label)
 
-    parts = _run_blocks(block, count, seed, workers)
-    return _merge(parts, seed, f"Gaussian(beta={beta}, n={n})")
+    def spectra(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        a = re + 1j * im
+        return _eigvalsh((a + np.conj(np.swapaxes(a, 1, 2))) / (2.0 * math.sqrt(2.0)))
+
+    return _sample_exact(_normal_pair(n), spectra, count, seed, workers, label)
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:
@@ -347,14 +414,15 @@ def _phase(d: np.ndarray) -> np.ndarray:
     return np.where(mag == 0.0, 1.0, d / np.where(mag == 0.0, 1.0, mag))
 
 
-def _haar_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+def _haar_unitary(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Q of the QR decomposition z = QR whose R has a positive real diagonal,
-    for m complex Gaussian z of order n: Haar unitaries (Mezzadri).  At
-    order 2 the first column of Q is z_1/|z_1| = (a, b), and the second is
-    its unitary complement (-conj b, conj a) times the phase of
-    det z = |z_1| r_22; above that Q is ``qr``'s, with its columns turned
-    by the phases of R's diagonal."""
-    z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    for a stack of complex Gaussian z = re + i im: Haar unitaries
+    (Mezzadri).  At order 2 the first column of Q is z_1/|z_1| = (a, b),
+    and the second is its unitary complement (-conj b, conj a) times the
+    phase of det z = |z_1| r_22; above that Q is ``qr``'s, with its columns
+    turned by the phases of R's diagonal."""
+    z = re + 1j * im
+    n = z.shape[-1]
     if n == 1:
         return _phase(z)
     if n == 2:
@@ -415,7 +483,8 @@ def _cayley_tan_half(u: np.ndarray, real: bool) -> np.ndarray:
     theta = pi the solve loses about lam^2 eps, so a row with any
     |lam| > _CAYLEY_MAX, or any lam that is not finite because I + U is
     singular, is redone with ``eigvals``; at order >= 3 a singular I + U
-    makes ``solve`` fail, and the whole stack is redone.
+    makes ``solve`` fail, and the whole stack, one chunk of at most _ROWS
+    rows, is redone.
     """
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,10 +498,10 @@ def _cayley_tan_half(u: np.ndarray, real: bool) -> np.ndarray:
     return lam
 
 
-def _circular_tan_half(rng: np.random.Generator, m: int, kind: str, n: int) -> np.ndarray:
-    """tan(theta/2) of m COE/CUE spectra of order n: the Cayley transform of
-    Haar unitaries U (CUE) or of the symmetric U^T U (COE)."""
-    u = _haar_unitary(rng, m, n)
+def _circular_tan_half(kind: str, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """tan(theta/2) of COE/CUE spectra: the Cayley transform of the Haar
+    unitaries U of re + i im (CUE) or of the symmetric U^T U (COE)."""
+    u = _haar_unitary(re, im)
     if kind == "COE":
         u = _transpose_times(u)
     return _cayley_tan_half(u, real=kind == "COE")
@@ -461,11 +530,8 @@ def sample_haar_circular(
     label = f"Haar({kind}, n={n})"
 
     if kind in ("COE", "CUE"):
-
-        def block(rng: np.random.Generator, m: int):
-            return stereographic(_circular_tan_half(rng, m, kind, n)), {}
-
-        return _merge(_run_blocks(block, count, seed, workers), seed, label)
+        angles = lambda re, im: stereographic(_circular_tan_half(kind, re, im))
+        return _sample_exact(_normal_pair(n), angles, count, seed, workers, label)
 
     ominus = kind == "Ominus"
     width = n // 2 if ominus else (n + 1) // 2
@@ -535,13 +601,10 @@ def sample_beta_laguerre(
     diag_df = 2.0 * p + 2.0 + beta * (n - 1 - k)
     off_df = beta * (n - k[1:])
 
-    def block(rng: np.random.Generator, m: int):
-        diag = np.sqrt(rng.chisquare(diag_df, (m, n)))
-        off = np.sqrt(rng.chisquare(off_df, (m, n - 1)))
-        return _squared_singular_values(diag, off, upper=False), {}
-
-    parts = _run_blocks(block, count, seed, workers)
-    return _merge(parts, seed, f"BetaLaguerre(beta={beta:g}, n={n}, p={p:g})")
+    draw = lambda rng, m: (rng.chisquare(diag_df, (m, n)), rng.chisquare(off_df, (m, n - 1)))
+    spectra = lambda d, e: _squared_singular_values(np.sqrt(d), np.sqrt(e), upper=False)
+    label = f"BetaLaguerre(beta={beta:g}, n={n}, p={p:g})"
+    return _sample_exact(draw, spectra, count, seed, workers, label)
 
 
 def sample_beta_jacobi(
@@ -569,17 +632,20 @@ def sample_beta_jacobi(
     kp = k[:-1]
     half = 0.5 * beta
 
-    def block(rng: np.random.Generator, m: int):
-        c = np.sqrt(rng.beta(half * (A + k), half * (B + k), (m, n)))
-        cp = np.sqrt(rng.beta(half * kp, half * (A + B + 1.0 + kp), (m, n - 1)))
+    def draw(rng: np.random.Generator, m: int):
+        c2 = rng.beta(half * (A + k), half * (B + k), (m, n))
+        return c2, rng.beta(half * kp, half * (A + B + 1.0 + kp), (m, n - 1))
+
+    def spectra(c2: np.ndarray, cp2: np.ndarray) -> np.ndarray:
+        c, cp = np.sqrt(c2), np.sqrt(cp2)
         s, sp = np.sqrt(1.0 - c * c), np.sqrt(1.0 - cp * cp)
         diag = c[:, ::-1].copy()
         diag[:, 1:] *= sp[:, ::-1]
         off = -s[:, :0:-1] * cp[:, ::-1]
-        return np.minimum(_squared_singular_values(diag, off, upper=True), 1.0), {}
+        return np.minimum(_squared_singular_values(diag, off, upper=True), 1.0)
 
-    parts = _run_blocks(block, count, seed, workers)
-    return _merge(parts, seed, f"BetaJacobi(beta={beta:g}, n={n}, A={A:g}, B={B:g})")
+    label = f"BetaJacobi(beta={beta:g}, n={n}, A={A:g}, B={B:g})"
+    return _sample_exact(draw, spectra, count, seed, workers, label)
 
 
 # -- generic Metropolis sampler ---------------------------------------------------
@@ -793,10 +859,9 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
         if not n - 1 + 1 / beta < a:
             raise BadParameter(f"Romanovski law beta={beta}, n={n}, a={a:g} is not normalizable")
         if abs(a - n - e) < 1e-12:
-            circular = "COE" if beta == 1 else "CUE"
-            tan_half = lambda rng, m: (_circular_tan_half(rng, m, circular, n), {})
-            return "pullback", lambda count, seed, workers: _merge(
-                _run_blocks(tan_half, count, seed, workers), seed, ""
+            tan_half = partial(_circular_tan_half, "COE" if beta == 1 else "CUE")
+            return "pullback", lambda count, seed, workers: _sample_exact(
+                _normal_pair(n), tan_half, count, seed, workers, ""
             )
         cauchy = AdmissibleWeight("cauchy", (a - 2 // beta) / 2)
         log_density = lambda x: log_p_beta_batch(cauchy, beta, x)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .decimation import decimate, singular_values, superpose
 from .densities import (
@@ -30,6 +29,7 @@ from .densities import (
     log_q_odd_batch,
 )
 from .errors import BadParameter, EmptySample
+from .numerics import special
 from .samplers import EnsembleSpec, _check_seed, sample_ensemble
 from .weights import (
     AdmissibleWeight,
@@ -184,14 +184,14 @@ def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarr
     cdf_y = np.searchsorted(y, grid, side="right") / y.size
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     ne = x.size * y.size / (x.size + y.size)
-    p = float(special.kolmogorov(math.sqrt(ne) * d))
+    p = float(special().kolmogorov(math.sqrt(ne) * d))
     return d, min(max(p, 0.0), 1.0)
 
 
 def _chi2_sf(stat: float, dof: int) -> float:
     """Chi-square upper tail P(X > stat) for stat >= 0, bit for bit SciPy's
     ``chi2.sf``: nan when dof < 1 (a one-cell table fails)."""
-    return float(special.chdtrc(dof, stat)) if dof >= 1 else math.nan
+    return float(special().chdtrc(dof, stat)) if dof >= 1 else math.nan
 
 
 def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, float]]:

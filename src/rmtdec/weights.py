@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, gammainc
 
 from .errors import BadParameter, OrderExceeded, OutOfSupport
-from .numerics import integrate
+from .numerics import integrate, special
 from .orthopoly import ClassicalWeight, _beta_half
 
 __all__ = [
@@ -261,16 +260,17 @@ def theta1(w: AdmissibleWeight, x: float | np.ndarray) -> float | np.ndarray:
     arr = np.asarray(x, dtype=float)
     w._check_support(arr)
     x2 = arr**2
+    sp = special()
     if w.family == "gauss":
-        frac = gammainc(0.5, 0.5 * x2)
+        frac = sp.gammainc(0.5, 0.5 * x2)
     elif w.family == "jacobi":
-        frac = betainc(0.5, w.a + 1.0, x2)
+        frac = sp.betainc(0.5, w.a + 1.0, x2)
     else:
         u = 1.0 / (1.0 + x2)
         frac = np.where(
             x2 <= 1.0,
-            betainc(0.5, w.a + 0.5, np.minimum(x2, 1.0) * u),
-            1.0 - betainc(w.a + 0.5, 0.5, u),
+            sp.betainc(0.5, w.a + 0.5, np.minimum(x2, 1.0) * u),
+            1.0 - sp.betainc(w.a + 0.5, 0.5, u),
         )
     out = np.sign(arr) * w.theta * frac
     return float(out) if arr.ndim == 0 else out

@@ -606,6 +606,17 @@ class TestColdImport:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_scipy_is_not_imported(self) -> None:
+        # scipy.special loads at the first call that needs it
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, rmtdec; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
 
 class TestArgparsePlumbing:
     def test_help_exits_zero(self, capsys) -> None:

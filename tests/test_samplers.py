@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,9 +37,11 @@ from rmtdec.samplers import (
     _block_rng,
     _block_sizes,
     _cayley_tan_half,
+    _chunked,
     _circular_tan_half,
     _eigvalsh,
     _haar_unitary,
+    _normal_pair,
     _squared_singular_values,
 )
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight
@@ -202,7 +205,7 @@ class TestHaarCircular:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cayley_angles_match_eigvals(self, kind: str, n: int) -> None:
         rng = np.random.default_rng(300 + n)
-        u = _haar_unitary(rng, 2000, n)
+        u = _haar_unitary(*_normal_pair(n)(rng, 2000))
         if kind == "COE":
             u = np.swapaxes(u, 1, 2) @ u
         got = stereographic(_cayley_tan_half(u, real=kind == "COE"))
@@ -216,7 +219,7 @@ class TestHaarCircular:
         # symmetric (COE-like) stack, unitary otherwise
         rng = np.random.default_rng(31)
         theta = np.array([[-2.0, 0.5, math.pi - 1e-9], [-1.0, 0.1, 3.0], [-(math.pi - 1e-9), 0.0, 1.0]])
-        v = _qr_orthogonal(rng, 3, 3, 1) if real else _haar_unitary(rng, 3, 3)
+        v = _qr_orthogonal(rng, 3, 3, 1) if real else _haar_unitary(*_normal_pair(3)(rng, 3))
         u = np.einsum("bij,bj,bkj->bik", v, np.exp(1j * theta), v.conj())
         lam = _cayley_tan_half(u, real)
         assert np.all(np.any(np.abs(lam) > 100.0, axis=1) == [True, False, True])
@@ -344,7 +347,7 @@ class TestSmallOrderKernels:
         # the exact complement keeps U unitary to rounding (1.1e-15 here,
         # LAPACK's Q 1.4e-15); one Gram-Schmidt pass for the second column
         # gives 6.3e-13 on the same draws and would fail
-        u = _haar_unitary(np.random.default_rng(61 + n), self.COUNT, n)
+        u = _haar_unitary(*_normal_pair(n)(np.random.default_rng(61 + n), self.COUNT))
         gram = np.conj(np.swapaxes(u, 1, 2)) @ u
         assert np.max(np.abs(gram - np.eye(n))) <= 4e-15
         want = _lapack_haar(np.random.default_rng(61 + n), self.COUNT, n)
@@ -353,7 +356,8 @@ class TestSmallOrderKernels:
     @pytest.mark.parametrize("kind", ["COE", "CUE"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_circular_angles(self, kind: str, n: int) -> None:
-        got = stereographic(_circular_tan_half(np.random.default_rng(71 + n), self.COUNT, kind, n))
+        variates = _normal_pair(n)(np.random.default_rng(71 + n), self.COUNT)
+        got = stereographic(_circular_tan_half(kind, *variates))
         want = _lapack_angles(np.random.default_rng(71 + n), self.COUNT, kind, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -402,6 +406,96 @@ class TestSmallOrderKernels:
         # above order 2 every route is the LAPACK one, bit for bit
         got = sample_ensemble(spec, 2001, seed=93).spectra
         np.testing.assert_array_equal(got, _by_blocks(reference, 2001, 93))
+
+
+# -- chunked transforms and reads ------------------------------------------------
+
+_EXACT_ROUTES = {
+    "gaussian-1": lambda c, s: sample_gaussian_matrix(1, 3, c, s),
+    "gaussian-2": lambda c, s: sample_gaussian_matrix(2, 3, c, s),
+    "COE": lambda c, s: sample_haar_circular("COE", 3, c, s),
+    "CUE": lambda c, s: sample_haar_circular("CUE", 3, c, s),
+    "COE-2": lambda c, s: sample_haar_circular("COE", 2, c, s),
+    "pullback": lambda c, s: sample_ensemble(EnsembleSpec("UE", 3, cauchy_weight(1.0)), c, s),
+    "beta-laguerre": lambda c, s: sample_beta_laguerre(1.5, 3, 0.3, c, s),
+    "beta-jacobi": lambda c, s: sample_beta_jacobi(0.7, 3, -0.5, 1.2, c, s),
+    "Oplus": lambda c, s: sample_haar_circular("Oplus", 4, c, s),
+    "Ominus": lambda c, s: sample_haar_circular("Ominus", 5, c, s),
+}
+
+
+class TestChunking:
+    """Exact routes transform, and readers parse, _ROWS rows at a time; the
+    chunking bounds memory and changes no bit."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 10**9])
+    @pytest.mark.parametrize("count", [1, 7, 1000])
+    @pytest.mark.parametrize("route", sorted(_EXACT_ROUTES))
+    def test_routes_do_not_depend_on_chunking(self, monkeypatch, route: str, count: int,
+                                              rows: int) -> None:
+        want = _EXACT_ROUTES[route](count, 11)
+        monkeypatch.setattr(samplers, "_ROWS", rows)
+        got = _EXACT_ROUTES[route](count, 11)
+        assert got.spectra.shape == want.spectra.shape
+        assert got.spectra.tobytes() == want.spectra.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 10**9])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_reads_do_not_depend_on_chunking(self, tmp_path, monkeypatch, fmt: str,
+                                             rows: int) -> None:
+        batch = sample_haar_circular("CUE", 3, 1000, seed=5)
+        path = tmp_path / f"b.{fmt}"
+        getattr(batch, f"to_{fmt}")(path)
+        want = getattr(SampleBatch, f"from_{fmt}")(path)
+        monkeypatch.setattr(samplers, "_ROWS", rows)
+        got = getattr(SampleBatch, f"from_{fmt}")(path)
+        assert got.spectra.tobytes() == want.spectra.tobytes() == batch.spectra.tobytes()
+        assert (got.label, got.seed, got.diagnostics) == (want.label, want.seed, want.diagnostics)
+
+    def test_singular_row_redoes_only_its_chunk(self, monkeypatch) -> None:
+        # I + U is exactly singular in row 5 alone, so solve fails on the
+        # chunk of rows 4..7 and only that chunk goes through eigvals
+        u = _haar_unitary(*_normal_pair(3)(np.random.default_rng(9), 10))
+        u[5] = np.diag([-1.0, np.exp(0.3j), np.exp(-1.1j)])
+        monkeypatch.setattr(samplers, "_ROWS", 4)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            calls.append(len(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        got = stereographic(_chunked(lambda v: _cayley_tan_half(v, real=False), (u,)))
+        assert calls == [4]
+        want = np.sort(np.angle(eigvals(u)), axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _traced_peak(call) -> tuple[int, np.ndarray]:
+        tracemalloc.start()
+        try:
+            out = call()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_route_peak_memory(self) -> None:
+        # one block's raw Gaussian draws (2 count/4 n^2 numbers, 2.5 times the
+        # result here) stay; the transform's temporaries are _ROWS rows
+        sample_ensemble(EnsembleSpec("CUE", 5), 8, seed=1)
+        peak, out = self._traced_peak(
+            lambda: sample_ensemble(EnsembleSpec("CUE", 5), 20_000, seed=1).spectra
+        )
+        assert peak <= 6.0 * out.nbytes
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_read_peak_memory(self, tmp_path, fmt: str) -> None:
+        path = tmp_path / f"b.{fmt}"
+        getattr(sample_ensemble(EnsembleSpec("UE", 5, GAUSS), 20_000, seed=1), f"to_{fmt}")(path)
+        read = getattr(SampleBatch, f"from_{fmt}")
+        peak, out = self._traced_peak(lambda: read(path).spectra)
+        assert peak <= 4.0 * out.nbytes
 
 
 class TestExactLawsAtOrderTwo:
@@ -994,8 +1088,8 @@ class TestSerialization:
     @pytest.mark.parametrize("rows", [1, 2])
     def test_blocked_writes_match_golden_text(self, tmp_path, monkeypatch, fmt: str,
                                               rows: int) -> None:
-        # writers format _IO_ROWS rows at a time; any block size gives the same bytes
-        monkeypatch.setattr(samplers, "_IO_ROWS", rows)
+        # writers format _ROWS rows at a time; any block size gives the same bytes
+        monkeypatch.setattr(samplers, "_ROWS", rows)
         path = tmp_path / f"b.{fmt}"
         getattr(self._golden_batch(), f"to_{fmt}")(path)
         want = self.GOLDEN_CSV if fmt == "csv" else self.GOLDEN_JSONL
@@ -1005,7 +1099,7 @@ class TestSerialization:
     def test_jsonl_bytes_match_json_dumps(self, tmp_path, monkeypatch, special: bool) -> None:
         # a finite block is one %r format, a block with nan or +-inf one
         # json.dumps; either way each row reads as json.dumps writes it
-        monkeypatch.setattr(samplers, "_IO_ROWS", 16)
+        monkeypatch.setattr(samplers, "_ROWS", 16)
         rng = np.random.default_rng(5)
         spectra = rng.normal(size=(50, 5)) * 10.0 ** rng.integers(-300, 300, size=(50, 5))
         if special:
@@ -1075,6 +1169,25 @@ class TestSerialization:
         path.write_text(self.GOLDEN_CSV.replace("\n-inf", "\n\n-inf"))
         with pytest.raises(BadParameter):
             SampleBatch.from_csv(path)
+
+    JSONL_HEAD = '{"diagnostics": {}, "seed": 1, "spec": "x", "width": 2}\n'
+    MALFORMED = {
+        "csv-non-numeric": ("csv", "v1,v2\n1,2\n3,x\n"),
+        "csv-ragged": ("csv", "v1,v2\n1,2\n3\n"),
+        "jsonl-ragged": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n{"values": [3]}\n'),
+        "jsonl-no-values": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n{"v": [3, 4]}\n'),
+        "jsonl-not-json": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n1, 2\n'),
+        "jsonl-no-spec": ("jsonl", '{"diagnostics": {}, "seed": 1, "width": 2}\n'),
+        "jsonl-empty": ("jsonl", ""),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_raises_bad_parameter(self, tmp_path, case: str) -> None:
+        fmt, text = self.MALFORMED[case]
+        path = tmp_path / f"b.{fmt}"
+        path.write_text(text)
+        with pytest.raises(BadParameter, match=str(path)):
+            getattr(SampleBatch, f"from_{fmt}")(path)
 
     def test_empty_csv_keeps_width(self, tmp_path) -> None:
         path = tmp_path / "b.csv"
