@@ -190,6 +190,17 @@ def _bernoulli_coeffs(lams: np.ndarray) -> np.ndarray:
     return d
 
 
+def _eigen_gap(G: np.ndarray, J: tuple[float, float]) -> GapPolynomial:
+    """E(0..n; J) from the n x n Gram matrix G of a beta = 2 ensemble over J."""
+    lams, _ = sym_eigen(G)
+    return GapPolynomial(_bernoulli_coeffs(lams), G.shape[0], (float(J[0]), float(J[1])))
+
+
+def _gram_gap(w: ClassicalWeight, n: int, J: tuple, shown: tuple) -> GapPolynomial:
+    """E(0..n) of the law (2, n, w) over J by its Gram matrix, shown on ``shown``."""
+    return _eigen_gap(gram(build(w, n - 1), J, list(range(n))), shown)
+
+
 def gap_ue_exact(
     w2: AdmissibleWeight | ClassicalWeight, n: int, J: tuple[float, float]
 ) -> GapPolynomial:
@@ -200,10 +211,7 @@ def gap_ue_exact(
     """
     if n < 1:
         raise BadParameter("need at least one eigenvalue")
-    sys = build(w2.w2 if isinstance(w2, AdmissibleWeight) else w2, n - 1)
-    G = gram(sys, J, list(range(n)))
-    lams, _ = sym_eigen(G)
-    return GapPolynomial(_bernoulli_coeffs(lams), n, (float(J[0]), float(J[1])))
+    return _gram_gap(w2.w2 if isinstance(w2, AdmissibleWeight) else w2, n, J, J)
 
 
 def gap_chue_exact(w2: AdmissibleWeight, mu: int, m: int, s: float) -> GapPolynomial:
@@ -224,10 +232,7 @@ def gap_chue_exact(w2: AdmissibleWeight, mu: int, m: int, s: float) -> GapPolyno
         raise BadParameter(f"need a finite s with 0 < s <= {w2.omega}")
     if m == 0:
         return GapPolynomial(np.array([1.0]), 0, (0.0, float(s)))
-    sys = build(w2.w2.squared_argument(mu), m - 1)
-    G = gram(sys, (0.0, s**2), list(range(m)))
-    lams, _ = sym_eigen(G)
-    return GapPolynomial(_bernoulli_coeffs(lams), m, (0.0, float(s)))
+    return _gram_gap(w2.w2.squared_argument(mu), m, (0.0, s**2), (0.0, s))
 
 
 def gap_cue_exact(n: int, theta: float) -> GapPolynomial:
@@ -245,8 +250,7 @@ def gap_cue_exact(n: int, theta: float) -> GapPolynomial:
     with np.errstate(invalid="ignore", divide="ignore"):
         G = np.sin(diff * theta) / (np.pi * diff)
     np.fill_diagonal(G, theta / np.pi)
-    lams, _ = sym_eigen(G)
-    return GapPolynomial(_bernoulli_coeffs(lams), n, (-float(theta), float(theta)))
+    return _eigen_gap(G, (-theta, theta))
 
 
 # -- beta = 1, odd n: bordered determinant ------------------------------------------

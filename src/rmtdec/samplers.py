@@ -1,26 +1,24 @@
 """Spectrum samplers for every supported ensemble.
 
 Exact, independent draws wherever the law has a matrix model: Gaussian
-symmetric and Hermitian matrices, Haar unitary matrices for COE/CUE (whose
-Cayley transform is Hermitian with eigenvalues tan(theta/2)), the
-tangent-half-angle pullbacks of COE/CUE for the matched Cauchy weights,
-and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi (Edelman-Sutton)
-bidiagonal models with real parameters for the chiral and Jacobi laws and
-the Oplus/Ominus angles.  Matrices of order 1 and 2 take closed forms at
-each linear-algebra step (the Haar QR, U^T U, the Cayley step, Hermitian
-eigenvalues and bidiagonal singular values), so small-n batches pay no
-per-matrix LAPACK call; from order 3 on the steps are LAPACK's.  Only the
-rare COE/CUE row with an angle near pi, or with I + U singular, calls a
-non-symmetric eigensolver.  A generic random-walk Metropolis
-sampler covers the rest, the Romanovski laws off the circular exponent:
-OE and UE with a Cauchy weight off it, and the eq24cp Cauchy pair runs.
+symmetric and Hermitian matrices, Haar unitary matrices for the Romanovski
+laws at the circular exponent (COE/CUE, and OE/UE with matched Cauchy
+weights), and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi
+(Edelman-Sutton) models for the chiral and Jacobi laws and the Oplus/Ominus
+angles.  Matrices of order 1 and 2 take closed forms at each linear-algebra
+step, so small-n batches pay no per-matrix LAPACK call.  Only the rare Haar
+row with an angle near pi, or with I + U singular, calls a non-symmetric
+eigensolver.  A generic random-walk Metropolis sampler covers the rest, the
+Romanovski laws off the circular exponent: OE and UE with a Cauchy weight
+off it, and the eq24cp Cauchy pair runs.
 
 A law (beta, n, w) is n points with density prod w(x_i)^(beta/2)
 |Vdm(x)|^beta for a classical weight w of ``orthopoly``, so its beta = 2
 law is the one ``gram`` integrates.  One table, ``_law_draw``, keyed by
-the shape of w, gives every law exactly one route, Metropolis included.
-``_route`` maps each ``EnsembleSpec`` to a law (the circular kinds aside)
-and ``sample_law`` draws a law directly, as the eq24/eq24cp pair rows do;
+the shape of w, gives every law exactly one route, Metropolis included,
+and decides whether it has finite mass.  ``_route`` maps each
+``EnsembleSpec`` to a law and a pointwise map of its points, and
+``sample_law`` draws a law directly, as the eq24/eq24cp pair rows do;
 both ``sample_ensemble`` and ``sample_law`` record the route in
 ``diagnostics["route"]``.
 
@@ -40,7 +38,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -115,16 +113,10 @@ class EnsembleSpec:
                 raise BadParameter("chUE takes mu in {0, 1}")
         elif self.mu != 0:
             raise BadParameter("mu is meaningful only for chUE")
-        if self.weight is not None and self.weight.family == "cauchy":
-            a = float(self.weight.a)
-            # largest-value tail exponent must stay below -1
-            bound = {"OE": 2.0 * a + 2.0, "UE": 2.0 * a + 1.5}.get(
-                self.kind, a + 1.25 - 0.5 * self.mu
-            )
-            if not self.n < bound:
-                raise BadParameter(
-                    f"{self.kind}_{self.n} with cauchy a={a:g} is not normalizable"
-                )
+        try:  # the law table refuses a law without finite mass
+            _route(self)
+        except BadParameter as exc:
+            raise BadParameter(f"{self.describe()}: {exc}") from exc
 
     def describe(self) -> str:
         bits = [f"kind={self.kind}", f"n={self.n}"]
@@ -182,7 +174,8 @@ class SampleBatch:
     def from_csv(cls, path) -> "SampleBatch":
         """Read ``to_csv`` output; CRLF endings and a missing final newline
         are accepted.  Every line after the column header is a row; each
-        block of _ROWS rows is parsed by one ``np.loadtxt`` call."""
+        block of _ROWS rows is parsed by one ``np.loadtxt`` call.  Under a
+        blank header (width 0) every row must be blank."""
 
         def parse(fh):
             label, seed, diagnostics = "", 0, {}
@@ -194,11 +187,8 @@ class SampleBatch:
                 line = fh.readline()
             columns = line.rstrip("\n")
             width = len(columns.split(",")) if columns else 0
-            if width:
-                rows = lambda lines: np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            else:
-                rows = lambda lines: np.empty((len(lines), 0))
-            return _read_rows(fh, rows, width), seed, label, diagnostics
+            rows = partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+            return _read_rows(fh, rows if width else _empty_rows, width), seed, label, diagnostics
 
         return cls._read(path, parse)
 
@@ -237,17 +227,14 @@ class SampleBatch:
     def from_jsonl(cls, path) -> "SampleBatch":
         """Read ``to_jsonl`` output, each block of _ROWS rows with one
         ``json.loads`` of its joined lines; CRLF endings and a missing final
-        newline are accepted.  The width comes from the header, or in files
+        newline are accepted.  Values must be JSON numbers (NaN and
+        Infinity included).  The width comes from the header, or in files
         written without it from the first row (0 for such a file without
         rows)."""
 
         def parse(fh):
             head = json.loads(fh.readline())
-            rows = lambda lines: np.array(
-                json.loads("[" + ",".join(lines) + "]", object_hook=itemgetter("values")),
-                dtype=float,
-            )
-            spectra = _read_rows(fh, rows, head.get("width"))
+            spectra = _read_rows(fh, _json_rows, head.get("width"))
             return spectra, int(head["seed"]), head["spec"], head["diagnostics"]
 
         return cls._read(path, parse)
@@ -263,6 +250,21 @@ class SampleBatch:
             except (AttributeError, LookupError, TypeError, ValueError) as exc:
                 raise BadParameter(f"malformed batch file {path}: {exc}") from exc
         return cls(spectra=spectra, seed=seed, label=label, diagnostics=diagnostics)
+
+
+def _empty_rows(lines: list[str]) -> np.ndarray:
+    """The rows of a width-0 CSV block, whose lines must all be blank."""
+    if any(line.strip() for line in lines):
+        raise ValueError("a batch of width 0 has only blank rows")
+    return np.empty((len(lines), 0))
+
+
+def _json_rows(lines: list[str]) -> np.ndarray:
+    """The rows of a JSONL block, whose values must be JSON numbers."""
+    values = json.loads("[" + ",".join(lines) + "]", object_hook=itemgetter("values"))
+    if not set(map(type, chain.from_iterable(values))) <= {float, int}:
+        raise ValueError("every value must be a JSON number")
+    return np.array(values, dtype=float)
 
 
 def _read_rows(
@@ -507,42 +509,41 @@ def _circular_tan_half(kind: str, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return _cayley_tan_half(u, real=kind == "COE")
 
 
+def _circular_law(kind: str, n: int) -> tuple[int, int, ClassicalWeight, Callable]:
+    """The law (beta, m, w) of a circular kind of order n and the map from
+    its points to the angles.  COE (beta 1) and CUE (beta 2) are the
+    Romanovski laws (beta, n, (1 + x^2)^-(n - 1 + 2/beta)) of
+    x = tan(theta/2).  Oplus (Ominus) are the m nontrivial angles of Haar
+    orthogonal matrices of order n + 1 without (with) a forced +1
+    eigenvalue: the law (2, m, (1 - lam)^B lam^A) of lam = sin^2(theta/2),
+    A (B) = +1/2 where a +1 (-1) eigenvalue is forced, -1/2 otherwise."""
+    if kind in ("COE", "CUE"):
+        beta = 1 if kind == "COE" else 2
+        return beta, n, ClassicalWeight("romanovski", n - 1 + 2 // beta), stereographic
+    ominus = kind == "Ominus"
+    # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
+    A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
+    w = ClassicalWeight("jacobi", B, A, (0.0, 1.0))
+    to_angle = lambda lam: 2.0 * np.arctan2(np.sqrt(lam), np.sqrt(1.0 - lam))
+    return 2, n // 2 if ominus else (n + 1) // 2, w, to_angle
+
+
 def sample_haar_circular(
     kind: str, n: int, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
-    """Eigen-angle batches of Haar circular ensembles.
-
-    COE/CUE return all n angles in (-pi, pi], theta = 2 arctan of the
-    Cayley-transform eigenvalues of Haar matrices.  Oplus/Ominus return the
-    nontrivial angles in (0, pi) of the two sectors of Haar orthogonal
-    matrices of order n + 1: Oplus is the sector with no forced +1 eigenvalue
-    (determinant (-1)^(n+1)), Ominus the sector whose matrices all have +1
-    as a forced eigenvalue.  At even order that is determinant +1 / -1; at
-    odd order the forced eigenvalues flip the determinant.  Their angles
-    carry prod (1 - cos)^A (1 + cos)^B |Vdm(cos)|^2 with A (B) = +1/2 where
-    a +1 (-1) eigenvalue is forced and -1/2 otherwise, so they are drawn as
-    theta = 2 arcsin sqrt(lam) from ``sample_beta_jacobi(2, width, A, B)``.
+    """Eigen-angles of Haar circular ensembles, the points of the kind's
+    ``_circular_law`` mapped to angles: all n in (-pi, pi] for COE/CUE, the
+    nontrivial ones in (0, pi) for Oplus/Ominus (none for Ominus of order 2).
     """
-    if kind not in _CIRCULAR:
-        raise BadParameter(f"not a circular kind: {kind!r}")
-    if n < 1:
-        raise BadParameter("n must be positive")
+    if kind not in _CIRCULAR or n < 1:
+        raise BadParameter(f"no circular kind {kind!r} of order {n}")
+    beta, m, w, to_angle = _circular_law(kind, n)
     label = f"Haar({kind}, n={n})"
-
-    if kind in ("COE", "CUE"):
-        angles = lambda re, im: stereographic(_circular_tan_half(kind, re, im))
-        return _sample_exact(_normal_pair(n), angles, count, seed, workers, label)
-
-    ominus = kind == "Ominus"
-    width = n // 2 if ominus else (n + 1) // 2
-    if width == 0:  # Ominus of order 2: both eigenvalues are forced
-        empty = lambda rng, m: (np.empty((m, 0)), {})
+    if m == 0:  # Ominus of order 2: both eigenvalues are forced
+        empty = lambda rng, size: (np.empty((size, 0)), {})
         return _merge(_run_blocks(empty, count, seed, workers), seed, label)
-    # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
-    A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
-    lam = sample_beta_jacobi(2, width, A, B, count, seed, workers).spectra
-    angles = 2.0 * np.arctan2(np.sqrt(lam), np.sqrt(1.0 - lam))
-    return SampleBatch(spectra=angles, seed=seed, label=label)
+    x = _law_draw(beta, m, w)[1](count, seed, workers).spectra
+    return SampleBatch(spectra=to_angle(x), seed=seed, label=label)
 
 
 # -- beta-ensemble matrix models -------------------------------------------------
@@ -843,26 +844,28 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
                     x = lo + (hi - lo) lam
         betaprime   beta-Jacobi, A as for jacobi, B = a - b - 2n + 1 - 2/beta,
                     x = lam/(1 - lam)
-        romanovski  at a = n - 1 + 2/beta, tan(theta/2) of COE (beta 1) or
-                    CUE (beta 2) of order n; at any other a, Metropolis on
-                    the Cauchy weight (a - 2/beta)/2 of the same density,
+        romanovski  at a = n - 1 + 2/beta ("haar"), tan(theta/2) of Haar
+                    COE (beta 1) or CUE (beta 2) matrices of order n by the
+                    Cayley transform; at any other a, Metropolis on the
+                    Cauchy weight (a - 2/beta)/2 of the same density,
                     heavy-tailed proposals
 
-    A Romanovski law has finite mass only for n < a + 1 - 1/beta; any other
-    raises BadParameter.
+    It alone decides finite mass, before any draw: n < a + 1 - 1/beta for
+    Romanovski, A > -1 (p > -1) for Laguerre, A, B > -1 for Jacobi and
+    beta-prime; any other law raises BadParameter.
     """
     e = 2 // beta - 1  # 2/beta - 1 as an exact integer, so A = b at beta = 2
     (lo, hi), a, b = w.support, w.a, w.b
+    A, B = b + e, a - b - 2 * n - e if w.shape == "betaprime" else a + e
+    finite = {"hermite": True, "laguerre": A > -1.0, "romanovski": n - 1 + 1 / beta < a}
+    if not finite.get(w.shape, min(A, B) > -1.0):
+        raise BadParameter(f"{w.shape} law beta={beta}, n={n}, a={a:g}, b={b:g} has no finite mass")
     if w.shape == "hermite":
         return "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
     if w.shape == "romanovski":
-        if not n - 1 + 1 / beta < a:
-            raise BadParameter(f"Romanovski law beta={beta}, n={n}, a={a:g} is not normalizable")
         if abs(a - n - e) < 1e-12:
             tan_half = partial(_circular_tan_half, "COE" if beta == 1 else "CUE")
-            return "pullback", lambda count, seed, workers: _sample_exact(
-                _normal_pair(n), tan_half, count, seed, workers, ""
-            )
+            return "haar", lambda *run: _sample_exact(_normal_pair(n), tan_half, *run, "")
         cauchy = AdmissibleWeight("cauchy", (a - 2 // beta) / 2)
         log_density = lambda x: log_p_beta_batch(cauchy, beta, x)
         return "metropolis", lambda count, seed, workers: sample_mcmc(
@@ -872,29 +875,29 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
         route, to_x = "beta-laguerre", lambda lam: lam / beta
         model = lambda *run: sample_beta_laguerre(beta, n, b * beta / 2, *run)
     else:
-        if w.shape == "jacobi":
-            B, to_x = a + e, lambda lam: lo + (hi - lo) * lam
-        else:
-            B, to_x = a - b - 2 * n - e, lambda lam: lam / (1.0 - lam)
-        route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, b + e, B, *run)
+        jacobi = w.shape == "jacobi"
+        to_x = (lambda lam: lo + (hi - lo) * lam) if jacobi else (lambda lam: lam / (1.0 - lam))
+        route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, A, B, *run)
+    return route, _mapped(to_x, model)
 
-    def draw(count: int, seed: int, workers: int) -> SampleBatch:
-        return SampleBatch(to_x(model(count, seed, workers).spectra), seed)
 
-    return route, draw
+def _mapped(to_x: Callable, draw: Callable[..., SampleBatch]) -> Callable[..., SampleBatch]:
+    """draw(count, seed, workers) with its points mapped by to_x."""
+    return lambda count, seed, workers: SampleBatch(to_x(draw(count, seed, workers).spectra), seed)
 
 
 def _route(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]]:
-    """The route of ``spec`` and its draw(count, seed, workers).  The
-    circular kinds draw Haar matrices; every other spec is a law of
-    ``_law_draw``: OE is (1, n, w1^2), so Gauss is Hermite, Jacobi a is
-    Jacobi (2a, 2a) and Cauchy a is Romanovski 2a + 2; UE is (2, n, w2);
-    chUE is the law (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at
-    x = sqrt u.
+    """The route of ``spec`` and its draw(count, seed, workers).  Every
+    spec is a law of ``_law_draw`` and a map of its points: OE is
+    (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a) and
+    Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
+    (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u; the
+    circular kinds are the laws of ``_circular_law``, drawn by
+    ``sample_haar_circular``.
     """
     kind, n, w = spec.kind, spec.n, spec.weight
     if kind in _CIRCULAR:
-        route = "haar" if kind in ("COE", "CUE") else "beta-jacobi"
+        route = _law_draw(*_circular_law(kind, n)[:3])[0]
         return route, lambda *run: sample_haar_circular(kind, n, *run)
     if kind == "OE":
         c = 2.0 * (w.a or 0.0)
@@ -903,9 +906,7 @@ def _route(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]]:
     if kind == "UE":
         return _law_draw(2, n, w.w2)
     route, draw = _law_draw(2, n, w.w2.squared_argument(spec.mu))
-    return route, lambda count, seed, workers: SampleBatch(
-        np.sqrt(draw(count, seed, workers).spectra), seed
-    )
+    return route, _mapped(np.sqrt, draw)
 
 
 def sample_law(
@@ -925,8 +926,8 @@ def sample_law(
 
 
 def has_exact_route(spec: EnsembleSpec) -> bool:
-    """Whether a matrix-model or pullback sampler exists for this spec: for
-    every spec but OE/UE Cauchy with 2a + 1 != n, whose route is Metropolis."""
+    """Whether the spec's route is a matrix model: for every spec but OE/UE
+    Cauchy with 2a + 1 != n, whose route is Metropolis."""
     return _route(spec)[0] != "metropolis"
 
 
@@ -935,9 +936,9 @@ def sample_ensemble(spec: EnsembleSpec, count: int, seed: int, workers: int = 1)
     route taken:
 
     - "gaussian": Gaussian symmetric/Hermitian matrices for Gauss OE/UE;
-    - "haar": Haar unitary matrices for COE/CUE;
-    - "pullback": tangent-half-angle images of COE/CUE for OE/UE Cauchy
-      weights whose exponent 2a + 1 equals n;
+    - "haar": Haar unitary matrices for COE/CUE, and their
+      tangent-half-angle images for OE/UE Cauchy weights whose exponent
+      2a + 1 equals n;
     - "beta-laguerre": chUE Gauss;
     - "beta-jacobi": OE/UE/chUE Jacobi, chUE Cauchy and Oplus/Ominus;
     - "metropolis": OE/UE Cauchy at any other exponent, on the matching log

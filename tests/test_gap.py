@@ -282,6 +282,16 @@ class TestGapCue:
             se = max(est.stderr_of(k), 1e-12)
             assert abs(est.prob(k) - p.prob(k)) < 3.5 * se
 
+    @pytest.mark.parametrize("theta", [0.4, 1.2, 2.5, 3.0])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_romanovski_law(self, n: int, theta: float) -> None:
+        # under x = tan(angle/2) the CUE of order n is the Romanovski law
+        # (2, n, (1 + x^2)^-n), so the Fourier Gram and the Romanovski
+        # Gram over (-tan(theta/2), tan(theta/2)) give one gap vector
+        t = math.tan(theta / 2)
+        want = gap_ue_exact(ClassicalWeight("romanovski", n), n, (-t, t)).coeffs
+        assert_allclose(gap_cue_exact(n, theta).coeffs, want, rtol=0, atol=1e-12)
+
     def test_parameter_validation(self) -> None:
         with pytest.raises(BadParameter):
             gap_cue_exact(0, 1.0)
@@ -788,9 +798,10 @@ class TestWeightPairs:
         for pair, name in zip(EXACT_PAIRS, EXACT_PAIR_IDS):
             for size in (2, 3):
                 assert sample_law(1, size, pair.w1sq, 8, 3).diagnostics["route"] == routes[name]
-        # Cauchy: (1 + x^2)^(-(n + a + 1)/2) is the COE pullback at size
-        # n + 1 exactly when a = 1, and Metropolis otherwise
-        for a, n, size, route in [(1.0, 2, 3, "pullback"), (1.0, 3, 4, "pullback"),
+        # Cauchy: (1 + x^2)^(-(n + a + 1)/2) is the law of tan(angle/2)
+        # over Haar COE angles at size n + 1 exactly when a = 1, and
+        # Metropolis otherwise
+        for a, n, size, route in [(1.0, 2, 3, "haar"), (1.0, 3, 4, "haar"),
                                   (1.0, 2, 2, "metropolis"), (0.5, 2, 3, "metropolis")]:
             w = pair_for_24cp("cauchy", n, a=a).w1sq
             assert sample_law(1, size, w, 8, 3).diagnostics["route"] == route

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -658,10 +661,18 @@ class TestEnsembleSpecValidation:
         EnsembleSpec("OE", 4, weight=cauchy_weight(1.2))
         EnsembleSpec("UE", 3, weight=cauchy_weight(0.8))
         EnsembleSpec("chUE", 2, weight=cauchy_weight(1.0), mu=0)
-
-
-# the six routes of the README's route table
-ROUTES = {"gaussian", "haar", "pullback", "beta-laguerre", "beta-jacobi", "metropolis"}
+        # the law table refuses exactly the specs with n at or past the
+        # bound: 2a + 2 (OE), 2a + 3/2 (UE), a + 5/4 - mu/2 (chUE)
+        for a in np.round(np.arange(-0.45, 4.0 + 1e-9, 0.05), 2):
+            w = cauchy_weight(float(a))
+            for kind, mu in [("OE", 0), ("UE", 0), ("chUE", 0), ("chUE", 1)]:
+                bound = {"OE": 2.0 * a + 2.0, "UE": 2.0 * a + 1.5}.get(kind, a + 1.25 - 0.5 * mu)
+                for n in range(1, 9):
+                    if n < bound:
+                        EnsembleSpec(kind, n, w, mu=mu)
+                    else:
+                        with pytest.raises(BadParameter, match="no finite mass"):
+                            EnsembleSpec(kind, n, w, mu=mu)
 
 
 def _route_grid() -> list[EnsembleSpec]:
@@ -704,7 +715,6 @@ class TestExactRouting:
         # there "exact" refuses; elsewhere "exact" takes the same route
         monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
         route = sample_ensemble(spec, 8, seed=67).diagnostics["route"]
-        assert route in ROUTES
         assert (route == "metropolis") == (not has_exact_route(spec))
         exact = replace(spec, method="exact")
         if route == "metropolis":
@@ -712,6 +722,19 @@ class TestExactRouting:
                 sample_ensemble(exact, 8, seed=67)
         else:
             assert sample_ensemble(exact, 8, seed=67).diagnostics["route"] == route
+
+    def test_readme_route_column_matches_route_grid(self) -> None:
+        # the route column of the README's kind -> law -> route table names
+        # exactly the routes the grid takes
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| kind | law")) + 2
+        names = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            names |= set(re.findall(r"`([^`]+)`", line.rstrip("|").rsplit("|", 1)[1]))
+        assert {samplers._route(spec)[0] for spec in _route_grid()} == names
 
     def test_gauss_oe_routes_to_matrices(self) -> None:
         spec = EnsembleSpec("OE", 2, weight=GAUSS)
@@ -763,13 +786,32 @@ class TestExactRouting:
             sample_law(2, 2, ClassicalWeight("romanovski", 1.5), 8, 1)
 
     @pytest.mark.parametrize(
+        "beta,n,w",
+        [
+            (2, 3, ClassicalWeight("betaprime", 4.0, 0.5)),  # B = -2.5
+            (1, 2, ClassicalWeight("betaprime", 3.0, 0.5)),  # B = -2.5
+            (2, 2, ClassicalWeight("betaprime", 12.0, -1.0)),  # A = -1
+            (1, 2, ClassicalWeight("laguerre", b=-2.0)),  # p = -1
+            (2, 2, ClassicalWeight("jacobi", -1.5, 0.0)),  # B = -1.5
+        ],
+    )
+    def test_law_without_mass_refused_before_drawing(self, beta, n, w, monkeypatch) -> None:
+        def never(*args, **kwargs):
+            raise AssertionError("a sampler ran")
+
+        for name in ("sample_beta_jacobi", "sample_beta_laguerre"):
+            monkeypatch.setattr(samplers, name, never)
+        with pytest.raises(BadParameter, match="no finite mass"):
+            sample_law(beta, n, w, 8, 1)
+
+    @pytest.mark.parametrize(
         "spec,route",
         [
             (EnsembleSpec("OE", 3, weight=GAUSS), "gaussian"),
             (EnsembleSpec("UE", 2, weight=GAUSS), "gaussian"),
             (EnsembleSpec("COE", 3), "haar"),
             (EnsembleSpec("Ominus", 3), "beta-jacobi"),
-            (EnsembleSpec("OE", 3, weight=cauchy_weight(1.0)), "pullback"),
+            (EnsembleSpec("OE", 3, weight=cauchy_weight(1.0)), "haar"),
             (EnsembleSpec("chUE", 1, weight=cauchy_weight(0.5)), "beta-jacobi"),
             (EnsembleSpec("chUE", 2, weight=GAUSS, mu=1), "beta-laguerre"),
             (EnsembleSpec("chUE", 2, weight=jacobi_weight(0.5)), "beta-jacobi"),
@@ -925,6 +967,25 @@ class TestBetaModels:
         np.testing.assert_array_equal(a.spectra, b.spectra)
         lo, hi = spec.weight.support if spec.kind != "chUE" else (0.0, spec.weight.omega)
         assert np.all((a.spectra > lo) & (a.spectra < hi))
+
+    # phi = 1.3; familywise alpha = 1e-3 over the 22 cells of n = 2..5,
+    # two-sided
+    ORTHOGONAL_Z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 22))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["Oplus", "Ominus"])
+    def test_orthogonal_counts_match_exact_engine(self, kind: str, n: int) -> None:
+        # the m angles of a sector carry the beta = 2 Jacobi law of
+        # lam = sin^2(theta/2) with weight (1 - lam)^B lam^A, A (B) = +1/2
+        # where a +1 (-1) eigenvalue is forced at order n + 1
+        ominus, phi = kind == "Ominus", 1.3
+        m = n // 2 if ominus else (n + 1) // 2
+        A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
+        w = ClassicalWeight("jacobi", B, A, (0.0, 1.0))
+        probs = gap.gap_ue_exact(w, m, (0.0, math.sin(phi / 2) ** 2)).coeffs
+        batch = sample_haar_circular(kind, n, 100_000, seed=2000 + 10 * n + ominus)
+        z = _count_z(batch.spectra, 0.0, phi, probs)
+        assert np.max(z) < self.ORTHOGONAL_Z, f"{kind} n={n}: z = {z}"
 
     @pytest.mark.parametrize("kind", ["Oplus", "Ominus"])
     def test_orthogonal_workers_do_not_change_output(self, kind: str) -> None:
@@ -1174,11 +1235,15 @@ class TestSerialization:
     MALFORMED = {
         "csv-non-numeric": ("csv", "v1,v2\n1,2\n3,x\n"),
         "csv-ragged": ("csv", "v1,v2\n1,2\n3\n"),
+        "csv-values-under-blank-header": ("csv", "# spec=x seed=1 diagnostics={}\n\n1,2\n3,4\n"),
         "jsonl-ragged": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n{"values": [3]}\n'),
         "jsonl-no-values": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n{"v": [3, 4]}\n'),
         "jsonl-not-json": ("jsonl", JSONL_HEAD + '{"values": [1, 2]}\n1, 2\n'),
         "jsonl-no-spec": ("jsonl", '{"diagnostics": {}, "seed": 1, "width": 2}\n'),
         "jsonl-empty": ("jsonl", ""),
+        "jsonl-non-number": ("jsonl", JSONL_HEAD + '{"values": ["1.5", "2"]}\n'),
+        "jsonl-bool": ("jsonl", JSONL_HEAD + '{"values": [1.5, true]}\n'),
+        "jsonl-null": ("jsonl", JSONL_HEAD + '{"values": [1.5, null]}\n'),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
