@@ -34,7 +34,7 @@ from .densities import _placement_masses, _settle, log_p_beta_batch
 from .errors import BadParameter, NonConvergence
 from .numerics import sym_eigen
 from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
-from .samplers import EnsembleSpec, sample_ensemble, sample_law
+from .samplers import EnsembleSpec, _law_draw, sample_ensemble, sample_law
 from .verify import VerificationReport, _substreams, build_report
 from .weights import AdmissibleWeight, from_table1, make_weight, theta1
 
@@ -685,38 +685,48 @@ class WeightPair:
         return self.w2.support
 
 
+def _finite_runs(identity: str, pair: WeightPair, size: int) -> WeightPair:
+    """``pair`` once the law table finds its beta = 1 run law (1, size, w1sq)
+    of finite mass; otherwise the table's BadParameter, naming ``identity``
+    and the pair's exponents."""
+    try:
+        _law_draw(1, size, pair.w1sq)
+    except BadParameter as exc:
+        given = "".join(f", {k}={v:g}" for k, v in pair.exponents.items())
+        raise BadParameter(f"{identity} {pair.name} pair{given}: {exc}") from None
+    return pair
+
+
 def pair_for_24(family: str, a: float = 1.0) -> WeightPair:
-    """Same-size superposition rows: Laguerre and shifted Jacobi."""
+    """Same-size superposition rows: Laguerre and shifted Jacobi.  Their
+    runs' mass does not depend on the size, so size 1 stands for every n."""
     if family == "laguerre":
-        return WeightPair("laguerre", ClassicalWeight("laguerre"), ClassicalWeight("laguerre"))
-    if family == "jacobi":
-        if a <= -1.0:
-            raise BadParameter("need a > -1")
+        pair = WeightPair("laguerre", ClassicalWeight("laguerre"), ClassicalWeight("laguerre"))
+    elif family == "jacobi":
         w1sq = ClassicalWeight("jacobi", a - 1.0, 0.0, (0.0, 1.0))
-        return WeightPair("jacobi", ClassicalWeight("jacobi", a, 0.0, (0.0, 1.0)), w1sq, {"a": a})
-    raise BadParameter(f"no same-size superposition row for {family!r}")
+        pair = WeightPair("jacobi", ClassicalWeight("jacobi", a, 0.0, (0.0, 1.0)), w1sq, {"a": a})
+    else:
+        raise BadParameter(f"no same-size superposition row for {family!r}")
+    return _finite_runs("eq24", pair, 1)
 
 
 def pair_for_24cp(family: str, n: int, a: float = 1.0, b: float = 1.0) -> WeightPair:
-    """Adjacent-size superposition rows: Gauss, Laguerre, Jacobi, Cauchy."""
+    """Adjacent-size superposition rows: Gauss, Laguerre, Jacobi, Cauchy.  The
+    size-(n+1) run is the one whose mass the table checks."""
     if family == "gauss":
-        return WeightPair("gauss", ClassicalWeight("hermite"), ClassicalWeight("hermite"))
-    if family == "laguerre":
-        if a <= -1.0:
-            raise BadParameter("need a > -1")
+        pair = WeightPair("gauss", ClassicalWeight("hermite"), ClassicalWeight("hermite"))
+    elif family == "laguerre":
         w1sq = ClassicalWeight("laguerre", b=a - 1.0)
-        return WeightPair("laguerre", ClassicalWeight("laguerre", b=a), w1sq, {"a": a})
-    if family == "jacobi":
-        if a <= -1.0 or b <= -1.0:
-            raise BadParameter("need a, b > -1")
+        pair = WeightPair("laguerre", ClassicalWeight("laguerre", b=a), w1sq, {"a": a})
+    elif family == "jacobi":
         w1sq = ClassicalWeight("jacobi", b - 1.0, a - 1.0)
-        return WeightPair("jacobi", ClassicalWeight("jacobi", b, a), w1sq, {"a": a, "b": b})
-    if family == "cauchy":
-        if a <= 0.0:
-            raise BadParameter("need a > 0 so the size-(n+1) batch stays normalizable")
+        pair = WeightPair("jacobi", ClassicalWeight("jacobi", b, a), w1sq, {"a": a, "b": b})
+    elif family == "cauchy":
         w1sq = ClassicalWeight("romanovski", n + a + 1.0)
-        return WeightPair("cauchy", ClassicalWeight("romanovski", n + a), w1sq, {"a": a})
-    raise BadParameter(f"no adjacent-size superposition row for {family!r}")
+        pair = WeightPair("cauchy", ClassicalWeight("romanovski", n + a), w1sq, {"a": a})
+    else:
+        raise BadParameter(f"no adjacent-size superposition row for {family!r}")
+    return _finite_runs("eq24cp", pair, n + 1)
 
 
 def _count_probs(spectra: np.ndarray, J: tuple[float, float]) -> np.ndarray:

@@ -858,7 +858,7 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
     (lo, hi), a, b = w.support, w.a, w.b
     A, B = b + e, a - b - 2 * n - e if w.shape == "betaprime" else a + e
     finite = {"hermite": True, "laguerre": A > -1.0, "romanovski": n - 1 + 1 / beta < a}
-    if not finite.get(w.shape, min(A, B) > -1.0):
+    if not finite.get(w.shape, A > -1.0 and B > -1.0):
         raise BadParameter(f"{w.shape} law beta={beta}, n={n}, a={a:g}, b={b:g} has no finite mass")
     if w.shape == "hermite":
         return "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)

@@ -56,6 +56,7 @@ __all__ = [
 
 ALPHA = 1e-3
 _COUNT_BINS = 8  # pooled quantile bins of the counting chi-squares
+_KS_CHUNK = 1 << 13  # keys per chunk of a one-sided KS pass
 
 
 @dataclass(frozen=True)
@@ -169,20 +170,49 @@ def build_report(
 # -- two-sample machinery -----------------------------------------------------------
 
 
+def _sorted_sample(v: Sequence[float] | np.ndarray, side: str) -> np.ndarray:
+    """A sorted flat float copy of ``v``; BadParameter if it holds NaN.
+    NaN sorts last, so one search for it counts every NaN."""
+    x = np.sort(np.asarray(v, dtype=float), axis=None)
+    if bad := x.size - int(np.searchsorted(x, np.nan)):
+        raise BadParameter(f"ks_two_sample: side {side} has {bad} NaN value(s)")
+    return x
+
+
+def _ks_one_sided(x: np.ndarray, y: np.ndarray) -> float:
+    """max |F_x - F_y| over the points of sorted ``x``, in chunks of _KS_CHUNK.
+
+    The last point of each tie run stands for its value: its right-rank in
+    x is its index + 1, and its rank in y comes from one right-sided
+    search.  A tie run that crosses a chunk boundary ends in a later chunk.
+    """
+    d = 0.0
+    for s in range(0, x.size, _KS_CHUNK):
+        keys = x[s : s + _KS_CHUNK + 1]  # the chunk and the key after it
+        ends = np.flatnonzero(keys[:-1] != keys[1:]) + s
+        if s + _KS_CHUNK >= x.size:
+            ends = np.append(ends, x.size - 1)
+        if ends.size:
+            fx = (ends + 1) / x.size
+            fy = np.searchsorted(y, x[ends], side="right") / y.size
+            d = max(d, float(np.max(np.abs(fx - fy))))
+    return d
+
+
 def ks_two_sample(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Two-sample KS statistic with the classical asymptotic p-value.
 
+    D = max |F_a - F_b| over every pooled point, from one pass over each
+    sample's own points; only the two sorted copies are full length.
     p = Q(sqrt(nm/(n+m)) * D) where Q is the Kolmogorov survival function.
-    Raises EmptySample when either input has no entries.
+    Raises EmptySample when either input has no entries and BadParameter
+    when either holds NaN (+-inf are ordinary points).
     """
-    x = np.sort(np.asarray(a, dtype=float).ravel())
-    y = np.sort(np.asarray(b, dtype=float).ravel())
+    x = _sorted_sample(a, "a")
+    y = _sorted_sample(b, "b")
     if x.size == 0 or y.size == 0:
         raise EmptySample("ks_two_sample needs two nonempty samples")
-    grid = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, grid, side="right") / x.size
-    cdf_y = np.searchsorted(y, grid, side="right") / y.size
-    d = float(np.max(np.abs(cdf_x - cdf_y)))
+    d = max(_ks_one_sided(x, y), _ks_one_sided(y, x))
     ne = x.size * y.size / (x.size + y.size)
     p = float(special().kolmogorov(math.sqrt(ne) * d))
     return d, min(max(p, 0.0), 1.0)
@@ -194,6 +224,36 @@ def _chi2_sf(stat: float, dof: int) -> float:
     return float(special().chdtrc(dof, stat)) if dof >= 1 else math.nan
 
 
+def _count_below(s: np.ndarray, e: float) -> np.ndarray:
+    """Per-row count of the points of ``s`` that are <= e, column by column."""
+    c = np.zeros(s.shape[0], np.intp)
+    for j in range(s.shape[1]):
+        c += s[:, j] <= e
+    return c
+
+
+def _count_table(s: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(bins, width + 1) table: row i counts the rows of ``s`` by how many of
+    their points fall in bin i, (e_i, e_i+1].
+
+    For NaN-free ``s`` a row's count of e_i < x <= e_i+1 is C(e_i+1) - C(e_i),
+    C(e) its count of points <= e, clipped at 0 where overflow puts e_i above
+    e_i+1; two length-count integer arrays are live.  A NaN edge (from +-inf
+    atoms) compares false, so every row counts 0 in its bins.
+    """
+    table = np.zeros((edges.size - 1, s.shape[1] + 1))
+    prev = _count_below(s, edges[0])
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        cur = _count_below(s, hi)
+        if math.isnan(lo) or math.isnan(hi):
+            table[i, 0] = s.shape[0]
+        else:
+            diff = np.maximum(np.subtract(cur, prev, out=prev), 0, out=prev)
+            table[i] = np.bincount(diff, minlength=s.shape[1] + 1)
+        prev = cur
+    return table
+
+
 def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, float]]:
     """Chi-square homogeneity of per-sample counts in pooled quantile bins.
 
@@ -201,16 +261,13 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, 
     are compared; count categories are merged from the top until every pooled
     category holds at least 10 rows.
     """
-    pooled = np.concatenate([a.ravel(), b.ravel()])
-    edges = np.quantile(pooled, np.linspace(0.0, 1.0, _COUNT_BINS + 1))
+    pooled = np.concatenate([a, b], axis=None)
+    edges = np.quantile(pooled, np.linspace(0.0, 1.0, _COUNT_BINS + 1), overwrite_input=True)
+    del pooled  # before the count tables, so one pooled copy is the peak
     edges[0], edges[-1] = -np.inf, np.inf
     out: list[tuple[str, str, float, float]] = []
     width = a.shape[1]
-    for i in range(_COUNT_BINS):
-        ca = np.sum((a > edges[i]) & (a <= edges[i + 1]), axis=1)
-        cb = np.sum((b > edges[i]) & (b <= edges[i + 1]), axis=1)
-        oa = np.bincount(ca, minlength=width + 1).astype(float)
-        ob = np.bincount(cb, minlength=width + 1).astype(float)
+    for i, (oa, ob) in enumerate(zip(_count_table(a, edges), _count_table(b, edges))):
         # merge sparse high-count categories downward
         hi = width
         while hi > 0 and oa[hi] + ob[hi] < 10.0:
@@ -240,7 +297,8 @@ def two_sample_battery(
 
     ``a`` and ``b`` are (count, width) arrays of ascending rows drawn from the
     two ensembles under comparison; rows are the joint samples and columns
-    the order statistics.
+    the order statistics.  NaN raises BadParameter; +-inf are ordinary
+    points.  Beyond the inputs, at most one pooled copy of them is live.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -248,11 +306,15 @@ def two_sample_battery(
         raise BadParameter("battery needs two (count, width) arrays of equal width")
     if a.shape[1] == 0:
         raise EmptySample("battery needs at least one order statistic")
+    for side, v in (("a", a), ("b", b)):
+        if bad := int(np.count_nonzero(np.isnan(v))):
+            raise BadParameter(f"two_sample_battery: side {side} has {bad} NaN value(s)")
     tests: list[tuple[str, str, float, float]] = []
     for j in range(a.shape[1]):
         d, p = ks_two_sample(a[:, j], b[:, j])
         tests.append((f"{prefix}ks_order_{j + 1}", "ks", d, p))
-    d, p = ks_two_sample(a.ravel(), b.ravel())
+    # at width 1 the pooled points are the one order statistic's
+    d, p = ks_two_sample(a, b) if a.shape[1] > 1 else (d, p)
     tests.append((f"{prefix}ks_pooled", "ks", d, p))
     tests.extend((f"{prefix}{n}", k, s, p) for n, k, s, p in _counting_chi2(a, b))
     return tests

@@ -770,6 +770,40 @@ class TestWeightPairs:
         with pytest.raises(BadParameter):
             pair_for_24cp("hermite", 2)
 
+    def test_law_table_decides_pair_mass(self) -> None:
+        # the table refuses exactly where a > -1 (eq24 Jacobi, eq24cp
+        # Laguerre), a, b > -1 (eq24cp Jacobi) and a > 0 (eq24cp Cauchy)
+        # fail, and names the identity, the pair and the run law
+        def refusal(make, *args):
+            try:
+                make(*args)
+            except BadParameter as exc:
+                return str(exc)
+            return None
+
+        grid = [v / 4 for v in range(-10, 11)] + [-1.0 - 1e-12, -1.0 + 1e-12, 1e-12, math.inf]
+        for a in grid:
+            assert (refusal(pair_for_24, "jacobi", a) is None) == (a > -1.0)
+            assert refusal(pair_for_24, "laguerre", a) is None
+            for n in (1, 2, 5):
+                assert (refusal(pair_for_24cp, "laguerre", n, a) is None) == (a > -1.0)
+                assert (refusal(pair_for_24cp, "cauchy", n, a) is None) == (a > 0.0)
+                assert refusal(pair_for_24cp, "gauss", n, a) is None
+                for b in grid[::3]:
+                    ok = refusal(pair_for_24cp, "jacobi", n, a, b) is None
+                    assert ok == (a > -1.0 and b > -1.0)
+        assert refusal(pair_for_24, "jacobi", -1.0) == (
+            "eq24 jacobi pair, a=-1: jacobi law beta=1, n=1, a=-2, b=0 has no finite mass"
+        )
+        assert refusal(pair_for_24cp, "cauchy", 2, 0.0) == (
+            "eq24cp cauchy pair, a=0: romanovski law beta=1, n=3, a=3, b=0 has no finite mass"
+        )
+        # a NaN exponent has no finite mass in either slot
+        for args in [("jacobi", 2, math.nan, 1.0), ("jacobi", 2, 1.0, math.nan),
+                     ("laguerre", 2, math.nan), ("cauchy", 2, math.nan)]:
+            assert "no finite mass" in refusal(pair_for_24cp, *args)
+        assert "no finite mass" in refusal(pair_for_24, "jacobi", math.nan)
+
     @pytest.mark.parametrize("n,a,t", [(2, -0.75, 0.5), (3, 0.5, 0.3), (4, -0.9, 0.2)])
     def test_eq24_jacobi_hard_edge_gap(self, n: int, a: float, t: float) -> None:
         # w2 = (1 - x)^a on (0, 1) has E(0; (0, t)) = (1 - t)^(n (n + a));
