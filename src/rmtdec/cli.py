@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import BadParameter, RmtdecError
+from .errors import BadParameter, NoExactEngine, RmtdecError
 from .gap import (
     check_8_31p,
     check_B1_structure,
@@ -27,15 +27,12 @@ from .gap import (
     check_identity_24cp,
     check_thm_D4,
     check_thm_gap,
-    gap_chue_exact,
-    gap_cue_exact,
     gap_mc,
-    gap_oe_odd_exact,
-    gap_ue_exact,
+    law_gap,
     pair_for_24,
     pair_for_24cp,
 )
-from .samplers import _KINDS, EnsembleSpec, _check_seed, sample_ensemble
+from .samplers import _KINDS, EnsembleSpec, _check_seed, law_of, sample_ensemble
 from .verify import (
     VerificationReport,
     verify_cor1,
@@ -55,6 +52,18 @@ EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
 _KIND_MAP = {kind.lower(): kind for kind in _KINDS}
+
+# `gap --kind`: the flag each kind reads and the interval J of its own points
+# that the flag's value gives
+_GAP_KINDS: dict[str, tuple[str, Callable]] = {
+    "oe": ("s", lambda s: (-s, s)),
+    "ue": ("interval", tuple),
+    "chue": ("s", lambda s: (0.0, s)),
+    "coe": ("theta", lambda t: (-t, t)),
+    "cue": ("theta", lambda t: (-t, t)),
+    "oplus": ("theta", lambda t: (0.0, t)),
+    "ominus": ("theta", lambda t: (0.0, t)),
+}
 
 
 def _default_workers() -> int:
@@ -121,13 +130,17 @@ class RunConfig:
         self.need("this command", "family")
         return make_weight(self.family, self.a)
 
-    def ensemble(self) -> EnsembleSpec:
+    def spec_fields(self) -> tuple:
+        """(kind, n, weight, mu) of the ensemble the flags name."""
         self.need("this command", "kind")
         kind = _KIND_MAP.get(self.kind.lower())
         if kind is None:
             raise BadParameter(f"unknown ensemble kind {self.kind!r}")
         weight = self.weight() if kind in ("OE", "UE", "chUE") else None
-        return EnsembleSpec(kind, self.n, weight=weight, mu=self.mu, method=self.method)
+        return kind, self.n, weight, self.mu
+
+    def ensemble(self) -> EnsembleSpec:
+        return EnsembleSpec(*self.spec_fields(), method=self.method)
 
 
 # -- command implementations -----------------------------------------------------
@@ -147,60 +160,39 @@ def cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _mc_payload(
-    config: RunConfig, kind: str, spec: EnsembleSpec, half: float, labels: dict
-) -> dict:
-    """Monte Carlo gap payload on (-half, half), for kinds without an exact engine."""
-    est = gap_mc(spec, (-half, half), config.n, config.count, config.seed, workers=config.workers)
-    return {
-        "kind": kind,
-        **labels,
-        "n": config.n,
-        "interval": [-half, half],
-        "engine": "mc",
-        "count": config.count,
-        "seed": config.seed,
-        "probs": [float(p) for p in est.probs],
-        "stderr": [float(e) for e in est.stderr],
-    }
-
-
 def _gap_payload(config: RunConfig) -> dict:
+    """The kind's gap vector on its interval from the exact table
+    (``law_gap`` on the kind's law), or a Monte Carlo count where the table
+    has no engine: OE and COE at even n."""
     kind = (config.kind or "").lower()
-    if kind == "ue":
-        config.need("gap --kind ue", "interval")
-        poly = gap_ue_exact(config.weight(), config.n, config.interval)
-    elif kind == "chue":
-        config.need("gap --kind chue", "s")
-        poly = gap_chue_exact(config.weight(), config.mu, config.n, config.s)
-    elif kind == "cue":
-        config.need("gap --kind cue", "theta")
-        poly = gap_cue_exact(config.n, config.theta)
-    elif kind == "coe":
-        config.need("gap --kind coe", "theta")
-        if not 0.0 < config.theta <= math.pi:
-            raise BadParameter("theta must lie in (0, pi]")
-        return _mc_payload(config, kind, EnsembleSpec("COE", config.n), config.theta, {})
-    elif kind == "oe":
-        config.need("gap --kind oe", "s")
-        if config.n % 2 == 0:
-            spec = EnsembleSpec("OE", config.n, config.weight())
-            labels = {"family": config.family, "a": config.a}
-            return _mc_payload(config, kind, spec, config.s, labels)
-        poly = gap_oe_odd_exact(config.weight(), config.n, config.s)
-    else:
-        raise BadParameter(f"gap supports kinds oe/ue/chue/cue/coe, got {config.kind!r}")
-    payload = {
-        "kind": kind,
-        "n": poly.n,
-        "interval": list(poly.interval),
-        "engine": "exact",
-        "coeffs": [float(c) for c in poly.coeffs],
-    }
-    if config.family is not None:
-        payload["family"] = config.family
-        payload["a"] = config.a
-    return payload
+    if kind not in _GAP_KINDS:
+        raise BadParameter(f"gap supports kinds {'/'.join(_GAP_KINDS)}, got {config.kind!r}")
+    flag, interval = _GAP_KINDS[kind]
+    config.need(f"gap --kind {kind}", flag)
+    if flag == "theta" and not 0.0 < config.theta <= math.pi:
+        raise BadParameter("theta must lie in (0, pi]")
+    J = interval(getattr(config, flag))
+    fields = config.spec_fields()
+    labels = {} if fields[2] is None else {"family": config.family, "a": config.a}
+    try:
+        poly = law_gap(law_of(*fields), J)
+    except NoExactEngine:
+        spec = config.ensemble()
+        est = gap_mc(spec, J, config.n, config.count, config.seed, workers=config.workers)
+        return {
+            "kind": kind,
+            **labels,
+            "n": config.n,
+            "interval": list(J),
+            "engine": "mc",
+            "count": config.count,
+            "seed": config.seed,
+            "probs": [float(p) for p in est.probs],
+            "stderr": [float(e) for e in est.stderr],
+        }
+    coeffs = [float(c) for c in poly.coeffs]
+    payload = {"kind": kind, "n": config.n, "interval": list(poly.interval), "engine": "exact"}
+    return {**payload, "coeffs": coeffs, **labels}
 
 
 def cmd_gap(config: RunConfig) -> int:
@@ -424,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gap", help="gap probabilities, exact when available", **quiet)
     _add_common(pg)
-    pg.add_argument("--kind", required=True, help="oe, ue, chue, cue, coe")
+    pg.add_argument("--kind", required=True, help=", ".join(_GAP_KINDS))
     pg.add_argument("--interval", type=float, nargs=2, metavar=("LO", "HI"))
     pg.add_argument("--s", type=float, help="symmetric or half-line interval endpoint")
-    pg.add_argument("--theta", type=float, help="circular interval half-width")
+    pg.add_argument("--theta", type=float,
+                    help="circular arc (-theta, theta), or (0, theta) for oplus and ominus")
 
     pv = sub.add_parser(
         "verify",

@@ -31,6 +31,10 @@ class BadParameter(RmtdecError):
     """Weight parameter outside its legal range."""
 
 
+class NoExactEngine(BadParameter):
+    """No exact gap engine covers this law and interval."""
+
+
 class MomentDivergence(RmtdecError):
     """A moment integral required for orthogonalization does not converge."""
 

@@ -9,8 +9,18 @@ generating function is a bordered (m+1) x (m+1) determinant, evaluated
 either from its direct entries or after Gaudin diagonalization of the
 restricted Gram block; both modes must agree.  Its entries are closed forms
 in the recurrence coefficients of w2 = phi w1^2 and one Gram matrix over
-(-s, s), from the antiderivative recurrence of w1.  A brute-force ordered
-quadrature covers n <= 4, and gap_mc counts samples for everything else.
+(-s, s), from the antiderivative recurrence of w1.
+
+One table, ``law_gap``, keyed by beta and the shape of w as the sampling
+table ``samplers._law_draw`` is, gives the law record of every spec
+(``samplers.law_of``) its exact engine, with J in the spec's own points:
+the Gram engine at beta = 2 (the Fourier Gram for CUE angles) and the
+bordered determinant at beta = 1 and odd n, so O+/O- and odd-n COE are
+exact too.  ``gap_ue_exact``, ``gap_chue_exact`` and ``gap_cue_exact`` are
+that table on their kind's law, and ``gap_oe_odd_exact`` is its bordered
+row on the OE weight w1 itself.
+gap_mc counts samples where it has no engine, beta = 1 at even n, and a
+brute-force ordered quadrature covers n <= 4.
 
 The superposition checkers (eq24, eq24cp, eq831p) share one helper,
 ``_label_convolution``: each identity reads E2(k; J) = P(L(i, j) = k) for the
@@ -31,12 +41,20 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .densities import _placement_masses, _settle, log_p_beta_batch
-from .errors import BadParameter, NonConvergence
+from .errors import BadParameter, NoExactEngine, NonConvergence
 from .numerics import sym_eigen
 from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
-from .samplers import EnsembleSpec, _law_draw, sample_ensemble, sample_law
+from .samplers import (
+    EnsembleSpec,
+    Law,
+    _law_draw,
+    law_of,
+    sample_ensemble,
+    sample_law,
+    stereographic,
+)
 from .verify import VerificationReport, _substreams, build_report
-from .weights import AdmissibleWeight, from_table1, make_weight, theta1
+from .weights import AdmissibleWeight, make_weight, theta1
 
 __all__ = [
     "GapPolynomial",
@@ -44,6 +62,8 @@ __all__ = [
     "GapEstimate",
     "WeightPair",
     "gap_mc",
+    "law_engine",
+    "law_gap",
     "gap_ue_exact",
     "gap_chue_exact",
     "gap_cue_exact",
@@ -201,28 +221,42 @@ def _gram_gap(w: ClassicalWeight, n: int, J: tuple, shown: tuple) -> GapPolynomi
     return _eigen_gap(gram(build(w, n - 1), J, list(range(n))), shown)
 
 
+def _fourier_gap(n: int, h: float, shown: tuple) -> GapPolynomial:
+    """E(0..n) of n CUE angles on an arc of half-width h by the Fourier Gram
+    sin((j - k) h) / (pi (j - k)), with diagonal h / pi, shown on ``shown``."""
+    j = np.arange(n, dtype=float)
+    diff = j[:, None] - j[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        G = np.sin(diff * h) / (np.pi * diff)
+    np.fill_diagonal(G, h / np.pi)
+    return _eigen_gap(G, shown)
+
+
 def gap_ue_exact(
     w2: AdmissibleWeight | ClassicalWeight, n: int, J: tuple[float, float]
 ) -> GapPolynomial:
     """Exact E(0..n; J) for n eigenvalues with joint density prod w2 |Vdm|^2.
 
-    ``w2`` is a classical weight, or an admissible weight whose squared-base
-    weight is used.
+    ``w2`` is a classical weight, whose law (2, n, w2) is taken as it is,
+    or an admissible weight, for the UE law of ``samplers.law_of``; either
+    goes to ``law_gap``.
     """
     if n < 1:
         raise BadParameter("need at least one eigenvalue")
-    return _gram_gap(w2.w2 if isinstance(w2, AdmissibleWeight) else w2, n, J, J)
+    if isinstance(w2, AdmissibleWeight):
+        return law_gap(law_of("UE", n, w2), J)
+    if not isinstance(w2, ClassicalWeight):
+        raise BadParameter(f"gap_ue_exact needs a weight, got {type(w2).__name__}")
+    return law_gap(Law(2, n, w2), J)
 
 
 def gap_chue_exact(w2: AdmissibleWeight, mu: int, m: int, s: float) -> GapPolynomial:
     """Exact E(0..m; (0, s)) for m positive points with density
-    prod x^(2 mu) w2(x) * Vdm(x^2)^2.
-
-    Mapped to u = x^2 the weight is u^(mu - 1/2) w2(sqrt u), a Laguerre,
-    Jacobi or beta-prime weight in closed form; ``gram`` takes its power at
-    u = 0 with a Gauss-Jacobi panel.  The system is built only to degree
-    m - 1, and a mapped weight without the u-moments of order 2(m - 1)
-    raises MomentDivergence.
+    prod x^(2 mu) w2(x) * Vdm(x^2)^2: ``law_gap`` on the chUE law of
+    ``samplers.law_of``, a Laguerre, Jacobi or beta-prime law of u = x^2,
+    whose power at u = 0 ``gram`` takes with a Gauss-Jacobi panel.  The
+    system is built only to degree m - 1, and a law without the u-moments
+    of order 2(m - 1) raises MomentDivergence.
     """
     if mu not in (0, 1):
         raise BadParameter("mu must be 0 or 1")
@@ -232,25 +266,17 @@ def gap_chue_exact(w2: AdmissibleWeight, mu: int, m: int, s: float) -> GapPolyno
         raise BadParameter(f"need a finite s with 0 < s <= {w2.omega}")
     if m == 0:
         return GapPolynomial(np.array([1.0]), 0, (0.0, float(s)))
-    return _gram_gap(w2.w2.squared_argument(mu), m, (0.0, s**2), (0.0, s))
+    return law_gap(law_of("chUE", m, w2, mu), (0.0, s))
 
 
 def gap_cue_exact(n: int, theta: float) -> GapPolynomial:
-    """Exact E(0..n; (-theta, theta)) for the n circular unitary angles.
-
-    Uses the Fourier Gram sin((j - k) theta) / (pi (j - k)) with diagonal
-    theta / pi.
-    """
+    """Exact E(0..n; (-theta, theta)) for the n circular unitary angles:
+    ``law_gap`` on the CUE law, whose row is the Fourier Gram."""
     if n < 1:
         raise BadParameter("need at least one angle")
     if not 0.0 < theta <= math.pi:
         raise BadParameter("theta must lie in (0, pi]")
-    j = np.arange(n, dtype=float)
-    diff = j[:, None] - j[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        G = np.sin(diff * theta) / (np.pi * diff)
-    np.fill_diagonal(G, theta / np.pi)
-    return _eigen_gap(G, (-theta, theta))
+    return law_gap(law_of("CUE", n), (-theta, theta))
 
 
 # -- beta = 1, odd n: bordered determinant ------------------------------------------
@@ -446,7 +472,9 @@ def _extract_coeffs(
 def gap_oe_odd_exact(
     w1: AdmissibleWeight, n: int, s: float, mode: str = "direct"
 ) -> GapPolynomial:
-    """Exact E(0..n; (-s, s)) for n = 2m + 1 points at beta = 1.
+    """Exact E(0..n; (-s, s)) for n = 2m + 1 points at beta = 1: the
+    bordered row of ``law_gap`` on w1 itself, so the OE law's weight
+    w1^2, whose Cauchy exponent 2a + 2 can round, is not in the way.
 
     ``mode`` picks the determinant assembly: "direct" uses the raw bordered
     entries, "gaudin" first diagonalizes the restricted Gram block.  The two
@@ -456,11 +484,12 @@ def gap_oe_odd_exact(
     """
     if mode not in ("direct", "gaudin"):
         raise BadParameter(f"unknown mode {mode!r}")
-    return _odd_gap(_odd_parts(w1, n, s), s, mode)
+    return _odd_gap(_odd_parts(w1, n, s), (-float(s), float(s)), mode)
 
 
-def _odd_gap(parts: _OddParts, s: float, mode: str) -> GapPolynomial:
-    """The gap vector on (-s, s) from one set of bordered-determinant parts."""
+def _odd_gap(parts: _OddParts, shown: tuple, mode: str) -> GapPolynomial:
+    """The gap vector on (-s, s) from one set of bordered-determinant parts,
+    shown on ``shown``."""
     if mode == "direct":
         detfn = lambda xi: _det_direct(parts, xi)
     else:
@@ -472,7 +501,7 @@ def _odd_gap(parts: _OddParts, s: float, mode: str) -> GapPolynomial:
     if resid > 1e-6:
         raise NonConvergence(f"det at xi = 0 is off the half mass by {resid}")
     return GapPolynomial(
-        coeffs, n, (-float(s), float(s)), meta={"mode": mode, "theta_residual": resid}
+        coeffs, n, shown, meta={"mode": mode, "theta_residual": resid}
     )
 
 
@@ -482,6 +511,74 @@ def gaudin_data(w1: AdmissibleWeight, n: int, s: float) -> GaudinData:
     if m == 0:
         raise BadParameter("n = 1 has no odd-degree block to diagonalize")
     return _gaudin_from_gram(gram(sys, (-s, s), odd_idx))
+
+
+# -- the exact table -----------------------------------------------------------------
+
+
+def _root_weight(w: ClassicalWeight) -> AdmissibleWeight | None:
+    """w1 = sqrt(w) as an admissible weight, where w = w1^2 is an OE law's
+    weight: Hermite is Gauss, Jacobi (c, c) on (-1, 1) is Jacobi c/2 and
+    Romanovski c is Cauchy c/2 - 1; None for every other w."""
+    if w.shape == "hermite":
+        return AdmissibleWeight("gauss")
+    if w.shape == "jacobi" and w.a == w.b and w.support == (-1.0, 1.0):
+        return AdmissibleWeight("jacobi", w.a / 2)
+    if w.shape == "romanovski" and w.a > 1.0:
+        return AdmissibleWeight("cauchy", w.a / 2 - 1.0)
+    return None
+
+
+def law_engine(law: Law) -> str:
+    """The row of ``law_gap`` for the law (beta, n, w), keyed by beta and
+    ``w.shape`` as ``samplers._law_draw`` is:
+
+        gram      beta = 2: the Gram matrix of w's orthonormal functions over
+                  J in the law's own coordinate
+        fourier   beta = 2 where the points are the angles of the
+                  stereographic map (CUE): the Gram of the same law in the
+                  angle, in closed form
+        bordered  beta = 1 at odd n, where w = w1^2 for a Gauss, Jacobi or
+                  Cauchy w1: the bordered determinant, on symmetric J
+        none      every other law, beta = 1 at even n among them
+    """
+    if law.beta == 2:
+        return "fourier" if law.to_points is stereographic else "gram"
+    return "bordered" if law.n % 2 == 1 and _root_weight(law.w) is not None else "none"
+
+
+def law_gap(law: Law, J: tuple[float, float], mode: str = "direct") -> GapPolynomial:
+    """Exact E(0..n; J) for the n points of a law record, J in the spec's own
+    points: the one exact table, by the row of ``law_engine``.
+
+    J reaches the law's coordinate through ``law.interval``, so a J that
+    covers the points' support never meets a pole of the map.  The Fourier
+    row reads the arc (clipped to (-pi, pi)) directly: by rotation
+    invariance only its half-width h matters.  The bordered row needs
+    J = (-s, s) in the law's coordinate; at s = omega every point lies in J.
+    ``mode`` picks its assembly (see ``gap_oe_odd_exact``).  A law without a
+    row, or an asymmetric J on the bordered row, raises NoExactEngine.
+    """
+    if mode not in ("direct", "gaudin"):
+        raise BadParameter(f"unknown mode {mode!r}")
+    engine, m, shown = law_engine(law), law.n, (float(J[0]), float(J[1]))
+    if m == 0:
+        return GapPolynomial(np.array([1.0]), 0, shown)
+    if engine == "fourier":
+        lo, hi = max(J[0], -math.pi), min(J[1], math.pi)
+        return _fourier_gap(m, 0.5 * max(hi - lo, 0.0), shown)
+    lo, hi = law.interval(J)
+    if engine == "gram":
+        return _gram_gap(law.w, m, (lo, hi), shown)
+    if engine == "bordered" and lo == -hi:
+        if (lo, hi) == law.w.support:
+            return GapPolynomial(np.eye(m + 1)[m], m, shown)
+        return _odd_gap(_odd_parts(_root_weight(law.w), m, hi), shown, mode)
+    w = law.w
+    raise NoExactEngine(
+        f"no exact engine for the law beta={law.beta}, n={m}, "
+        f"{w.shape}(a={w.a:g}, b={w.b:g}) on {shown}"
+    )
 
 
 # -- brute force, n <= 4 -------------------------------------------------------------
@@ -622,8 +719,8 @@ def check_B1_structure(
         raise BadParameter("structure check needs odd n")
     m = (n - 1) // 2
     parts = _odd_parts(w, n, s)
-    direct = _odd_gap(parts, s, "direct")
-    gaud = _odd_gap(parts, s, "gaudin")
+    direct = _odd_gap(parts, (-float(s), float(s)), "direct")
+    gaud = _odd_gap(parts, (-float(s), float(s)), "gaudin")
     grid = np.linspace(0.0, 2.0, 81)
 
     checks = [
@@ -893,19 +990,20 @@ def check_thm_D4(
     """Adjacent-count sums of circular beta = 1 gaps against the two exact
     chiral gaps of the tangent-half-angle image.
 
-    The image weight is the Cauchy squared-base weight with the canonical
-    exponent for order n, evaluated on (0, tan(theta/2)); the first relation
-    uses the even chiral width, the second the odd one.  Vector ``k`` values
-    share the same Monte Carlo run.
+    The COE law of order n is the beta = 1 Romanovski law w1^2 of
+    x = tan(theta/2) (``samplers.law_of``); the chiral gaps are those of w1,
+    a Cauchy weight, on (0, tan(theta/2)); the first relation uses the even
+    chiral width, the second the odd one.  Vector ``k`` values share the
+    same Monte Carlo run.
     """
     if not 0.0 < theta < math.pi:
         raise BadParameter("theta must lie in (0, pi)")
     ks = [int(v) for v in np.atleast_1d(k)]
     mu = n % 2
-    w2c = from_table1("cauchy", n, 0.0)
-    s = math.tan(0.5 * theta)
-    poly1 = gap_chue_exact(w2c, mu, n // 2, s)
-    poly2 = gap_chue_exact(w2c, 1 - mu, (n + 1) // 2, s)
+    law = law_of("COE", n)
+    w1, s = _root_weight(law.w), law.interval((-theta, theta))[1]
+    poly1 = gap_chue_exact(w1, mu, n // 2, s)
+    poly2 = gap_chue_exact(w1, 1 - mu, (n + 1) // 2, s)
 
     est = gap_mc(EnsembleSpec("COE", n), (-theta, theta), n, count, seed, workers=workers)
     checks = []

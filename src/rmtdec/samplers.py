@@ -16,9 +16,11 @@ A law (beta, n, w) is n points with density prod w(x_i)^(beta/2)
 |Vdm(x)|^beta for a classical weight w of ``orthopoly``, so its beta = 2
 law is the one ``gram`` integrates.  One table, ``_law_draw``, keyed by
 the shape of w, gives every law exactly one route, Metropolis included,
-and decides whether it has finite mass.  ``_route`` maps each
-``EnsembleSpec`` to a law and a pointwise map of its points, and
-``sample_law`` draws a law directly, as the eq24/eq24cp pair rows do;
+and decides whether it has finite mass.  ``law_of`` gives each
+``EnsembleSpec`` its one law record (``Law``): the law, the increasing map
+of its points to the spec's points and the inverse map, which
+``gap.law_gap`` reads to compute exact gaps.  ``_route`` draws the record,
+and ``sample_law`` draws a law directly, as the eq24/eq24cp pair rows do;
 both ``sample_ensemble`` and ``sample_law`` record the route in
 ``diagnostics["route"]``.
 
@@ -52,6 +54,7 @@ from .weights import AdmissibleWeight
 
 __all__ = [
     "EnsembleSpec",
+    "Law",
     "SampleBatch",
     "McmcParams",
     "sample_gaussian_matrix",
@@ -61,6 +64,7 @@ __all__ = [
     "sample_mcmc",
     "sample_law",
     "sample_ensemble",
+    "law_of",
     "has_exact_route",
     "stereographic",
     "stereographic_inverse",
@@ -97,26 +101,18 @@ class EnsembleSpec:
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise BadParameter(f"unknown ensemble kind {self.kind!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise BadParameter("order n must be a positive integer")
+        law = self.law  # law_of checks the fields
         if self.method not in ("auto", "exact"):
             raise BadParameter(f"unknown method {self.method!r}")
-        if self.kind in _CIRCULAR:
-            if self.weight is not None:
-                raise BadParameter("circular kinds carry no weight")
-        elif self.weight is None:
-            raise BadParameter(f"{self.kind} requires a weight")
-        if self.kind == "chUE":
-            if self.mu not in (0, 1):
-                raise BadParameter("chUE takes mu in {0, 1}")
-        elif self.mu != 0:
-            raise BadParameter("mu is meaningful only for chUE")
         try:  # the law table refuses a law without finite mass
-            _route(self)
+            _law_draw(law.beta, law.n, law.w)
         except BadParameter as exc:
             raise BadParameter(f"{self.describe()}: {exc}") from exc
+
+    @property
+    def law(self) -> Law:
+        """The law of the spec's points and the map to them: ``law_of``."""
+        return law_of(self.kind, self.n, self.weight, self.mu)
 
     def describe(self) -> str:
         bits = [f"kind={self.kind}", f"n={self.n}"]
@@ -509,41 +505,17 @@ def _circular_tan_half(kind: str, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return _cayley_tan_half(u, real=kind == "COE")
 
 
-def _circular_law(kind: str, n: int) -> tuple[int, int, ClassicalWeight, Callable]:
-    """The law (beta, m, w) of a circular kind of order n and the map from
-    its points to the angles.  COE (beta 1) and CUE (beta 2) are the
-    Romanovski laws (beta, n, (1 + x^2)^-(n - 1 + 2/beta)) of
-    x = tan(theta/2).  Oplus (Ominus) are the m nontrivial angles of Haar
-    orthogonal matrices of order n + 1 without (with) a forced +1
-    eigenvalue: the law (2, m, (1 - lam)^B lam^A) of lam = sin^2(theta/2),
-    A (B) = +1/2 where a +1 (-1) eigenvalue is forced, -1/2 otherwise."""
-    if kind in ("COE", "CUE"):
-        beta = 1 if kind == "COE" else 2
-        return beta, n, ClassicalWeight("romanovski", n - 1 + 2 // beta), stereographic
-    ominus = kind == "Ominus"
-    # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
-    A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
-    w = ClassicalWeight("jacobi", B, A, (0.0, 1.0))
-    to_angle = lambda lam: 2.0 * np.arctan2(np.sqrt(lam), np.sqrt(1.0 - lam))
-    return 2, n // 2 if ominus else (n + 1) // 2, w, to_angle
-
-
 def sample_haar_circular(
     kind: str, n: int, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
     """Eigen-angles of Haar circular ensembles, the points of the kind's
-    ``_circular_law`` mapped to angles: all n in (-pi, pi] for COE/CUE, the
+    law (``law_of``) mapped to angles: all n in (-pi, pi] for COE/CUE, the
     nontrivial ones in (0, pi) for Oplus/Ominus (none for Ominus of order 2).
     """
     if kind not in _CIRCULAR or n < 1:
         raise BadParameter(f"no circular kind {kind!r} of order {n}")
-    beta, m, w, to_angle = _circular_law(kind, n)
-    label = f"Haar({kind}, n={n})"
-    if m == 0:  # Ominus of order 2: both eigenvalues are forced
-        empty = lambda rng, size: (np.empty((size, 0)), {})
-        return _merge(_run_blocks(empty, count, seed, workers), seed, label)
-    x = _law_draw(beta, m, w)[1](count, seed, workers).spectra
-    return SampleBatch(spectra=to_angle(x), seed=seed, label=label)
+    batch = _route(EnsembleSpec(kind, n))[1](count, seed, workers)
+    return replace(batch, label=f"Haar({kind}, n={n})")
 
 
 # -- beta-ensemble matrix models -------------------------------------------------
@@ -886,27 +858,108 @@ def _mapped(to_x: Callable, draw: Callable[..., SampleBatch]) -> Callable[..., S
     return lambda count, seed, workers: SampleBatch(to_x(draw(count, seed, workers).spectra), seed)
 
 
-def _route(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]]:
-    """The route of ``spec`` and its draw(count, seed, workers).  Every
-    spec is a law of ``_law_draw`` and a map of its points: OE is
-    (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a) and
-    Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
-    (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u; the
-    circular kinds are the laws of ``_circular_law``, drawn by
-    ``sample_haar_circular``.
+def _identity(x):
+    return x
+
+
+@dataclass(frozen=True)
+class Law:
+    """The law of a spec's points and the map to them.
+
+    The spec's points are the images under ``to_points`` of the n points of
+    the law (beta, n, w) of ``_law_draw``.  ``to_points`` is increasing and
+    ``from_points`` is its inverse; ``interval`` applies it to the ends of
+    an interval.
     """
-    kind, n, w = spec.kind, spec.n, spec.weight
+
+    beta: int
+    n: int
+    w: ClassicalWeight
+    to_points: Callable = _identity
+    from_points: Callable = _identity
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The interval of the spec's points: the image of w's support."""
+        return tuple(float(self.to_points(end)) for end in self.w.support)
+
+    def interval(self, J: tuple[float, float]) -> tuple[float, float]:
+        """J, an interval of the spec's points, as one of the law's points:
+        clipped to ``support``, whose ends go to the ends of w's support, so
+        no map is evaluated at a pole; (lo, lo) where J misses it."""
+        (plo, phi), (lo, hi) = self.support, self.w.support
+        a, b = max(J[0], plo), min(J[1], phi)
+        if not a < b:
+            return lo, lo
+        return (lo if a == plo else self.from_points(a), hi if b == phi else self.from_points(b))
+
+
+def law_of(kind: str, n: int, weight: AdmissibleWeight | None = None, mu: int = 0) -> Law:
+    """The law record of the spec (kind, n, weight, mu), after checking its
+    fields: the one place a spec's law and point map are derived.
+
+    OE is (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a)
+    and Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
+    (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u.  COE
+    (beta 1) and CUE (beta 2) are the Romanovski laws
+    (beta, n, (1 + x^2)^-(n - 1 + 2/beta)) of x = tan(theta/2), read at
+    theta = ``stereographic`` x.  Oplus (Ominus) are the m nontrivial angles
+    of Haar orthogonal matrices of order n + 1 without (with) a forced +1
+    eigenvalue: the law (2, m, (1 - lam)^B lam^A) of lam = sin^2(theta/2),
+    read at theta = 2 atan2(sqrt lam, sqrt(1 - lam)), with A (B) = +1/2
+    where a +1 (-1) eigenvalue is forced, -1/2 otherwise.
+    """
+    if kind not in _KINDS:
+        raise BadParameter(f"unknown ensemble kind {kind!r}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise BadParameter("order n must be a positive integer")
     if kind in _CIRCULAR:
-        route = _law_draw(*_circular_law(kind, n)[:3])[0]
-        return route, lambda *run: sample_haar_circular(kind, n, *run)
+        if weight is not None:
+            raise BadParameter("circular kinds carry no weight")
+    elif weight is None:
+        raise BadParameter(f"{kind} requires a weight")
+    if kind == "chUE":
+        if mu not in (0, 1):
+            raise BadParameter("chUE takes mu in {0, 1}")
+    elif mu != 0:
+        raise BadParameter("mu is meaningful only for chUE")
+    if kind in ("COE", "CUE"):
+        beta = 1 if kind == "COE" else 2
+        w = ClassicalWeight("romanovski", n - 1 + 2 // beta)
+        return Law(beta, n, w, stereographic, stereographic_inverse)
+    if kind in ("Oplus", "Ominus"):
+        ominus = kind == "Ominus"
+        # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
+        A, B = (0.5 if ominus else -0.5), (0.5 if (n % 2 == 0) != ominus else -0.5)
+        w = ClassicalWeight("jacobi", B, A, (0.0, 1.0))
+        to_angle = lambda lam: 2.0 * np.arctan2(np.sqrt(lam), np.sqrt(1.0 - lam))
+        from_angle = lambda theta: np.sin(0.5 * theta) ** 2
+        return Law(2, n // 2 if ominus else (n + 1) // 2, w, to_angle, from_angle)
     if kind == "OE":
-        c = 2.0 * (w.a or 0.0)
+        c = 2.0 * (weight.a or 0.0)
         w1sq = {"gauss": ("hermite",), "jacobi": ("jacobi", c, c), "cauchy": ("romanovski", c + 2)}
-        return _law_draw(1, n, ClassicalWeight(*w1sq[w.family]))
+        return Law(1, n, ClassicalWeight(*w1sq[weight.family]))
     if kind == "UE":
-        return _law_draw(2, n, w.w2)
-    route, draw = _law_draw(2, n, w.w2.squared_argument(spec.mu))
-    return route, _mapped(np.sqrt, draw)
+        return Law(2, n, weight.w2)
+    return Law(2, n, weight.w2.squared_argument(mu), np.sqrt, lambda x: x**2)
+
+
+def _no_points(count: int, seed: int, workers: int) -> SampleBatch:
+    """count spectra of width 0, for a law of no points."""
+    empty = lambda rng, size: (np.empty((size, 0)), {})
+    return _merge(_run_blocks(empty, count, seed, workers), seed, "")
+
+
+def _route(spec: EnsembleSpec) -> tuple[str, Callable[..., SampleBatch]]:
+    """The route of ``spec`` and its draw(count, seed, workers): the route
+    of its law (``law_of``) in ``_law_draw``, with the points mapped by the
+    law's ``to_points``.  Ominus of order 2 has no points: both its
+    eigenvalues are forced."""
+    law = spec.law
+    route, draw = _law_draw(law.beta, law.n, law.w)
+    if law.n == 0:
+        return route, _no_points
+    return route, draw if law.to_points is _identity else _mapped(law.to_points, draw)
 
 
 def sample_law(

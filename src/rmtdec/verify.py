@@ -238,18 +238,16 @@ def _count_table(s: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     For NaN-free ``s`` a row's count of e_i < x <= e_i+1 is C(e_i+1) - C(e_i),
     C(e) its count of points <= e, clipped at 0 where overflow puts e_i above
-    e_i+1; two length-count integer arrays are live.  A NaN edge (from +-inf
-    atoms) compares false, so every row counts 0 in its bins.
+    e_i+1; two length-count integer arrays are live.  A bin with a NaN edge
+    (from +-inf atoms) holds no meaningful count; ``_counting_chi2`` reports
+    it as NaN.
     """
     table = np.zeros((edges.size - 1, s.shape[1] + 1))
     prev = _count_below(s, edges[0])
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+    for i, hi in enumerate(edges[1:]):
         cur = _count_below(s, hi)
-        if math.isnan(lo) or math.isnan(hi):
-            table[i, 0] = s.shape[0]
-        else:
-            diff = np.maximum(np.subtract(cur, prev, out=prev), 0, out=prev)
-            table[i] = np.bincount(diff, minlength=s.shape[1] + 1)
+        diff = np.maximum(np.subtract(cur, prev, out=prev), 0, out=prev)
+        table[i] = np.bincount(diff, minlength=s.shape[1] + 1)
         prev = cur
     return table
 
@@ -259,7 +257,9 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, 
 
     For each bin the two ensembles' distributions of the per-row point count
     are compared; count categories are merged from the top until every pooled
-    category holds at least 10 rows.
+    category holds at least 10 rows.  A bin with a NaN quantile edge, which
+    +-inf atoms make, tests nothing: its statistic and p-value are NaN, so
+    ``build_report`` fails it.
     """
     pooled = np.concatenate([a, b], axis=None)
     edges = np.quantile(pooled, np.linspace(0.0, 1.0, _COUNT_BINS + 1), overwrite_input=True)
@@ -268,6 +268,9 @@ def _counting_chi2(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str, float, 
     out: list[tuple[str, str, float, float]] = []
     width = a.shape[1]
     for i, (oa, ob) in enumerate(zip(_count_table(a, edges), _count_table(b, edges))):
+        if math.isnan(edges[i]) or math.isnan(edges[i + 1]):
+            out.append((f"chi2_bin_{i + 1}", "chi2", math.nan, math.nan))
+            continue
         # merge sparse high-count categories downward
         hi = width
         while hi > 0 and oa[hi] + ob[hi] < 10.0:

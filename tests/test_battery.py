@@ -2,9 +2,11 @@
 
 The reference below is the battery as first written: KS evaluates both
 empirical CDFs on the whole 2N pooled grid, and the counting chi-squares
-build one boolean mask per bin edge.  ``rmtdec.verify`` computes the same
-numbers with bounded temporaries; these tests hold it to the reference bit
-for bit (NaN matching NaN) and to its memory bound.
+build one boolean mask per bin edge, and a bin with a NaN quantile edge
+(from +-inf atoms) reports a NaN statistic and p-value, so that it fails.
+``rmtdec.verify`` computes the same numbers with bounded temporaries; these
+tests hold it to the reference bit for bit (NaN matching NaN) and to its
+memory bound.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ def counting_chi2_reference(a: np.ndarray, b: np.ndarray) -> list[tuple[str, str
     out = []
     width = a.shape[1]
     for i in range(8):
+        if np.isnan(edges[i]) or np.isnan(edges[i + 1]):
+            out.append((f"chi2_bin_{i + 1}", "chi2", math.nan, math.nan))
+            continue
         ca = np.sum((a > edges[i]) & (a <= edges[i + 1]), axis=1)
         cb = np.sum((b > edges[i]) & (b <= edges[i + 1]), axis=1)
         oa = np.bincount(ca, minlength=width + 1).astype(float)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rmtdec import cli
+from rmtdec import cli, gap
 from rmtdec.errors import BadParameter, NonConvergence
+from rmtdec.samplers import law_of
 from rmtdec.verify import build_report
+from rmtdec.weights import gauss_weight
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -176,8 +179,9 @@ class TestGapCommand:
         assert len(json.loads(text)["coeffs"]) == 3
 
     def test_coe_mc_payload(self, capsys) -> None:
+        # COE has an exact engine at odd n only, so even n counts samples
         code, text = run(
-            capsys, "gap", "--kind", "coe", "--n", "3", "--theta", "1.2",
+            capsys, "gap", "--kind", "coe", "--n", "2", "--theta", "1.2",
             "--count", "500", "--seed", "11", "--workers", "1",
         )
         assert code == 0
@@ -186,7 +190,7 @@ class TestGapCommand:
             "kind", "n", "interval", "engine", "count", "seed", "probs", "stderr"
         ]
         assert d["interval"] == [-1.2, 1.2] and d["engine"] == "mc"
-        assert sum(d["probs"]) == pytest.approx(1.0) and len(d["stderr"]) == 4
+        assert sum(d["probs"]) == pytest.approx(1.0) and len(d["stderr"]) == 3
 
     @pytest.mark.parametrize("kind", ["cue", "coe"])
     @pytest.mark.parametrize("theta", ["4.0", "0.0"])
@@ -263,6 +267,52 @@ class TestGapCommand:
                         code = cli.main(argv)
                         capsys.readouterr()
                         assert code in (0, 2, 3), argv
+
+    def test_gap_kinds_come_from_one_table(self, capsys) -> None:
+        kinds = list(cli._GAP_KINDS)
+        assert sorted(kinds) == sorted(cli._KIND_MAP)
+        gap_parser = cli.build_parser()._subparsers._group_actions[0].choices["gap"]
+        kind_help = next(a.help for a in gap_parser._actions if a.dest == "kind")
+        assert kind_help == ", ".join(kinds)
+        assert cli.main(["gap", "--kind", "gue", "--n", "2"]) == 2
+        assert f"gap supports kinds {'/'.join(kinds)}" in capsys.readouterr().err
+        # the README's gap examples show every kind
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### gap", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        assert sorted(set(re.findall(r"--kind (\w+)", block))) == sorted(kinds)
+
+    @pytest.mark.parametrize("kind", list(cli._GAP_KINDS))
+    def test_every_kind_the_table_computes_is_exact(self, capsys, kind: str) -> None:
+        flag, interval = cli._GAP_KINDS[kind]
+        value = {"s": ["0.7"], "interval": ["-0.4", "0.9"], "theta": ["1.1"]}[flag]
+        J = interval([float(v) for v in value] if flag == "interval" else float(value[0]))
+        weighted = cli._KIND_MAP[kind] in ("OE", "UE", "chUE")
+        for n in (3, 4):
+            law = law_of(cli._KIND_MAP[kind], n, gauss_weight() if weighted else None)
+            family = ["--family", "gauss"] if weighted else []
+            code, text = run(capsys, "gap", "--kind", kind, *family, "--n", str(n),
+                             f"--{flag}", *value, "--count", "200", "--workers", "1")
+            assert code == 0
+            d = json.loads(text)
+            assert d["interval"] == list(J)
+            if gap.law_engine(law) == "none":
+                assert d["engine"] == "mc" and cli._KIND_MAP[kind] in ("OE", "COE")
+            else:
+                assert d["engine"] == "exact"
+                assert d["coeffs"] == gap.law_gap(law, tuple(d["interval"])).coeffs.tolist()
+
+    def test_orthogonal_and_odd_coe_are_exact(self, capsys) -> None:
+        code, text = run(capsys, "gap", "--kind", "oplus", "--n", "3", "--theta", "1.0")
+        assert code == 0
+        d = json.loads(text)
+        assert d["engine"] == "exact" and d["interval"] == [0.0, 1.0] and len(d["coeffs"]) == 3
+        code, text = run(capsys, "gap", "--kind", "coe", "--n", "3", "--theta", "1.2")
+        assert code == 0
+        assert json.loads(text)["engine"] == "exact"
+        code, text = run(capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "4",
+                         "--s", "1.0", "--count", "200", "--workers", "1")
+        assert code == 0
+        assert json.loads(text)["engine"] == "mc"
 
     def test_missing_interval_flag(self, capsys) -> None:
         code, _ = run(capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "3")

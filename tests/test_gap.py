@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import scipy.stats
 from scipy import special
 
 from rmtdec import gap, samplers
-from rmtdec.errors import BadParameter, MomentDivergence, NonConvergence
+from rmtdec.errors import BadParameter, MomentDivergence, NoExactEngine, NonConvergence
 from rmtdec.gap import (
     GapEstimate,
     GapPolynomial,
@@ -37,7 +39,14 @@ from rmtdec.gap import (
 )
 from rmtdec.numerics import integrate
 from rmtdec.orthopoly import ClassicalWeight, build, gram
-from rmtdec.samplers import EnsembleSpec, McmcParams, sample_ensemble, sample_law, sample_mcmc
+from rmtdec.samplers import (
+    EnsembleSpec,
+    McmcParams,
+    law_of,
+    sample_ensemble,
+    sample_law,
+    sample_mcmc,
+)
 from rmtdec.weights import cauchy_weight, gauss_weight, jacobi_weight, make_weight, theta1
 
 
@@ -420,6 +429,138 @@ class TestGapOeOdd:
             gap_oe_odd_exact(jacobi_weight(0.0), 3, 1.2)
         with pytest.raises(BadParameter):
             gap_oe_odd_exact(w, 3, 1.0, mode="fast")
+
+
+def _bench_gap_weights() -> tuple:
+    """``GAP_WEIGHTS`` of the exact-gaps-io workload, read from the source
+    of perfbench/workloads.py without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["GAP_WEIGHTS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no GAP_WEIGHTS")
+
+
+def _max_count_z(spec: EnsembleSpec, intervals: list, count: int, seed: int, batches: int) -> float:
+    """The largest |z| of the in-J count frequencies of ``count`` draws of
+    ``spec`` (``batches`` batches at seeds seed, seed + 1, ...) against the
+    exact table, over the intervals J and every count of positive mass."""
+    probs = [gap.law_gap(spec.law, J).coeffs for J in intervals]
+    counts = [np.zeros(p.size) for p in probs]
+    for i in range(batches):
+        x = sample_ensemble(spec, count // batches, seed + i, workers=1).spectra
+        for J, c in zip(intervals, counts):
+            c += np.bincount(np.sum((x > J[0]) & (x < J[1]), axis=1), minlength=c.size)
+    z = []
+    for p, c in zip(probs, counts):
+        live = p > 0.0
+        z.append((c[live] - count * p[live]) / np.sqrt(count * p[live] * (1.0 - p[live])))
+    return float(np.max(np.abs(np.concatenate(z))))
+
+
+class TestLawTable:
+    """``gap.law_gap``, the one exact table, on the law record of every kind."""
+
+    @staticmethod
+    def table(kind: str, n: int, J: tuple) -> np.ndarray:
+        return gap.law_gap(law_of(kind, n), J).coeffs
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 3.0, math.pi])
+    def test_closed_forms(self, t: float) -> None:
+        # one Oplus angle of order 2 is uniform on (0, pi); the angle of
+        # Ominus (Oplus) of order 3 has density (1 -+ cos t) / pi; one COE
+        # angle is uniform on the circle
+        assert self.table("Oplus", 1, (0.0, t))[1] == pytest.approx(t / math.pi, abs=1e-14)
+        assert self.table("Ominus", 2, (0.0, t))[1] == pytest.approx(
+            (t - math.sin(t)) / math.pi, abs=1e-14
+        )
+        assert self.table("Oplus", 2, (0.0, t))[1] == pytest.approx(
+            (t + math.sin(t)) / math.pi, abs=1e-14
+        )
+        assert self.table("COE", 1, (-t, t))[1] == pytest.approx(t / math.pi, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["COE", "CUE", "Oplus", "Ominus"])
+    def test_whole_circle_holds_every_point(self, kind: str, n: int) -> None:
+        law = law_of(kind, n)
+        J = (-math.pi, math.pi) if kind in ("COE", "CUE") else (0.0, math.pi)
+        if gap.law_engine(law) == "none":
+            with pytest.raises(NoExactEngine):
+                gap.law_gap(law, J)
+            return
+        coeffs = gap.law_gap(law, J).coeffs
+        assert coeffs.size == law.n + 1
+        assert coeffs[-1] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("kind", ["Oplus", "Ominus"])
+    def test_orthogonal_counts_match_table(self, kind: str, n: int) -> None:
+        spec = EnsembleSpec(kind, n)
+        assert _max_count_z(spec, [(0.0, 1.3)], 400_000, 3100 + n, batches=1) < 4.0
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_coe_counts_match_table(self, n: int) -> None:
+        arcs = [(-t, t) for t in (0.5, 1.2, 2.5)]
+        assert _max_count_z(EnsembleSpec("COE", n), arcs, 400_000, 3200 + 10 * n, batches=4) < 4.0
+
+    def test_engines_by_law(self) -> None:
+        w = gauss_weight()
+        engines = {
+            (kind, n): gap.law_engine(law_of(kind, n, None if kind in ("COE", "CUE") else w))
+            for kind in ("OE", "UE", "chUE", "COE", "CUE")
+            for n in (3, 4)
+        }
+        assert engines == {
+            ("OE", 3): "bordered", ("OE", 4): "none", ("UE", 3): "gram", ("UE", 4): "gram",
+            ("chUE", 3): "gram", ("chUE", 4): "gram", ("COE", 3): "bordered",
+            ("COE", 4): "none", ("CUE", 3): "fourier", ("CUE", 4): "fourier",
+        }
+        # where 2a + 2 rounds, the OE law's Cauchy weight is off a by an ulp
+        # of 2a + 2, and the table's OE row moves only at that level
+        w1 = cauchy_weight(1.2)
+        assert law_of("OE", 3, w1).w.a / 2 - 1 != 1.2
+        assert_allclose(gap.law_gap(law_of("OE", 3, w1), (-0.8, 0.8)).coeffs,
+                        gap_oe_odd_exact(w1, 3, 0.8).coeffs, rtol=0, atol=1e-14)
+        # the bordered row takes symmetric J only
+        with pytest.raises(NoExactEngine):
+            gap.law_gap(law_of("OE", 3, w), (-0.5, 0.7))
+        with pytest.raises(NoExactEngine):
+            gap.law_gap(law_of("COE", 4), (-1.0, 1.0))
+
+    def test_kind_engines_are_the_table_on_the_benchmark_grid(self) -> None:
+        # every kind engine is the table on its kind's law, bit for bit, and
+        # both are bit for bit the hand-derived engines they replaced, over
+        # the exact-gaps-io arguments (s at its mid value)
+        def same(got: GapPolynomial, *others: GapPolynomial) -> None:
+            for other in others:
+                assert got.coeffs.tobytes() == other.coeffs.tobytes()
+                assert got.interval == other.interval
+
+        for family, a, s, ue_max, oe_orders in _bench_gap_weights():
+            w = make_weight(family, a)
+            r = 0.9 if family == "jacobi" else 2.0
+            for n, J in [(1, (-0.6 * r, 0.4 * r))] + [(n, (-s, s)) for n in range(2, ue_max + 1)]:
+                ref = gap._gram_gap(w.w2, n, J, J)
+                same(gap_ue_exact(w, n, J), gap.law_gap(law_of("UE", n, w), J), ref)
+            for mu, m_max in ((0, (ue_max + 1) // 2), (1, ue_max // 2)):
+                for m in range(1, m_max + 1):
+                    ref = gap._gram_gap(w.w2.squared_argument(mu), m, (0.0, s**2), (0.0, s))
+                    table = gap.law_gap(law_of("chUE", m, w, mu), (0.0, s))
+                    same(gap_chue_exact(w, mu, m, s), table, ref)
+            for n in oe_orders:
+                for mode in ("direct", "gaudin"):
+                    ref = gap._odd_gap(gap._odd_parts(w, n, s), (-s, s), mode)
+                    table = gap.law_gap(law_of("OE", n, w), (-s, s), mode)
+                    same(gap_oe_odd_exact(w, n, s, mode), table, ref)
+        for theta in (0.2, 1.7, 3.0):
+            for n in range(1, 10):
+                j = np.arange(n, dtype=float)
+                diff = j[:, None] - j[None, :]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    G = np.sin(diff * theta) / (np.pi * diff)
+                np.fill_diagonal(G, theta / np.pi)
+                ref = gap._eigen_gap(G, (-theta, theta))
+                same(gap_cue_exact(n, theta), gap.law_gap(law_of("CUE", n), (-theta, theta)), ref)
 
 
 class TestGaudinDataFunction:

@@ -736,6 +736,36 @@ class TestExactRouting:
             names |= set(re.findall(r"`([^`]+)`", line.rstrip("|").rsplit("|", 1)[1]))
         assert {samplers._route(spec)[0] for spec in _route_grid()} == names
 
+    def test_readme_engine_column_matches_route_grid(self) -> None:
+        # the exact-engine column of the same table names exactly the rows of
+        # the exact table that the grid's laws take
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| kind | law")) + 2
+        names = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            names |= set(re.findall(r"`([^`]+)`", line.rstrip("|").rsplit("|", 2)[1]))
+        assert {gap.law_engine(spec.law) for spec in _route_grid()} == names
+
+    @pytest.mark.parametrize("spec", _route_grid(), ids=EnsembleSpec.describe)
+    def test_route_is_the_law_record(self, spec: EnsembleSpec, monkeypatch) -> None:
+        # _route draws the bits of the law table on the spec's law record,
+        # mapped by the record's map
+        monkeypatch.setattr(samplers, "McmcParams", lambda: McmcParams(burn_in=20, chains=8))
+        law = spec.law
+        route, draw = samplers._route(spec)
+        law_route, law_draw = samplers._law_draw(law.beta, law.n, law.w)
+        assert route == law_route
+        got = draw(40, 71, 1).spectra
+        want = np.empty((40, 0)) if law.n == 0 else law.to_points(law_draw(40, 71, 1).spectra)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # from_points inverts to_points on the spec's points
+        if law.n:
+            back = law.from_points(got)
+            assert np.allclose(law.to_points(back), got, rtol=1e-12, atol=1e-12)
+
     def test_gauss_oe_routes_to_matrices(self) -> None:
         spec = EnsembleSpec("OE", 2, weight=GAUSS)
         batch = sample_ensemble(spec, 200, seed=51)
