@@ -163,7 +163,11 @@ def cmd_sample(config: RunConfig) -> int:
 def _gap_payload(config: RunConfig) -> dict:
     """The kind's gap vector on its interval from the exact table
     (``law_gap`` on the kind's law), or a Monte Carlo count where the table
-    has no engine: OE and COE at even n."""
+    has no engine: OE and COE at even n.  J must be a nonempty interval.
+
+    The table reads the law record (``law_of``) without the spec's
+    finite-mass check, so a law the engine cannot integrate ends in its
+    engine error (exit 3), as UE with too few Cauchy moments always has."""
     kind = (config.kind or "").lower()
     if kind not in _GAP_KINDS:
         raise BadParameter(f"gap supports kinds {'/'.join(_GAP_KINDS)}, got {config.kind!r}")
@@ -172,6 +176,8 @@ def _gap_payload(config: RunConfig) -> dict:
     if flag == "theta" and not 0.0 < config.theta <= math.pi:
         raise BadParameter("theta must lie in (0, pi]")
     J = interval(getattr(config, flag))
+    if not J[0] < J[1]:
+        raise BadParameter(f"empty interval {J}")
     fields = config.spec_fields()
     labels = {} if fields[2] is None else {"family": config.family, "a": config.a}
     try:

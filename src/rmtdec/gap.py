@@ -18,7 +18,7 @@ the Gram engine at beta = 2 (the Fourier Gram for CUE angles) and the
 bordered determinant at beta = 1 and odd n, so O+/O- and odd-n COE are
 exact too.  ``gap_ue_exact``, ``gap_chue_exact`` and ``gap_cue_exact`` are
 that table on their kind's law, and ``gap_oe_odd_exact`` is its bordered
-row on the OE weight w1 itself.
+row on the OE law, in either assembly.
 gap_mc counts samples where it has no engine, beta = 1 at even n, and a
 brute-force ordered quadrature covers n <= 4.
 
@@ -472,9 +472,8 @@ def _extract_coeffs(
 def gap_oe_odd_exact(
     w1: AdmissibleWeight, n: int, s: float, mode: str = "direct"
 ) -> GapPolynomial:
-    """Exact E(0..n; (-s, s)) for n = 2m + 1 points at beta = 1: the
-    bordered row of ``law_gap`` on w1 itself, so the OE law's weight
-    w1^2, whose Cauchy exponent 2a + 2 can round, is not in the way.
+    """Exact E(0..n; (-s, s)) for n = 2m + 1 points at beta = 1, 0 < s <
+    omega: the bordered row of ``law_gap`` on the OE law of w1.
 
     ``mode`` picks the determinant assembly: "direct" uses the raw bordered
     entries, "gaudin" first diagonalizes the restricted Gram block.  The two
@@ -484,7 +483,13 @@ def gap_oe_odd_exact(
     """
     if mode not in ("direct", "gaudin"):
         raise BadParameter(f"unknown mode {mode!r}")
-    return _odd_gap(_odd_parts(w1, n, s), (-float(s), float(s)), mode)
+    return _bordered_gap(law_of("OE", n, w1), s, (-float(s), float(s)), mode)
+
+
+def _bordered_gap(law: Law, s: float, shown: tuple, mode: str) -> GapPolynomial:
+    """The bordered row on the law's root weight, J = (-s, s) in the law's
+    coordinate, shown on ``shown``."""
+    return _odd_gap(_odd_parts(law.root, law.n, s), shown, mode)
 
 
 def _odd_gap(parts: _OddParts, shown: tuple, mode: str) -> GapPolynomial:
@@ -516,19 +521,6 @@ def gaudin_data(w1: AdmissibleWeight, n: int, s: float) -> GaudinData:
 # -- the exact table -----------------------------------------------------------------
 
 
-def _root_weight(w: ClassicalWeight) -> AdmissibleWeight | None:
-    """w1 = sqrt(w) as an admissible weight, where w = w1^2 is an OE law's
-    weight: Hermite is Gauss, Jacobi (c, c) on (-1, 1) is Jacobi c/2 and
-    Romanovski c is Cauchy c/2 - 1; None for every other w."""
-    if w.shape == "hermite":
-        return AdmissibleWeight("gauss")
-    if w.shape == "jacobi" and w.a == w.b and w.support == (-1.0, 1.0):
-        return AdmissibleWeight("jacobi", w.a / 2)
-    if w.shape == "romanovski" and w.a > 1.0:
-        return AdmissibleWeight("cauchy", w.a / 2 - 1.0)
-    return None
-
-
 def law_engine(law: Law) -> str:
     """The row of ``law_gap`` for the law (beta, n, w), keyed by beta and
     ``w.shape`` as ``samplers._law_draw`` is:
@@ -538,16 +530,17 @@ def law_engine(law: Law) -> str:
         fourier   beta = 2 where the points are the angles of the
                   stereographic map (CUE): the Gram of the same law in the
                   angle, in closed form
-        bordered  beta = 1 at odd n, where w = w1^2 for a Gauss, Jacobi or
-                  Cauchy w1: the bordered determinant, on symmetric J
+        bordered  beta = 1 at odd n, where w = w1^2 for the record's root,
+                  a Gauss, Jacobi or Cauchy w1: the bordered determinant,
+                  on symmetric J
         none      every other law, beta = 1 at even n among them
     """
     if law.beta == 2:
         return "fourier" if law.to_points is stereographic else "gram"
-    return "bordered" if law.n % 2 == 1 and _root_weight(law.w) is not None else "none"
+    return "bordered" if law.n % 2 == 1 and law.root is not None else "none"
 
 
-def law_gap(law: Law, J: tuple[float, float], mode: str = "direct") -> GapPolynomial:
+def law_gap(law: Law, J: tuple[float, float]) -> GapPolynomial:
     """Exact E(0..n; J) for the n points of a law record, J in the spec's own
     points: the one exact table, by the row of ``law_engine``.
 
@@ -556,11 +549,9 @@ def law_gap(law: Law, J: tuple[float, float], mode: str = "direct") -> GapPolyno
     row reads the arc (clipped to (-pi, pi)) directly: by rotation
     invariance only its half-width h matters.  The bordered row needs
     J = (-s, s) in the law's coordinate; at s = omega every point lies in J.
-    ``mode`` picks its assembly (see ``gap_oe_odd_exact``).  A law without a
-    row, or an asymmetric J on the bordered row, raises NoExactEngine.
+    A law without a row, or an asymmetric J on the bordered row, raises
+    NoExactEngine.
     """
-    if mode not in ("direct", "gaudin"):
-        raise BadParameter(f"unknown mode {mode!r}")
     engine, m, shown = law_engine(law), law.n, (float(J[0]), float(J[1]))
     if m == 0:
         return GapPolynomial(np.array([1.0]), 0, shown)
@@ -573,7 +564,7 @@ def law_gap(law: Law, J: tuple[float, float], mode: str = "direct") -> GapPolyno
     if engine == "bordered" and lo == -hi:
         if (lo, hi) == law.w.support:
             return GapPolynomial(np.eye(m + 1)[m], m, shown)
-        return _odd_gap(_odd_parts(_root_weight(law.w), m, hi), shown, mode)
+        return _bordered_gap(law, hi, shown, "direct")
     w = law.w
     raise NoExactEngine(
         f"no exact engine for the law beta={law.beta}, n={m}, "
@@ -1001,7 +992,7 @@ def check_thm_D4(
     ks = [int(v) for v in np.atleast_1d(k)]
     mu = n % 2
     law = law_of("COE", n)
-    w1, s = _root_weight(law.w), law.interval((-theta, theta))[1]
+    w1, s = law.root, law.interval((-theta, theta))[1]
     poly1 = gap_chue_exact(w1, mu, n // 2, s)
     poly2 = gap_chue_exact(w1, 1 - mu, (n + 1) // 2, s)
 

@@ -869,7 +869,9 @@ class Law:
     The spec's points are the images under ``to_points`` of the n points of
     the law (beta, n, w) of ``_law_draw``.  ``to_points`` is increasing and
     ``from_points`` is its inverse; ``interval`` applies it to the ends of
-    an interval.
+    an interval.  ``root`` is the admissible weight w1 with w = w1^2 of a
+    beta = 1 law (OE and COE), kept as given so no exponent is recovered
+    from a rounded one; None for every other law.
     """
 
     beta: int
@@ -877,6 +879,7 @@ class Law:
     w: ClassicalWeight
     to_points: Callable = _identity
     from_points: Callable = _identity
+    root: AdmissibleWeight | None = None
 
     @property
     def support(self) -> tuple[float, float]:
@@ -898,12 +901,12 @@ def law_of(kind: str, n: int, weight: AdmissibleWeight | None = None, mu: int = 
     """The law record of the spec (kind, n, weight, mu), after checking its
     fields: the one place a spec's law and point map are derived.
 
-    OE is (1, n, w1^2), so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a)
+    OE is (1, n, w1^2) with root w1 the spec's weight, so Gauss is Hermite, Jacobi a is Jacobi (2a, 2a)
     and Cauchy a is Romanovski 2a + 2; UE is (2, n, w2); chUE is the law
     (2, n, u^(mu - 1/2) w2(sqrt u)) of u = x^2, read at x = sqrt u.  COE
     (beta 1) and CUE (beta 2) are the Romanovski laws
     (beta, n, (1 + x^2)^-(n - 1 + 2/beta)) of x = tan(theta/2), read at
-    theta = ``stereographic`` x.  Oplus (Ominus) are the m nontrivial angles
+    theta = ``stereographic`` x; the COE root w1 is Cauchy (n - 1)/2.  Oplus (Ominus) are the m nontrivial angles
     of Haar orthogonal matrices of order n + 1 without (with) a forced +1
     eigenvalue: the law (2, m, (1 - lam)^B lam^A) of lam = sin^2(theta/2),
     read at theta = 2 atan2(sqrt lam, sqrt(1 - lam)), with A (B) = +1/2
@@ -926,7 +929,8 @@ def law_of(kind: str, n: int, weight: AdmissibleWeight | None = None, mu: int = 
     if kind in ("COE", "CUE"):
         beta = 1 if kind == "COE" else 2
         w = ClassicalWeight("romanovski", n - 1 + 2 // beta)
-        return Law(beta, n, w, stereographic, stereographic_inverse)
+        root = AdmissibleWeight("cauchy", (n - 1) / 2) if beta == 1 else None
+        return Law(beta, n, w, stereographic, stereographic_inverse, root)
     if kind in ("Oplus", "Ominus"):
         ominus = kind == "Ominus"
         # a -1 eigenvalue is forced at odd order n + 1 in Oplus, at even in Ominus
@@ -938,7 +942,7 @@ def law_of(kind: str, n: int, weight: AdmissibleWeight | None = None, mu: int = 
     if kind == "OE":
         c = 2.0 * (weight.a or 0.0)
         w1sq = {"gauss": ("hermite",), "jacobi": ("jacobi", c, c), "cauchy": ("romanovski", c + 2)}
-        return Law(1, n, ClassicalWeight(*w1sq[weight.family]))
+        return Law(1, n, ClassicalWeight(*w1sq[weight.family]), root=weight)
     if kind == "UE":
         return Law(2, n, weight.w2)
     return Law(2, n, weight.w2.squared_argument(mu), np.sqrt, lambda x: x**2)

@@ -314,6 +314,24 @@ class TestGapCommand:
         assert code == 0
         assert json.loads(text)["engine"] == "mc"
 
+    @pytest.mark.parametrize("s", ["-0.5", "0", "nan"])
+    def test_empty_interval_exits_2(self, capsys, s: str) -> None:
+        for kind in ("chue", "oe"):
+            code = cli.main(["gap", "--kind", kind, "--family", "gauss", "--n", "3", "--s", s])
+            assert code == 2
+            assert "empty interval" in capsys.readouterr().err
+
+    def test_oe_cauchy_is_the_odd_engine_bit_for_bit(self, capsys) -> None:
+        # 2a + 2 rounds at a = 0.65; the table reads w1 itself, so the CLI
+        # prints the bordered determinant on w1 and on no rounded weight
+        code, text = run(capsys, "gap", "--kind", "oe", "--family", "cauchy", "--a", "0.65",
+                         "--n", "3", "--s", "0.8")
+        assert code == 0
+        w1 = gap.make_weight("cauchy", 0.65)
+        on_w1 = gap._odd_gap(gap._odd_parts(w1, 3, 0.8), (-0.8, 0.8), "direct").coeffs
+        assert json.loads(text)["coeffs"] == on_w1.tolist()
+        assert on_w1.tolist() == gap.gap_oe_odd_exact(w1, 3, 0.8).coeffs.tolist()
+
     def test_missing_interval_flag(self, capsys) -> None:
         code, _ = run(capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "3")
         assert code == 2

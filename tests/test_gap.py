@@ -515,12 +515,15 @@ class TestLawTable:
             ("chUE", 3): "gram", ("chUE", 4): "gram", ("COE", 3): "bordered",
             ("COE", 4): "none", ("CUE", 3): "fourier", ("CUE", 4): "fourier",
         }
-        # where 2a + 2 rounds, the OE law's Cauchy weight is off a by an ulp
-        # of 2a + 2, and the table's OE row moves only at that level
-        w1 = cauchy_weight(1.2)
-        assert law_of("OE", 3, w1).w.a / 2 - 1 != 1.2
-        assert_allclose(gap.law_gap(law_of("OE", 3, w1), (-0.8, 0.8)).coeffs,
-                        gap_oe_odd_exact(w1, 3, 0.8).coeffs, rtol=0, atol=1e-14)
+        # the bordered row reads the record's root w1 as given, also where
+        # the OE law's Romanovski exponent 2a + 2 rounds (a = 0.65, 1.2)
+        for a in (0.65, 1.2):
+            w1 = cauchy_weight(a)
+            assert law_of("OE", 3, w1).root is w1
+            table = gap.law_gap(law_of("OE", 3, w1), (-0.8, 0.8)).coeffs
+            assert table.tobytes() == gap_oe_odd_exact(w1, 3, 0.8).coeffs.tobytes()
+        assert law_of("COE", 5).root == cauchy_weight(2.0)
+        assert law_of("CUE", 5).root is None and law_of("UE", 5, w).root is None
         # the bordered row takes symmetric J only
         with pytest.raises(NoExactEngine):
             gap.law_gap(law_of("OE", 3, w), (-0.5, 0.7))
@@ -548,10 +551,10 @@ class TestLawTable:
                     table = gap.law_gap(law_of("chUE", m, w, mu), (0.0, s))
                     same(gap_chue_exact(w, mu, m, s), table, ref)
             for n in oe_orders:
-                for mode in ("direct", "gaudin"):
-                    ref = gap._odd_gap(gap._odd_parts(w, n, s), (-s, s), mode)
-                    table = gap.law_gap(law_of("OE", n, w), (-s, s), mode)
-                    same(gap_oe_odd_exact(w, n, s, mode), table, ref)
+                ref = gap._odd_gap(gap._odd_parts(w, n, s), (-s, s), "gaudin")
+                same(gap_oe_odd_exact(w, n, s, "gaudin"), ref)
+                ref = gap._odd_gap(gap._odd_parts(w, n, s), (-s, s), "direct")
+                same(gap_oe_odd_exact(w, n, s), gap.law_gap(law_of("OE", n, w), (-s, s)), ref)
         for theta in (0.2, 1.7, 3.0):
             for n in range(1, 10):
                 j = np.arange(n, dtype=float)
