@@ -32,7 +32,7 @@ from .gap import (
     pair_for_24,
     pair_for_24cp,
 )
-from .samplers import _KINDS, EnsembleSpec, _check_seed, law_of, sample_ensemble
+from .samplers import _CIRCULAR, _KINDS, EnsembleSpec, _check_seed, law_of, sample_ensemble
 from .verify import (
     VerificationReport,
     verify_cor1,
@@ -136,7 +136,7 @@ class RunConfig:
         kind = _KIND_MAP.get(self.kind.lower())
         if kind is None:
             raise BadParameter(f"unknown ensemble kind {self.kind!r}")
-        weight = self.weight() if kind in ("OE", "UE", "chUE") else None
+        weight = None if kind in _CIRCULAR else self.weight()
         return kind, self.n, weight, self.mu
 
     def ensemble(self) -> EnsembleSpec:
@@ -163,11 +163,7 @@ def cmd_sample(config: RunConfig) -> int:
 def _gap_payload(config: RunConfig) -> dict:
     """The kind's gap vector on its interval from the exact table
     (``law_gap`` on the kind's law), or a Monte Carlo count where the table
-    has no engine: OE and COE at even n.  J must be a nonempty interval.
-
-    The table reads the law record (``law_of``) without the spec's
-    finite-mass check, so a law the engine cannot integrate ends in its
-    engine error (exit 3), as UE with too few Cauchy moments always has."""
+    has no engine: OE and COE at even n.  J must be a nonempty interval."""
     kind = (config.kind or "").lower()
     if kind not in _GAP_KINDS:
         raise BadParameter(f"gap supports kinds {'/'.join(_GAP_KINDS)}, got {config.kind!r}")

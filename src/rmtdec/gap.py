@@ -41,9 +41,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .densities import _placement_masses, _settle, log_p_beta_batch
-from .errors import BadParameter, NoExactEngine, NonConvergence
+from .errors import BadParameter, MomentDivergence, NoExactEngine, NonConvergence
 from .numerics import sym_eigen
-from .orthopoly import ClassicalWeight, OrthoSystem, build, gram
+from .orthopoly import ClassicalWeight, build, gram
 from .samplers import (
     EnsembleSpec,
     Law,
@@ -299,23 +299,9 @@ class _OddParts:
     G: np.ndarray  # 2 int_0^s w2 p_{2j-1} p_{2k-1}
 
 
-def _odd_block(
-    w1: AdmissibleWeight, n: int, s: float
-) -> tuple[int, OrthoSystem | None, list[int]]:
-    """m, the orthonormal system up to degree 2m - 1 (None when m = 0) and
-    its odd indices, for n = 2m + 1 points on (-s, s)."""
-    if n < 1 or n % 2 == 0:
-        raise BadParameter("the bordered determinant needs odd n >= 1")
-    if not 0.0 < s < w1.omega:
-        raise BadParameter(f"need 0 < s < {w1.omega}")
-    m = (n - 1) // 2
-    if m == 0:
-        return 0, None, []
-    return m, build(w1.w2, 2 * m - 1), list(range(1, 2 * m, 2))
-
-
 def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
-    """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s).
+    """Bordered-determinant ingredients for n = 2m + 1 points on (-s, s), 0 < s
+    < omega, built only for an OE law of finite mass, else MomentDivergence.
 
     (phi w1)' = -x w1 / alpha_1 gives -(R companion)' = w1 L R for
     L = x / alpha_1 - phi d/dx, so R_k with L R_k = p_{2k-1} integrates w1
@@ -327,15 +313,20 @@ def _odd_parts(w1: AdmissibleWeight, n: int, s: float) -> _OddParts:
     K[k, i] = K[k, i+1] l_{2i+2} / l_{2i+1}, and int_J w2 p_{2i} =
     recur_b[0] G[2i, 0] for the one Gram matrix G over J = (-s, s).
     """
-    m, sys, odd_idx = _odd_block(w1, n, s)
-    theta = w1.theta
+    if n < 1 or n % 2 == 0:
+        raise BadParameter("the bordered determinant needs odd n >= 1")
+    if not 0.0 < s < w1.omega:
+        raise BadParameter(f"need 0 < s < {w1.omega}")
+    law_of("OE", n, w1).check_mass(MomentDivergence)
+    m, theta = (n - 1) // 2, w1.theta
     th1s = float(theta1(w1, s))
     comp_s = float(w1.companion(s))
     if m == 0:
         z = np.zeros(0)
         return _OddParts(0, theta, th1s, comp_s, z, z, z, z, np.zeros((0, 0)))
 
-    even_idx = list(range(0, 2 * m, 2))
+    sys = build(w1.w2, 2 * m - 1)
+    odd_idx, even_idx = list(range(1, 2 * m, 2)), list(range(0, 2 * m, 2))
     j = np.arange(2 * m)
     # 1/alpha_1 = 2a + 1 - tau for all three families (a = 0 for Gauss)
     ell = (2.0 * (w1.a or 0.0) + 1.0 - j * w1.tau) * sys.recur_b[: 2 * m]
@@ -483,13 +474,7 @@ def gap_oe_odd_exact(
     """
     if mode not in ("direct", "gaudin"):
         raise BadParameter(f"unknown mode {mode!r}")
-    return _bordered_gap(law_of("OE", n, w1), s, (-float(s), float(s)), mode)
-
-
-def _bordered_gap(law: Law, s: float, shown: tuple, mode: str) -> GapPolynomial:
-    """The bordered row on the law's root weight, J = (-s, s) in the law's
-    coordinate, shown on ``shown``."""
-    return _odd_gap(_odd_parts(law.root, law.n, s), shown, mode)
+    return _odd_gap(_odd_parts(w1, n, s), (-float(s), float(s)), mode)
 
 
 def _odd_gap(parts: _OddParts, shown: tuple, mode: str) -> GapPolynomial:
@@ -511,11 +496,11 @@ def _odd_gap(parts: _OddParts, shown: tuple, mode: str) -> GapPolynomial:
 
 
 def gaudin_data(w1: AdmissibleWeight, n: int, s: float) -> GaudinData:
-    """Eigen-decomposition of the restricted odd-degree Gram block."""
-    m, sys, odd_idx = _odd_block(w1, n, s)
-    if m == 0:
+    """The Gaudin assembly's eigen-decomposition of the restricted odd-degree Gram block."""
+    parts = _odd_parts(w1, n, s)
+    if parts.m == 0:
         raise BadParameter("n = 1 has no odd-degree block to diagonalize")
-    return _gaudin_from_gram(gram(sys, (-s, s), odd_idx))
+    return _gaudin_from_gram(parts.G)
 
 
 # -- the exact table -----------------------------------------------------------------
@@ -544,28 +529,27 @@ def law_gap(law: Law, J: tuple[float, float]) -> GapPolynomial:
     """Exact E(0..n; J) for the n points of a law record, J in the spec's own
     points: the one exact table, by the row of ``law_engine``.
 
-    J reaches the law's coordinate through ``law.interval``, so a J that
-    covers the points' support never meets a pole of the map.  The Fourier
-    row reads the arc (clipped to (-pi, pi)) directly: by rotation
-    invariance only its half-width h matters.  The bordered row needs
-    J = (-s, s) in the law's coordinate; at s = omega every point lies in J.
-    A law without a row, or an asymmetric J on the bordered row, raises
-    NoExactEngine.
+    Its door decides the edge cases once, for every row, in this order: a law
+    without a row raises NoExactEngine, one without finite mass
+    (``Law.check_mass``) MomentDivergence; a J that misses the support gives
+    E(0) = 1, one that covers it E(n) = 1 exactly.  J reaches the law's
+    coordinate through ``law.interval``, so it never meets a pole of the map.
+    The rows see proper subintervals: the Fourier row reads the arc, clipped
+    to (-pi, pi), by its half-width alone (rotation invariance); the bordered
+    row needs J = (-s, s) in the law's coordinate, else NoExactEngine.
     """
-    engine, m, shown = law_engine(law), law.n, (float(J[0]), float(J[1]))
-    if m == 0:
-        return GapPolynomial(np.array([1.0]), 0, shown)
-    if engine == "fourier":
-        lo, hi = max(J[0], -math.pi), min(J[1], math.pi)
-        return _fourier_gap(m, 0.5 * max(hi - lo, 0.0), shown)
-    lo, hi = law.interval(J)
-    if engine == "gram":
-        return _gram_gap(law.w, m, (lo, hi), shown)
-    if engine == "bordered" and lo == -hi:
-        if (lo, hi) == law.w.support:
-            return GapPolynomial(np.eye(m + 1)[m], m, shown)
-        return _bordered_gap(law, hi, shown, "direct")
-    w = law.w
+    engine, m, shown, w = law_engine(law), law.n, (float(J[0]), float(J[1])), law.w
+    if engine != "none":
+        law.check_mass(MomentDivergence)
+        lo, hi = law.interval(J)
+        if m == 0 or not lo < hi or (lo, hi) == w.support:
+            return GapPolynomial(np.eye(m + 1)[m if lo < hi else 0], m, shown)
+        if engine == "fourier":
+            return _fourier_gap(m, 0.5 * (min(J[1], math.pi) - max(J[0], -math.pi)), shown)
+        if engine == "gram":
+            return _gram_gap(w, m, (lo, hi), shown)
+        if lo == -hi:
+            return _odd_gap(_odd_parts(law.root, m, hi), shown, "direct")
     raise NoExactEngine(
         f"no exact engine for the law beta={law.beta}, n={m}, "
         f"{w.shape}(a={w.a:g}, b={w.b:g}) on {shown}"
@@ -659,7 +643,6 @@ def check_thm_gap(
     count: int = 100_000,
     seed: int = 11,
     workers: int = 1,
-    bruteforce: bool | None = None,
 ) -> VerificationReport:
     """Sum of two adjacent beta = 1 gap probabilities on (-s, s) against the
     exact chiral beta = 2 gap on (0, s).
@@ -680,7 +663,7 @@ def check_thm_gap(
         est = gap_mc(EnsembleSpec("OE", n, w), (-s, s), n, count, seed, workers=workers)
         lhs, se = est.sum_prob([2 * k - 1, 2 * k])
         checks.append(_z_or_residual("mc_vs_exact", lhs, rhs, se * se, count))
-        if bruteforce or (bruteforce is None and n <= 4):
+        if n <= 4:
             bl = gap_oe_bruteforce(w, n, (-s, s), 2 * k - 1) + gap_oe_bruteforce(
                 w, n, (-s, s), 2 * k
             )

@@ -822,16 +822,13 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
                     Cauchy weight (a - 2/beta)/2 of the same density,
                     heavy-tailed proposals
 
-    It alone decides finite mass, before any draw: n < a + 1 - 1/beta for
-    Romanovski, A > -1 (p > -1) for Laguerre, A, B > -1 for Jacobi and
-    beta-prime; any other law raises BadParameter.
+    A law without finite mass (``Law.check_mass``) raises BadParameter
+    before any draw.
     """
-    e = 2 // beta - 1  # 2/beta - 1 as an exact integer, so A = b at beta = 2
+    law = Law(beta, n, w)
+    law.check_mass()
+    e = 2 // beta - 1  # 2/beta - 1 as an exact integer
     (lo, hi), a, b = w.support, w.a, w.b
-    A, B = b + e, a - b - 2 * n - e if w.shape == "betaprime" else a + e
-    finite = {"hermite": True, "laguerre": A > -1.0, "romanovski": n - 1 + 1 / beta < a}
-    if not finite.get(w.shape, A > -1.0 and B > -1.0):
-        raise BadParameter(f"{w.shape} law beta={beta}, n={n}, a={a:g}, b={b:g} has no finite mass")
     if w.shape == "hermite":
         return "gaussian", lambda *run: sample_gaussian_matrix(beta, n, *run)
     if w.shape == "romanovski":
@@ -849,6 +846,7 @@ def _law_draw(beta: int, n: int, w: ClassicalWeight) -> tuple[str, Callable[...,
     else:
         jacobi = w.shape == "jacobi"
         to_x = (lambda lam: lo + (hi - lo) * lam) if jacobi else (lambda lam: lam / (1.0 - lam))
+        A, B = law.exponents
         route, model = "beta-jacobi", lambda *run: sample_beta_jacobi(beta, n, A, B, *run)
     return route, _mapped(to_x, model)
 
@@ -880,6 +878,22 @@ class Law:
     to_points: Callable = _identity
     from_points: Callable = _identity
     root: AdmissibleWeight | None = None
+
+    @property
+    def exponents(self) -> tuple[float, float]:
+        """(A, B) of the law's beta-Jacobi model in ``_law_draw``: b + 2/beta - 1 (A of
+        beta-Laguerre too), and a + 2/beta - 1 (Jacobi) or a - b - 2n + 1 - 2/beta."""
+        e, (a, b) = 2 // self.beta - 1, (self.w.a, self.w.b)  # 2/beta - 1 exactly
+        return b + e, a - b - 2 * self.n - e if self.w.shape == "betaprime" else a + e
+
+    def check_mass(self, error: type[Exception] = BadParameter) -> None:
+        """Raise ``error`` unless the law has finite mass, the one condition of
+        both tables: n < a + 1 - 1/beta for Romanovski, A > -1 for Laguerre,
+        A, B > -1 (``exponents``) for Jacobi and beta-prime."""
+        (A, B), w, n = self.exponents, self.w, self.n
+        finite = {"hermite": True, "laguerre": A > -1.0, "romanovski": n - 1 + 1 / self.beta < w.a}
+        if not finite.get(w.shape, A > -1.0 and B > -1.0):
+            raise error(f"{w.shape} law beta={self.beta}, n={n}, a={w.a:g}, b={w.b:g} has no finite mass")
 
     @property
     def support(self) -> tuple[float, float]:

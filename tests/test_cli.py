@@ -332,6 +332,27 @@ class TestGapCommand:
         assert json.loads(text)["coeffs"] == on_w1.tolist()
         assert on_w1.tolist() == gap.gap_oe_odd_exact(w1, 3, 0.8).coeffs.tolist()
 
+    def test_oe_cauchy_a065_is_unchanged(self, capsys) -> None:
+        # reference bits of the bordered determinant at a = 0.65, n = 3,
+        # s = 0.8: a law of finite mass, where 2a + 2 rounds
+        code, text = run(capsys, "gap", "--kind", "oe", "--family", "cauchy", "--a", "0.65",
+                         "--n", "3", "--s", "0.8")
+        assert code == 0
+        want = ["0x1.8333580105b67p-3", "0x1.3bbd66d48fb6ap-1", "0x1.87cf413dd8f55p-3",
+                "0x1.81f2dbb89e84dp-9"]
+        assert json.loads(text)["coeffs"] == [float.fromhex(c) for c in want]
+
+    @pytest.mark.parametrize("a", ["0.3", "0.35", "0.45"])
+    def test_oe_without_finite_mass(self, capsys, a: str) -> None:
+        # odd n: the exact table refuses the law as an engine error, naming
+        # the missing mass; even n: no row, so the Monte Carlo spec refuses it
+        base = ["gap", "--kind", "oe", "--family", "cauchy", "--a", a, "--s", "0.8"]
+        assert cli.main([*base, "--n", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "MomentDivergence" in err and "has no finite mass" in err
+        assert cli.main([*base, "--n", "4", "--count", "100", "--workers", "1"]) == 2
+        assert "has no finite mass" in capsys.readouterr().err
+
     def test_missing_interval_flag(self, capsys) -> None:
         code, _ = run(capsys, "gap", "--kind", "oe", "--family", "gauss", "--n", "3")
         assert code == 2
