@@ -6,11 +6,13 @@ laws at the circular exponent (COE/CUE, and OE/UE with matched Cauchy
 weights), and the beta-Laguerre (Dumitriu-Edelman) and beta-Jacobi
 (Edelman-Sutton) models for the chiral and Jacobi laws and the Oplus/Ominus
 angles.  Matrices of order 1 and 2 take closed forms at each linear-algebra
-step, so small-n batches pay no per-matrix LAPACK call.  Only the rare Haar
-row with an angle near pi, or with I + U singular, calls a non-symmetric
-eigensolver.  A generic random-walk Metropolis sampler covers the rest, the
-Romanovski laws off the circular exponent: OE and UE with a Cauchy weight
-off it, and the eq24cp Cauchy pair runs.
+step, so small-n batches pay no per-matrix LAPACK call; at order 3 the
+Hermitian eigenvalues do, and only rows with two eigenvalues close go to
+``eigvalsh``.  Only the rare Haar row with an angle near pi, or with I + U
+singular, calls a non-symmetric eigensolver.  A generic random-walk
+Metropolis sampler covers the rest, the Romanovski laws off the circular
+exponent: OE and UE with a Cauchy weight off it, and the eq24cp Cauchy
+pair runs.
 
 A law (beta, n, w) is n points with density prod w(x_i)^(beta/2)
 |Vdm(x)|^beta for a classical weight w of ``orthopoly``, so its beta = 2
@@ -77,6 +79,13 @@ _CIRCULAR = ("COE", "CUE", "Oplus", "Ominus")
 _BLOCKS = 4
 # |tan(theta/2)| beyond which a Cayley row falls back to eigvals
 _CAYLEY_MAX = 100.0
+# 1 - |r| below which an order-3 row of _eigvalsh3 falls back to eigvalsh:
+# acos amplifies the rounding of r by up to 1/sqrt(2 _ACOS_MARGIN) = 7, so
+# the closed form stays within about 8 eps |A| of 40-digit eigenvalues;
+# about 1% of GOE and 0.1% of GUE rows fall back
+_ACOS_MARGIN = 1e-2
+# the smallest normal float; a smaller p^3 has lost relative precision
+_TINY = np.finfo(float).tiny
 # rows per chunk of an exact route's transform and of SampleBatch's writers
 # and readers
 _ROWS = 256
@@ -393,17 +402,53 @@ def _eigvalsh(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of Hermitian or real symmetric
     matrices, read from the diagonal and the lower triangle as ``eigvalsh``
     reads them.  At order 1 that is the real diagonal, at order 2
-    t -+ hypot((a - d)/2, |b|) with t = (a + d)/2, and above that
-    ``eigvalsh`` itself."""
+    t -+ hypot((a - d)/2, |b|) with t = (a + d)/2, at order 3 Smith's
+    trigonometric form (``_eigvalsh3``), and above that ``eigvalsh``
+    itself."""
     n = h.shape[-1]
-    if n > 2:
+    if n > 3:
         return np.linalg.eigvalsh(h)
+    if n == 3:
+        return _eigvalsh3(h)
     if n == 1:
         return h[:, 0, :].real
     a, d = h[:, 0, 0].real, h[:, 1, 1].real
     t = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), np.abs(h[:, 1, 0]))
     return np.stack([t - r, t + r], axis=1)
+
+
+def _eigvalsh3(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of order-3 Hermitian or real
+    symmetric matrices in Smith's closed form (Comm. ACM 4(4), 1961): with
+    q = tr A / 3, B = A - qI, p = |B|_F / sqrt(6) and r = det B / (2 p^3),
+    the largest and smallest are q + 2p cos(acos(r)/3) and
+    q + 2p cos(acos(r)/3 + 2 pi/3), and the middle one is 3q minus both.
+    A row is redone alone by ``eigvalsh`` where acos is ill-conditioned
+    (|r| >= 1 - _ACOS_MARGIN: two eigenvalues close), where p^3 is 0,
+    subnormal or overflows, or where its values are not finite or not in
+    order."""
+    d0, d1, d2 = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 2, 2].real
+    q = (d0 + d1 + d2) / 3.0
+    d0, d1, d2 = d0 - q, d1 - q, d2 - q
+    o10, o20, o21 = h[:, 1, 0], h[:, 2, 0], h[:, 2, 1]
+    s10, s20, s21 = ((x * x.conj()).real for x in (o10, o20, o21))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s10 + s20 + s21)) / 6.0
+        p = np.sqrt(p2)
+        p3 = p * p2
+        det = d0 * d1 * d2 - d0 * s21 - d1 * s20 - d2 * s10 + 2.0 * (o20.conj() * o10 * o21).real
+        r = det / (2.0 * p3)
+        phi = np.arccos(r) / 3.0
+        hi = q + 2.0 * p * np.cos(phi)
+        lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+        mid = 3.0 * q - hi - lo
+        good = (np.abs(r) < 1.0 - _ACOS_MARGIN) & (p3 >= _TINY) & (p3 < np.inf)
+        good &= (lo <= mid) & (mid <= hi) & np.isfinite(hi + lo)
+    lam = np.stack([lo, mid, hi], axis=1)
+    if not good.all():
+        lam[~good] = np.linalg.eigvalsh(h[~good])
+    return lam
 
 
 def _phase(d: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -326,7 +327,7 @@ def _by_blocks(fn, count: int, seed: int) -> np.ndarray:
 
 
 class TestSmallOrderKernels:
-    """The order 1 and 2 closed forms against numpy.linalg on 10^5 matrices."""
+    """The order <= 3 closed forms against numpy.linalg on 10^5 matrices."""
 
     COUNT = 100_000
 
@@ -345,6 +346,87 @@ class TestSmallOrderKernels:
         assert np.all(got[:, 1:] >= got[:, :-1])
         assert np.max(np.abs(got - want) / norm) <= 8.0 * EPS
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_eigvalsh_order_three(self, hermitian: bool) -> None:
+        # scaled and shifted, so |q| = |tr A|/3 reaches several times p
+        rng = np.random.default_rng(53 + hermitian)
+        scale = np.exp(rng.uniform(-3.0, 3.0, (self.COUNT, 1, 1)))
+        a = rng.standard_normal((self.COUNT, 3, 3))
+        if hermitian:
+            a = a + 1j * rng.standard_normal(a.shape)
+        shift = rng.uniform(-5.0, 5.0, (self.COUNT, 1, 1)) * np.eye(3)
+        h = (a + np.conj(np.swapaxes(a, 1, 2)) + shift) * scale
+        h = h + np.triu(rng.standard_normal(h.shape), 1)  # read from the lower triangle
+        want = np.linalg.eigvalsh(h)
+        norm = np.max(np.abs(want), axis=1, keepdims=True)
+        got = _eigvalsh(h)
+        assert np.all(got[:, 1:] >= got[:, :-1])
+        assert np.max(np.abs(got - want) / norm) <= 32.0 * EPS
+
+    @staticmethod
+    def _planted_pairs(rng: np.random.Generator, hermitian: bool, per: int) -> np.ndarray:
+        """Q diag(1, 1 + d, 2) Q^H for Haar Q and d = 1e-14 ... 1e-1."""
+        d = np.repeat(10.0 ** np.arange(-14, 0), per)
+        z = rng.standard_normal((d.size, 3, 3))
+        if hermitian:
+            z = z + 1j * rng.standard_normal(z.shape)
+        q = np.linalg.qr(z)[0]
+        lam = np.stack([np.ones_like(d), 1.0 + d, 2.0 * np.ones_like(d)], axis=1)
+        h = (q * lam[:, None, :]) @ np.conj(np.swapaxes(q, 1, 2))
+        return 0.5 * (h + np.conj(np.swapaxes(h, 1, 2)))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_eigvalsh_order_three_against_mpmath(self, hermitian: bool) -> None:
+        # 40-digit eigenvalues of the rounded matrices themselves
+        rng = np.random.default_rng(55 + hermitian)
+        a = rng.standard_normal((220, 3, 3)) * np.exp(rng.uniform(-3.0, 3.0, (220, 1, 1)))
+        if hermitian:
+            a = a + 1j * rng.standard_normal(a.shape)
+        h = np.concatenate([self._planted_pairs(rng, hermitian, 20), a + np.conj(np.swapaxes(a, 1, 2))])
+        eig = mpmath.eighe if hermitian else mpmath.eigsy
+        with mpmath.workdps(40):
+            want = np.array([sorted(float(x) for x in eig(mpmath.matrix(m.tolist()), eigvals_only=True))
+                             for m in h])
+        got = _eigvalsh(h)
+        assert np.all(got[:, 1:] >= got[:, :-1])
+        assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=1, keepdims=True)) <= 16.0 * EPS
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_eigvalsh_order_three_fallback(self, monkeypatch, hermitian: bool) -> None:
+        # close pairs, c I, the zero matrix and rows whose p^3 underflows or
+        # overflows go to eigvalsh and come back with its bits; so do the
+        # rows of 1e16 I + A that the closed form would leave out of order;
+        # few of the plain Gaussian rows are redone
+        rng = np.random.default_rng(57 + hermitian)
+        a = rng.standard_normal((96, 3, 3))
+        if hermitian:
+            a = a + 1j * rng.standard_normal(a.shape)
+        a = a + np.conj(np.swapaxes(a, 1, 2))
+        redo = np.concatenate([
+            self._planted_pairs(rng, hermitian, 1)[:12],  # d <= 1e-3
+            a[:4] * 1e-104,
+            [np.diag([-1.0, 0.1, 1.0]) * 1e103],  # det is finite, p^3 is not
+            [c * np.eye(3) for c in (0.0, 1.0, -2.5, 1e-300, 3e200)],
+        ])
+        h = np.concatenate([a[:64], 1e16 * np.eye(3) + a[64:], redo])
+        sent = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            sent.extend(row.tobytes() for row in m)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        got = _eigvalsh(h)
+        monkeypatch.undo()
+        redone = np.array([m.tobytes() in sent for m in h])
+        assert np.all(redone[96:]) and np.count_nonzero(redone[:64]) <= 4
+        assert got[redone].tobytes() == np.linalg.eigvalsh(h[redone]).tobytes()
+        assert np.all(got[:, 1:] >= got[:, :-1])
+        # LAPACK's own scaling leaves 1e-300 I one ulp off
+        c = np.array([0.0, 1.0, -2.5, 1e-300, 3e200])[:, None]
+        np.testing.assert_allclose(got[-5:], np.repeat(c, 3, axis=1), rtol=EPS, atol=0)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_haar_unitary(self, n: int) -> None:
         # the exact complement keeps U unitary to rounding (1.1e-15 here,
@@ -357,7 +439,7 @@ class TestSmallOrderKernels:
         assert np.max(np.abs(u - want)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["COE", "CUE"])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_circular_angles(self, kind: str, n: int) -> None:
         variates = _normal_pair(n)(np.random.default_rng(71 + n), self.COUNT)
         got = stereographic(_circular_tan_half(kind, *variates))
@@ -397,16 +479,17 @@ class TestSmallOrderKernels:
     @pytest.mark.parametrize(
         "spec,reference",
         [
-            (EnsembleSpec("COE", 3), lambda rng, m: _lapack_angles(rng, m, "COE", 3)),
-            (EnsembleSpec("CUE", 3), lambda rng, m: _lapack_angles(rng, m, "CUE", 3)),
-            (EnsembleSpec("OE", 3, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 1, 3)),
-            (EnsembleSpec("UE", 3, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 2, 3)),
+            (EnsembleSpec("COE", 4), lambda rng, m: _lapack_angles(rng, m, "COE", 4)),
+            (EnsembleSpec("CUE", 4), lambda rng, m: _lapack_angles(rng, m, "CUE", 4)),
+            (EnsembleSpec("OE", 4, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 1, 4)),
+            (EnsembleSpec("UE", 4, GAUSS), lambda rng, m: _lapack_gaussian(rng, m, 2, 4)),
             (EnsembleSpec("chUE", 3, GAUSS), lambda rng, m: _lapack_chue_gauss(rng, m, 3)),
         ],
         ids=["COE", "CUE", "OE", "UE", "chUE"],
     )
-    def test_order_three_keeps_lapack(self, spec: EnsembleSpec, reference) -> None:
-        # above order 2 every route is the LAPACK one, bit for bit
+    def test_order_four_keeps_lapack(self, spec: EnsembleSpec, reference) -> None:
+        # eigen-solves above order 3, and svd above order 2, are the LAPACK
+        # route, bit for bit
         got = sample_ensemble(spec, 2001, seed=93).spectra
         np.testing.assert_array_equal(got, _by_blocks(reference, 2001, 93))
 
@@ -499,6 +582,27 @@ class TestChunking:
         read = getattr(SampleBatch, f"from_{fmt}")
         peak, out = self._traced_peak(lambda: read(path).spectra)
         assert peak <= 4.0 * out.nbytes
+
+
+class TestExactLawsAtOrderThree:
+    """Count histograms of 10^5 order-3 draws on two intervals against the
+    exact engines, which use no eigen-solver of the samplers."""
+
+    @pytest.mark.parametrize(
+        "spec,engine",
+        [
+            (EnsembleSpec("OE", 3, GAUSS), lambda s: gap.gap_oe_odd_exact(GAUSS, 3, s)),
+            (EnsembleSpec("UE", 3, GAUSS), lambda s: gap.gap_ue_exact(GAUSS, 3, (-s, s))),
+            (EnsembleSpec("CUE", 3), lambda s: gap.gap_cue_exact(3, s)),
+            (EnsembleSpec("COE", 3), lambda s: gap.law_gap(EnsembleSpec("COE", 3).law, (-s, s))),
+        ],
+        ids=["OE", "UE", "CUE", "COE"],
+    )
+    def test_counts_match_exact_engine(self, spec: EnsembleSpec, engine) -> None:
+        x = sample_ensemble(spec, 100_000, seed=111).spectra
+        for s in (0.5, 1.2):
+            z = _count_z(x, -s, s, engine(s).coeffs)
+            assert np.max(z) < 4.0, f"{spec.describe()} on (-{s}, {s}): z = {z}"
 
 
 class TestExactLawsAtOrderTwo:
